@@ -10,33 +10,36 @@ stderr and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .data import (
     MultiLabelDataset,
     SyntheticSpec,
+    atomic_open,
     generate_synthetic,
     load_split_csv,
     read_spec_json,
     write_spec_json,
     write_split_csv,
 )
-from .metrics import compute_metric_report
-from .net import Mlp, make_rng, sigmoid
+from .net import Mlp, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .training import (
     TrainConfig,
-    Trainer,
+    evaluate,
     load_checkpoint,
     save_checkpoint,
+    train,
 )
 
 __all__ = ["ExperimentSpec", "run_experiment", "main"]
@@ -100,13 +103,13 @@ def apply_regime(ds: MultiLabelDataset, regime: str,
 
 
 def _json_dump(obj, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_curves(path, logs) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["epoch", "stage", "loss", "noisy_val_map",
@@ -146,14 +149,11 @@ def read_config_json(path) -> ExperimentSpec:
     with open(path) as fh:
         payload = json.load(fh)
     synthetic = payload["synthetic"]
-    if synthetic is not None:
-        synthetic["split_ratio"] = tuple(synthetic["split_ratio"])
-        synthetic = SyntheticSpec(**synthetic)
     return ExperimentSpec(
         train_config=TrainConfig(**payload["train_config"]),
         outdir=str(Path(path).parent),
         regime=payload["regime"],
-        synthetic=synthetic,
+        synthetic=None if synthetic is None else SyntheticSpec(**synthetic),
         data_dir=payload["data_dir"],
         noise_seed=payload["noise_seed"],
     )
@@ -169,17 +169,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     noise_rng = make_rng([_resolve_noise_seed(spec), NOISE_STREAM])
     train_ds = apply_regime(splits["train"], spec.regime, noise_rng)
     val_ds = apply_regime(splits["val"], spec.regime, noise_rng)
-    test_ds = splits["test"]
 
     flips = compute_flip_rates(train_ds.y_true, train_ds.y_observed)
     flips.to_csv(outdir / "fliprates.csv")
 
-    trainer = Trainer(spec.train_config, train_ds, val_ds)
-    trainer.run()
-    final_model = trainer.teacher if spec.train_config.method == "adagc" else trainer.model
-    probs = sigmoid(final_model.forward(test_ds.features))
-    report = compute_metric_report(probs, test_ds.y_true, spec.train_config.threshold)
-
+    result = train(spec.train_config, train_ds, val_ds, splits["test"])
+    trainer = result.trainer
     resolved = asdict(spec.train_config)
     resolved["w_neg"] = trainer.w_neg
     resolved["k_expected"] = trainer.k_expected
@@ -192,7 +187,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "trigger_epoch": trainer.detector.trigger_epoch,
     }
     _json_dump(config_payload, outdir / "config.json")
-    _json_dump(report.to_json_dict(), outdir / "metrics.json")
+    _json_dump(result.report.to_json_dict(), outdir / "metrics.json")
     if spec.emit_curves:
         _write_curves(outdir / "curves.csv", trainer.logs)
     save_checkpoint(trainer.checkpoint(), outdir / "checkpoint.json")
@@ -208,75 +203,62 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return paths
 
 
-def _add_synthetic_flags(parser) -> None:
-    d = SyntheticSpec()
-    parser.add_argument("--n-samples", type=int, default=d.n_samples)
-    parser.add_argument("--n-classes", type=int, default=d.n_classes)
-    parser.add_argument("--n-features", type=int, default=d.n_features)
-    parser.add_argument("--separation", type=float, default=d.separation)
-    parser.add_argument("--mean-positives", type=float, default=d.mean_positives)
-    parser.add_argument("--extent-concentration", type=float,
-                        default=d.extent_concentration)
-    parser.add_argument("--data-seed", type=int, default=d.seed)
+# config fields whose flag is not the field name in kebab case; None: no flag
+_FLAG_EXCEPTIONS = {
+    (SyntheticSpec, "seed"): "--data-seed",
+    (SyntheticSpec, "split_ratio"): None,
+}
 
 
-def _synthetic_from_args(args) -> SyntheticSpec:
-    return SyntheticSpec(
-        n_samples=args.n_samples,
-        n_classes=args.n_classes,
-        n_features=args.n_features,
-        separation=args.separation,
-        mean_positives=args.mean_positives,
-        extent_concentration=args.extent_concentration,
-        seed=args.data_seed,
-    )
+def _config_flags(cls) -> list:
+    """(field name, flag, type hint, default) for each flagged field of ``cls``."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        flag = _FLAG_EXCEPTIONS.get((cls, f.name), "--" + f.name.replace("_", "-"))
+        if flag is not None:
+            out.append((f.name, flag, hints[f.name], f.default))
+    return out
 
 
-def _train_config_flags(parser) -> None:
-    d = TrainConfig()
-    parser.add_argument("--method", default=d.method)
-    parser.add_argument("--lam", type=float, default=d.lam)
-    parser.add_argument("--beta-t", type=float, default=d.beta_t)
-    parser.add_argument("--beta-s", type=float, default=d.beta_s)
-    parser.add_argument("--gamma", type=float, default=d.gamma)
-    parser.add_argument("--mixup-alpha", type=float, default=d.mixup_alpha)
-    parser.add_argument("--patience", type=int, default=d.patience)
-    parser.add_argument("--eps-smooth", type=float, default=d.eps_smooth)
-    parser.add_argument("--w-neg", type=float, default=None)
-    parser.add_argument("--k-expected", type=float, default=None)
-    parser.add_argument("--epr-weight", type=float, default=d.epr_weight)
-    parser.add_argument("--epochs", type=int, default=d.epochs)
-    parser.add_argument("--batch-size", type=int, default=d.batch_size)
-    parser.add_argument("--learning-rate", type=float, default=d.learning_rate)
-    parser.add_argument("--seed", type=int, default=d.seed)
-    parser.add_argument("--threshold", type=float, default=d.threshold)
-    parser.add_argument("--hidden", type=int, default=d.hidden)
-    parser.add_argument("--raw-student-pseudo", action="store_true")
-    parser.add_argument("--log-clean-val", action="store_true")
+def _parse_value(cls, name: str, raw: str):
+    """Parse a flag or grid value for field ``name`` of ``cls`` by its type hint.
+
+    Bools take only ``true``/``false``; optional fields also take ``none``.
+    """
+    hint = get_type_hints(cls)[name]
+    optional = type(None) in get_args(hint)
+    if optional and raw == "none":
+        return None
+    if optional:
+        (hint,) = set(get_args(hint)) - {type(None)}
+    try:
+        return {"true": True, "false": False}[raw] if hint is bool else hint(raw)
+    except (KeyError, ValueError):
+        expected = "true or false" if hint is bool else hint.__name__
+        if optional:
+            expected += " or none"
+        raise ValueError(f"field {name}: expected {expected}, got {raw!r}") from None
 
 
-def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        method=args.method,
-        lam=args.lam,
-        beta_t=args.beta_t,
-        beta_s=args.beta_s,
-        gamma=args.gamma,
-        mixup_alpha=args.mixup_alpha,
-        patience=args.patience,
-        eps_smooth=args.eps_smooth,
-        w_neg=args.w_neg,
-        k_expected=args.k_expected,
-        epr_weight=args.epr_weight,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        threshold=args.threshold,
-        hidden=args.hidden,
-        raw_student_pseudo=args.raw_student_pseudo,
-        log_clean_val=args.log_clean_val,
-    )
+def _flag_value(cls, name: str, raw: str):
+    try:
+        return _parse_value(cls, name, raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_config_flags(parser, cls) -> None:
+    for name, flag, hint, default in _config_flags(cls):
+        if hint is bool:
+            parser.add_argument(flag, action="store_true")
+        else:
+            parser.add_argument(flag, type=partial(_flag_value, cls, name), default=default)
+
+
+def _config_from_flags(cls, args):
+    return cls(**{name: getattr(args, flag[2:].replace("-", "_"))
+                  for name, flag, _, _ in _config_flags(cls)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset as CSV splits")
-    _add_synthetic_flags(p_gen)
+    _add_config_flags(p_gen, SyntheticSpec)
     p_gen.add_argument("--outdir", required=True)
 
     p_cor = sub.add_parser("corrupt", help="apply a noise regime to a dataset")
@@ -297,14 +279,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--outdir", default=None,
                        help="defaults to the dataset directory")
 
-    p_train = sub.add_parser("train", help="run one experiment")
-    _add_synthetic_flags(p_train)
-    _train_config_flags(p_train)
-    p_train.add_argument("--data-dir", default=None)
-    p_train.add_argument("--regime", choices=list(REGIMES), default="random")
-    p_train.add_argument("--noise-seed", type=int, default=None)
-    p_train.add_argument("--outdir", required=True)
-    p_train.add_argument("--no-curves", action="store_true")
+    # the flags of one experiment, shared by train and grid
+    run = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(run, SyntheticSpec)
+    _add_config_flags(run, TrainConfig)
+    run.add_argument("--data-dir", default=None)
+    run.add_argument("--regime", choices=list(REGIMES), default="random")
+    run.add_argument("--noise-seed", type=int, default=None)
+    run.add_argument("--outdir", required=True)
+    run.add_argument("--no-curves", action="store_true")
+    sub.add_parser("train", parents=[run], help="run one experiment")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)
@@ -315,14 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--use-student", action="store_true",
                         help="score the student parameters instead of the teacher")
 
-    p_grid = sub.add_parser("grid", help="run a grid of experiments")
-    _add_synthetic_flags(p_grid)
-    _train_config_flags(p_grid)
-    p_grid.add_argument("--data-dir", default=None)
-    p_grid.add_argument("--regime", choices=list(REGIMES), default="random")
-    p_grid.add_argument("--noise-seed", type=int, default=None)
-    p_grid.add_argument("--outdir", required=True)
-    p_grid.add_argument("--no-curves", action="store_true")
+    p_grid = sub.add_parser("grid", parents=[run], help="run a grid of experiments")
     p_grid.add_argument("--grid", action="append", required=True,
                         metavar="FIELD=V1,V2,...",
                         help="repeatable; cartesian product over fields")
@@ -332,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    spec = _synthetic_from_args(args)
+    spec = _config_from_flags(SyntheticSpec, args)
     splits = generate_synthetic(spec)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -368,9 +345,9 @@ def _cmd_corrupt(args) -> int:
 
 
 def _spec_from_train_args(args) -> ExperimentSpec:
-    synthetic = None if args.data_dir else _synthetic_from_args(args)
+    synthetic = None if args.data_dir else _config_from_flags(SyntheticSpec, args)
     return ExperimentSpec(
-        train_config=_config_from_args(args),
+        train_config=_config_from_flags(TrainConfig, args),
         outdir=args.outdir,
         regime=args.regime,
         synthetic=synthetic,
@@ -390,9 +367,7 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     params_key = "student_params" if args.use_student else "teacher_params"
     model = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt[params_key]))
-    ds = load_split_csv(args.data_dir, args.split)
-    probs = sigmoid(model.forward(ds.features))
-    report = compute_metric_report(probs, ds.y_true, args.threshold)
+    report = evaluate(model, load_split_csv(args.data_dir, args.split), args.threshold)
     payload = report.to_json_dict()
     if args.out:
         _json_dump(payload, args.out)
@@ -402,7 +377,7 @@ def _cmd_eval(args) -> int:
 
 def _parse_grid(items) -> list:
     axes = []
-    valid = {f.name: f for f in fields(TrainConfig)}
+    valid = {f.name for f in fields(TrainConfig)}
     for item in items:
         if "=" not in item:
             raise ValueError(f"grid entry {item!r} is not FIELD=V1,V2,...")
@@ -421,31 +396,19 @@ def _grid_cells(axes) -> list:
     return cells
 
 
-def _coerce_field(name: str, raw: str):
-    hints = {f.name: f.type for f in fields(TrainConfig)}
-    hint = hints[name]
-    if "bool" in hint:
-        return raw.lower() in ("1", "true", "yes")
-    if "int" in hint and "float" not in hint:
-        return int(raw)
-    if "float" in hint:
-        return float(raw)
-    return raw
-
-
 def _cmd_grid(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     base = _spec_from_train_args(args)
-    axes = _parse_grid(args.grid)
-    specs = []
-    for cell in _grid_cells(axes):
-        spec = copy.deepcopy(base)
-        for key, raw in cell.items():
-            setattr(spec.train_config, key, _coerce_field(key, raw))
+    specs = []  # every value is parsed before any cell runs
+    for cell in _grid_cells(_parse_grid(args.grid)):
+        config = replace(base.train_config, **{
+            key: _parse_value(TrainConfig, key, raw) for key, raw in cell.items()})
         subdir = "_".join(f"{k}={v}" for k, v in cell.items())
-        spec.outdir = str(Path(args.outdir) / subdir)
-        specs.append(spec)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        specs.append(replace(base, train_config=config, outdir=str(Path(args.outdir) / subdir)))
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_experiment, specs))
     else:
         for spec in specs:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,6 +33,23 @@ __all__ = [
     "write_spec_json",
     "read_spec_json",
 ]
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Write text to a temporary file beside ``path``, renamed over it on success.
+
+    A writer that raises or is killed partway leaves the previous file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -93,6 +112,9 @@ class SyntheticSpec:
     seed: int = 0
     split_ratio: tuple = (2, 1, 1)
 
+    def __post_init__(self):
+        self.split_ratio = tuple(self.split_ratio)  # JSON stores it as a list
+
     def validate(self) -> None:
         if self.n_samples < 4:
             raise ValueError("n_samples must be at least 4")
@@ -154,11 +176,6 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     }
 
 
-def _write_rows(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _float_rows(array):
     return [[repr(float(v)) for v in row] for row in array]
 
@@ -175,7 +192,8 @@ def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
 
     def emit(kind, rows):
         path = outdir / f"{prefix}_{kind}.csv"
-        _write_rows(path, rows)
+        with atomic_open(path, newline="") as fh:
+            csv.writer(fh).writerows(rows)
         written.append(path)
 
     emit("features", _float_rows(ds.features))
@@ -282,13 +300,11 @@ def load_split_csv(datadir, prefix: str) -> MultiLabelDataset:
 
 
 def write_spec_json(spec: SyntheticSpec, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_spec_json(path) -> SyntheticSpec:
     with open(path) as fh:
-        d = json.load(fh)
-    d["split_ratio"] = tuple(d["split_ratio"])
-    return SyntheticSpec(**d)
+        return SyntheticSpec(**json.load(fh))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .net import as_matrix
 
 __all__ = [
@@ -76,7 +77,7 @@ class FlipRateTable:
     macro: float           # unweighted mean of beta over supported classes
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["class", "beta", "support"])
             for c, (b, s) in enumerate(zip(self.beta, self.support)):

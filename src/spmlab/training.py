@@ -11,13 +11,12 @@ single-stage runs of the corresponding loss.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import losses
-from .data import MultiLabelDataset
+from .data import MultiLabelDataset, atomic_open
 from .ema import (
     ema_update_predictions,
     ema_update_weights,
@@ -139,7 +138,6 @@ class EpochLog:
     noisy_val_map: float              # teacher model vs single-positive labels
     noisy_val_map_student: float
     clean_val_map: float | None
-    wall_time: float
 
 
 def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
@@ -283,7 +281,6 @@ class Trainer:
         return value
 
     def run_epoch(self) -> EpochLog:
-        t0 = time.perf_counter()
         cfg = self.config
         n = self.train_ds.n_samples
         order = self.rng.permutation(n)
@@ -315,7 +312,6 @@ class Trainer:
             noisy_val_map=noisy_map,
             noisy_val_map_student=noisy_map_student,
             clean_val_map=clean_map,
-            wall_time=time.perf_counter() - t0,
         )
         self.logs.append(log)
         self.epoch += 1
@@ -363,23 +359,39 @@ class Trainer:
         trainer.rng.bit_generator.state = ckpt["rng_state"]
         trainer.epoch = ckpt["epoch"]
         trainer.stage = ckpt["stage"]
-        trainer.logs = [EpochLog(**d) for d in ckpt["logs"]]
+        # logs of older checkpoints also carry a per-epoch wall_time
+        trainer.logs = [EpochLog(**{k: v for k, v in d.items() if k != "wall_time"})
+                        for d in ckpt["logs"]]
         return trainer
 
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
-    student: Mlp
-    teacher: Mlp
-    logs: list
-    detector: DetectorState
+    """A finished run: its trainer (resolved config, logs, checkpoint) and report."""
+
+    trainer: Trainer
     report: MetricReport | None = None
+
+    @property
+    def student(self) -> Mlp:
+        return self.trainer.model
+
+    @property
+    def teacher(self) -> Mlp:
+        return self.trainer.teacher
+
+    @property
+    def logs(self) -> list:
+        return self.trainer.logs
+
+    @property
+    def detector(self) -> DetectorState:
+        return self.trainer.detector
 
     @property
     def final_model(self) -> Mlp:
         """Teacher for the calibrated method, student otherwise."""
-        return self.teacher if self.config.method == "adagc" else self.student
+        return self.teacher if self.trainer.config.method == "adagc" else self.student
 
 
 def train(config: TrainConfig, train_ds: MultiLabelDataset,
@@ -388,13 +400,7 @@ def train(config: TrainConfig, train_ds: MultiLabelDataset,
     """Run a full training and optionally evaluate on a clean test set."""
     trainer = Trainer(config, train_ds, val_ds)
     trainer.run()
-    result = TrainResult(
-        config=config,
-        student=trainer.model,
-        teacher=trainer.teacher,
-        logs=trainer.logs,
-        detector=trainer.detector,
-    )
+    result = TrainResult(trainer)
     if test_ds is not None:
         result.report = evaluate(result.final_model, test_ds, config.threshold)
     return result
@@ -408,7 +414,7 @@ def evaluate(model: Mlp, dataset: MultiLabelDataset,
 
 
 def save_checkpoint(ckpt: dict, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(ckpt, fh)
         fh.write("\n")
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from spmlab import cli
 from spmlab.cli import (
     ExperimentSpec,
     main,
@@ -11,9 +12,9 @@ from spmlab.cli import (
     read_curves,
     run_experiment,
 )
-from spmlab.data import SyntheticSpec, load_split_csv
+from spmlab.data import SyntheticSpec, load_split_csv, write_spec_json
 from spmlab.noise import FlipRateTable
-from spmlab.training import TrainConfig, load_checkpoint
+from spmlab.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def tiny_spec(outdir, method="an", **config_kw):
@@ -83,7 +84,8 @@ class TestRunExperiment:
     def test_rerun_is_byte_identical(self, tmp_path):
         run_experiment(tiny_spec(tmp_path / "r1", method="adagc", epochs=8))
         run_experiment(tiny_spec(tmp_path / "r2", method="adagc", epochs=8))
-        for name in ("metrics.json", "curves.csv"):
+        for name in ("metrics.json", "curves.csv", "checkpoint.json", "config.json",
+                     "fliprates.csv"):
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b
@@ -120,6 +122,26 @@ class TestRunExperiment:
         a = (tmp_path / "r1" / "metrics.json").read_bytes()
         b = (tmp_path / "r2" / "metrics.json").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("write, old, new", [
+        (save_checkpoint, {"epoch": 1}, {"epoch": 2}),
+        (cli._json_dump, {"map": 0.5}, {"map": 0.6}),
+        (write_spec_json, SyntheticSpec(seed=1), SyntheticSpec(seed=2)),
+    ], ids=["checkpoint", "json_dump", "spec"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, old, new):
+        path = tmp_path / "artifact.json"
+        write(old, path)
+        before = path.read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"partial": ')
+            raise RuntimeError("killed mid-write")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write(new, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_regime_none_restricted_to_full_label_methods(self, tmp_path):
         spec = tiny_spec(tmp_path / "run")
@@ -191,6 +213,90 @@ class TestCliSurface:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["message"]
+
+    def test_empty_train_argv_builds_default_configs(self):
+        args = cli._build_parser().parse_args(["train", "--outdir", "x"])
+        spec = cli._spec_from_train_args(args)
+        assert spec.train_config == TrainConfig()
+        assert spec.synthetic == SyntheticSpec()
+
+    def test_bad_flag_value_is_an_argparse_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--hidden", "3.5", "--outdir", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--hidden" in err and "'3.5'" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("log_clean_val", "flase"),
+        ("hidden", "3.5"),
+        ("w_neg", "0.5x"),
+    ])
+    def test_grid_bad_value_names_field_and_value(self, tmp_path, capsys, field, value):
+        rc = main(["grid", "--outdir", str(tmp_path / "g"),
+                   "--grid", f"{field}={value}"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"] and repr(value) in err["message"]
+        assert not (tmp_path / "g").exists()
+
+    def test_grid_optional_field_takes_none(self, tmp_path):
+        rc = main([
+            "grid", "--n-samples", "160", "--n-classes", "5", "--n-features", "5",
+            "--data-seed", "6", "--method", "wan", "--epochs", "1", "--hidden", "4",
+            "--outdir", str(tmp_path / "g"), "--grid", "w_neg=none,0.5",
+            "--grid", "log_clean_val=true",
+        ])
+        assert rc == 0
+        resolved = {}
+        for d in sorted((tmp_path / "g").iterdir()):
+            with open(d / "config.json") as fh:
+                cfg = json.load(fh)["train_config"]
+            assert cfg["log_clean_val"] is True
+            resolved[d.name] = cfg["w_neg"]
+        assert resolved == {"w_neg=0.5_log_clean_val=true": 0.5,
+                            "w_neg=none_log_clean_val=true": 0.25}
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_grid_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        rc = main(["grid", "--outdir", str(tmp_path / "g"), "--grid", "lam=1,2",
+                   "--jobs", jobs])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "--jobs" in err["message"] and jobs in err["message"]
+
+    @pytest.mark.parametrize("jobs, cpus, expected", [
+        (64, 8, 3),      # capped by the number of cells
+        (64, 2, 2),      # capped by the CPU count
+        (2, 8, 2),
+        (64, None, None),  # unknown CPU count: one worker, no pool
+    ])
+    def test_grid_caps_worker_count(self, tmp_path, monkeypatch, jobs, cpus, expected):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return []
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        rc = main([
+            "grid", "--n-samples", "120", "--n-classes", "4", "--n-features", "4",
+            "--method", "an", "--epochs", "1", "--hidden", "2",
+            "--outdir", str(tmp_path / "g"), "--grid", "lam=1,2,3", "--jobs", str(jobs),
+        ])
+        assert rc == 0
+        assert pools == ([] if expected is None else [expected])
 
     def test_eval_checkpoint_round_trip(self, tmp_path, capsys):
         main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "200",

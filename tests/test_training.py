@@ -226,6 +226,19 @@ class TestTrainerMechanics:
                 l.noisy_val_map for l in resumed.logs
             ]
 
+    def test_checkpoint_with_epoch_wall_time_loads(self):
+        # checkpoints from before per-epoch timing left the logs carry wall_time
+        tr, va, te = small_data()
+        part = Trainer(small_config(method="adagc", epochs=6), tr, va)
+        part.run(max_epochs=3)
+        ckpt = json.loads(json.dumps(part.checkpoint()))
+        for log in ckpt["logs"]:
+            log["wall_time"] = 0.25
+        resumed = Trainer.from_checkpoint(ckpt, tr, va)
+        assert resumed.logs == part.logs
+        resumed.run()
+        assert resumed.epoch == 6
+
     def test_lambda_zero_gc_stage_equals_soft_bce_on_mixup(self):
         # replay one epoch of the calibrated stage by hand with plain
         # mean BCE on the mixed batch; lam=0 must give identical updates
