@@ -4,6 +4,11 @@ Two averages run side by side: a weight-space EMA (the teacher model,
 updated once per optimizer step) and a prediction-space EMA (per-sample
 smoothed student outputs, updated whenever a sample is forwarded).
 Pseudo-labels fuse the two with a convex coefficient gamma.
+
+Each public function checks its inputs, then calls one private kernel
+(``_update_weights``, ``_update_predictions``, ``_pseudo_labels``); the
+trainer checks once at construction and calls the kernels in each step.
+Both updates change the state in place.
 """
 
 from __future__ import annotations
@@ -55,15 +60,21 @@ def init_dual_ema(student_params, n_train: int, n_classes: int,
 
 
 def ema_update_weights(state: DualEmaState, student_params) -> DualEmaState:
-    """teacher <- beta_t * teacher + (1 - beta_t) * student, elementwise."""
+    """teacher <- beta_t * teacher + (1 - beta_t) * student, elementwise, in place."""
     theta = np.asarray(student_params, dtype=np.float64)
     if theta.shape != state.teacher_params.shape:
         raise ValueError(
             f"student parameters have shape {theta.shape}, "
             f"teacher holds {state.teacher_params.shape}"
         )
-    state.teacher_params = state.beta_t * state.teacher_params + (1.0 - state.beta_t) * theta
+    _update_weights(state.teacher_params, theta, state.beta_t)
     return state
+
+
+def _update_weights(teacher: np.ndarray, theta: np.ndarray, beta_t: float) -> None:
+    # the same roundings as beta_t * teacher + (1 - beta_t) * theta
+    teacher *= beta_t
+    teacher += (1.0 - beta_t) * theta
 
 
 def ema_update_predictions(state: DualEmaState, sample_indices, p_batch) -> DualEmaState:
@@ -78,12 +89,16 @@ def ema_update_predictions(state: DualEmaState, sample_indices, p_batch) -> Dual
         )
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("predictions must lie in [0, 1]")
+    _update_predictions(state, idx, p)
+    return state
+
+
+def _update_predictions(state: DualEmaState, idx: np.ndarray, p: np.ndarray) -> None:
     seen = state.visited[idx]
     old = state.smoothed_preds[idx]
     mixed = state.beta_s * old + (1.0 - state.beta_s) * p
     state.smoothed_preds[idx] = np.where(seen[:, None], mixed, p)
     state.visited[idx] = True
-    return state
 
 
 def make_pseudo_labels(state: DualEmaState, teacher_probs, sample_indices,
@@ -117,4 +132,10 @@ def make_pseudo_labels(state: DualEmaState, teacher_probs, sample_indices,
     for name, arr in (("teacher_probs", p_t), ("student_probs", p_s)):
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
+    return _pseudo_labels(state, p_t, idx, None if student_probs is None else p_s)
+
+
+def _pseudo_labels(state: DualEmaState, p_t: np.ndarray, idx: np.ndarray,
+                   student_probs: np.ndarray | None) -> np.ndarray:
+    p_s = state.smoothed_preds[idx] if student_probs is None else student_probs
     return state.gamma * p_t + (1.0 - state.gamma) * p_s

@@ -5,6 +5,13 @@ and its analytic gradient with respect to the logits, so a model gradient
 is one ``Mlp.backward`` call away. Probabilities are clamped into
 ``[EPS_CLIP, 1 - EPS_CLIP]`` before any logarithm.
 
+Each public function checks its inputs, clamps, then calls one private
+kernel (``_bce_terms``, ``_an_ls_terms``, ``_epr_terms``, ``_iun_terms``,
+``_adagc_terms``, ``_gc_core``) that takes clamped probabilities and
+returns ``(value, dlogits)``. The trainer checks its inputs once, at
+construction, and calls the same kernels in each step, so every formula
+lives in one place and the tests of the public functions cover it.
+
 Conventions:
 
 * ``loss_an`` / ``loss_an_ls`` / ``loss_wan`` / ``loss_iun`` and the
@@ -49,6 +56,11 @@ def _clamp(p) -> np.ndarray:
     p = as_matrix(p, "probabilities")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
+    return _clip(p)
+
+
+def _clip(p: np.ndarray) -> np.ndarray:
+    """Probabilities in [0, 1] clamped into [EPS_CLIP, 1 - EPS_CLIP], unchecked."""
     return np.clip(p, EPS_CLIP, 1.0 - EPS_CLIP)
 
 
@@ -84,8 +96,7 @@ def loss_an(p, y_observed) -> LossValue:
     """Assume-negative BCE: every unobserved label is treated as a negative."""
     p = _clamp(p)
     y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
-    value, grad = _bce_terms(p, y)
-    return LossValue(value, grad)
+    return LossValue(*_bce_terms(p, y))
 
 
 def loss_an_ls(p, y_observed, eps_smooth: float) -> LossValue:
@@ -94,9 +105,12 @@ def loss_an_ls(p, y_observed, eps_smooth: float) -> LossValue:
         raise ValueError(f"eps_smooth must be in [0, 0.5), got {eps_smooth}")
     p = _clamp(p)
     y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
+    return LossValue(*_an_ls_terms(p, y, eps_smooth))
+
+
+def _an_ls_terms(p, y, eps_smooth):
     targets = y * (1.0 - eps_smooth) + (1.0 - y) * eps_smooth
-    value, grad = _bce_terms(p, targets)
-    return LossValue(value, grad)
+    return _bce_terms(p, targets)
 
 
 def loss_wan(p, y_observed, w_neg: float) -> LossValue:
@@ -105,8 +119,7 @@ def loss_wan(p, y_observed, w_neg: float) -> LossValue:
         raise ValueError(f"w_neg must be in (0, 1], got {w_neg}")
     p = _clamp(p)
     y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
-    value, grad = _bce_terms(p, y, w_neg)
-    return LossValue(value, grad)
+    return LossValue(*_bce_terms(p, y, w_neg))
 
 
 def loss_epr(p, y_observed, k_expected: float, epr_weight: float = 1.0) -> LossValue:
@@ -116,17 +129,22 @@ def loss_epr(p, y_observed, k_expected: float, epr_weight: float = 1.0) -> LossV
     """
     p = _clamp(p)
     y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
-    n, n_classes = p.shape
+    n_classes = p.shape[1]
     if not 0.0 < k_expected <= n_classes:
         raise ValueError(
             f"k_expected must be in (0, {n_classes}], got {k_expected}"
         )
+    return LossValue(*_epr_terms(p, y, k_expected, epr_weight))
+
+
+def _epr_terms(p, y, k_expected, epr_weight):
+    n, n_classes = p.shape
     pos_value = float(-(y * np.log(p)).sum())
     excess = p.sum(axis=1) - k_expected
     value = pos_value + epr_weight * float(np.mean((excess / n_classes) ** 2))
     grad = y * (p - 1.0)
     grad = grad + (epr_weight * 2.0 * excess / (n * n_classes**2))[:, None] * p * (1.0 - p)
-    return LossValue(value, grad)
+    return value, grad
 
 
 def loss_iun(p, y_observed, true_negative_mask) -> LossValue:
@@ -143,9 +161,13 @@ def loss_iun(p, y_observed, true_negative_mask) -> LossValue:
     )
     if np.any((mask == 1.0) & (y == 1.0)):
         raise ValueError("true_negative_mask marks an observed positive as negative")
+    return LossValue(*_iun_terms(p, y, mask))
+
+
+def _iun_terms(p, y, mask):
     value = float(-(y * np.log(p)).sum() - (mask * np.log1p(-p)).sum())
     grad = y * (p - 1.0) + mask * p
-    return LossValue(value, grad)
+    return value, grad
 
 
 def reg_elr_mcc(p_simplex, t_simplex) -> LossValue:
@@ -210,8 +232,7 @@ def reg_gc(p, t, y_observed) -> LossValue:
     p = _clamp(p)
     t = _check_unit(_check_shapes(p, t, "pseudo_labels"))
     y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
-    value, grad = _gc_core(p, t, y == 0.0)
-    return LossValue(value, grad)
+    return LossValue(*_gc_core(p, t, y == 0.0))
 
 
 def loss_adagc(p, y, t, lam: float) -> LossValue:
@@ -227,7 +248,11 @@ def loss_adagc(p, y, t, lam: float) -> LossValue:
     p = _clamp(p)
     y = _check_unit(_check_shapes(p, y, "y"), "y")
     t = _check_unit(_check_shapes(p, t, "pseudo_labels"))
+    return LossValue(*_adagc_terms(p, y, t, lam))
+
+
+def _adagc_terms(p, y, t, lam):
     n = p.shape[0]
     bce_value, bce_grad = _bce_terms(p, y)
     gc_value, gc_grad = _gc_core(p, t, y == 0.0)
-    return LossValue(bce_value / n + lam * gc_value, bce_grad / n + lam * gc_grad)
+    return bce_value / n + lam * gc_value, bce_grad / n + lam * gc_grad

@@ -4,6 +4,13 @@ The model is a plain MLP head: input -> optional tanh hidden layer ->
 output logits. Parameters live in one float64 vector (per layer: row-major
 weights, then biases), which keeps optimizer steps, teacher EMA copies,
 and finite-difference checks trivial.
+
+The public API checks its inputs and never changes an ``Mlp``:
+``sgd_step`` returns a new model. The private kernels ``_forward_cached``
+(logits plus the activations backprop needs) and ``_backprop`` skip the
+input checks; the trainer calls them on student and teacher models whose
+parameter buffers it owns and updates in place, and hands out copies as
+snapshots.
 """
 
 from __future__ import annotations
@@ -41,6 +48,11 @@ def sigmoid(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits contain non-finite entries")
+    return _sigmoid(z)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``sigmoid`` of finite float64 logits, unchecked."""
     neg = np.exp(-np.abs(z))  # in (0, 1], never overflows
     out = neg / (1.0 + neg)   # sigmoid(-|z|)
     out = np.where(z >= 0.0, 1.0 - out, out)
@@ -59,7 +71,7 @@ class Mlp:
     """Sigmoid-output classifier: linear map or one tanh hidden layer.
 
     ``layer_sizes`` is ``(n_in, n_out)`` or ``(n_in, n_hidden, n_out)``.
-    Instances are immutable; ``sgd_step`` returns a new model.
+    Public methods never change an instance; ``sgd_step`` returns a new model.
     """
 
     def __init__(self, layer_sizes, params):
@@ -130,11 +142,11 @@ class Mlp:
 
     def forward(self, batch) -> np.ndarray:
         """Raw logits for a batch, shape (n, n_outputs)."""
-        logits, _ = self._forward_cached(batch)
+        logits, _ = self._forward_cached(self._check_batch(batch))
         return logits
 
-    def _forward_cached(self, batch):
-        x = self._check_batch(batch)
+    def _forward_cached(self, x: np.ndarray):
+        """(logits, per-layer inputs) of a checked batch; raises on non-finite logits."""
         layers = list(self._layers())
         acts = [x]
         z = x
@@ -157,6 +169,10 @@ class Mlp:
                 f"{(x.shape[0], self.n_outputs)}"
             )
         _, acts = self._forward_cached(x)
+        return self._backprop(acts, g)
+
+    def _backprop(self, acts, g: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient from ``_forward_cached``'s activations."""
         layers = list(self._layers())
         grads = [None] * len(layers)
         delta = g

@@ -11,20 +11,16 @@ single-stage runs of the corresponding loss.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import losses
 from .data import MultiLabelDataset, atomic_open
-from .ema import (
-    ema_update_predictions,
-    ema_update_weights,
-    init_dual_ema,
-    make_pseudo_labels,
-)
+from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
 from .metrics import MetricReport, compute_metric_report, mean_average_precision
-from .net import Mlp, make_rng, sigmoid
+from .net import Mlp, _sigmoid, make_rng, sigmoid
 
 __all__ = [
     "METHODS",
@@ -70,29 +66,34 @@ class TrainConfig:
     log_clean_val: bool = False       # diagnostic only, never used for decisions
 
     def validate(self) -> None:
+        """Reject a bad field with a message naming the field and its value."""
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        for name in ("beta_t", "beta_s", "gamma"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.method == "adagc" and not self.mixup_alpha > 0:
-            raise ValueError("mixup_alpha must be positive for the calibrated method")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-        if not 0.0 <= self.eps_smooth < 0.5:
-            raise ValueError("eps_smooth must be in [0, 0.5)")
-        if self.w_neg is not None and not 0.0 < self.w_neg <= 1.0:
-            raise ValueError("w_neg must be in (0, 1]")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
-        if self.hidden < 0:
-            raise ValueError("hidden must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        rules = (
+            ("lam", self.lam >= 0, "non-negative"),
+            ("beta_t", 0.0 <= self.beta_t <= 1.0, "in [0, 1]"),
+            ("beta_s", 0.0 <= self.beta_s <= 1.0, "in [0, 1]"),
+            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+            ("mixup_alpha", self.method != "adagc" or self.mixup_alpha > 0,
+             "positive for the calibrated method"),
+            ("patience", self.patience >= 1, "at least 1"),
+            ("eps_smooth", 0.0 <= self.eps_smooth < 0.5, "in [0, 0.5)"),
+            ("w_neg", self.w_neg is None or 0.0 < self.w_neg <= 1.0, "in (0, 1]"),
+            ("k_expected", self.k_expected is None or self.k_expected > 0, "positive"),
+            ("epr_weight", self.epr_weight >= 0, "non-negative"),
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size >= 1, "at least 1"),
+            ("learning_rate", self.learning_rate > 0, "positive"),
+            ("threshold", 0.0 < self.threshold < 1.0, "in (0, 1)"),
+            ("hidden", self.hidden >= 0, "non-negative"),
+        )
+        for name, ok, requirement in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -168,7 +169,14 @@ def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
 
 
 class Trainer:
-    """Owns all mutable training state; one instance drives one run."""
+    """Owns all mutable training state; one instance drives one run.
+
+    Each step updates the student parameters and the teacher EMA in place
+    (``ema.teacher_params`` is the teacher model's own buffer). ``model``
+    and ``teacher`` hand out copies, so a model taken from a trainer never
+    changes afterwards. Inputs are checked here, once; the steps call the
+    unchecked kernels of ``net``, ``losses`` and ``ema``.
+    """
 
     def __init__(self, config: TrainConfig, train_ds: MultiLabelDataset,
                  val_ds: MultiLabelDataset):
@@ -176,28 +184,28 @@ class Trainer:
         self.config = config
         self.train_ds = train_ds
         self.val_ds = val_ds
-        self._check_datasets()
-
-        self.rng = make_rng(config.seed)
-        sizes = (train_ds.n_features, config.hidden, train_ds.n_classes)
-        if config.hidden == 0:
-            sizes = (train_ds.n_features, train_ds.n_classes)
-        self.model = Mlp.init(sizes, self.rng)
-        self.ema = init_dual_ema(
-            self.model.params, train_ds.n_samples, train_ds.n_classes,
-            beta_t=config.beta_t, beta_s=config.beta_s, gamma=config.gamma,
-        )
-        self.detector = DetectorState()
-        self.logs: list[EpochLog] = []
-        self.epoch = 0
-        self.stage = "warmup"
-
         self.w_neg = config.w_neg
         if self.w_neg is None:
             self.w_neg = 1.0 / max(train_ds.n_classes - 1, 1)
         self.k_expected = config.k_expected
         if self.k_expected is None:
             self.k_expected = float(train_ds.y_true.sum(axis=1).mean())
+        self._check_datasets()
+
+        self.rng = make_rng(config.seed)
+        sizes = (train_ds.n_features, config.hidden, train_ds.n_classes)
+        if config.hidden == 0:
+            sizes = (train_ds.n_features, train_ds.n_classes)
+        student = Mlp.init(sizes, self.rng)
+        self.ema = init_dual_ema(
+            student.params, train_ds.n_samples, train_ds.n_classes,
+            beta_t=config.beta_t, beta_s=config.beta_s, gamma=config.gamma,
+        )
+        self._adopt(student)
+        self.detector = DetectorState()
+        self.logs: list[EpochLog] = []
+        self.epoch = 0
+        self.stage = "warmup"
         if config.method == "iun":
             self._true_neg_mask = (train_ds.y_true == 0.0).astype(np.float64)
 
@@ -213,46 +221,72 @@ class Trainer:
         for name, ds in (("training", train_ds), ("validation", val_ds)):
             if ds.y_observed is None:
                 raise ValueError(f"{name} set has no observed labels")
-        if self.config.method not in ("gt", "iun"):
+        method = self.config.method
+        if method not in ("gt", "iun"):
             sums = train_ds.y_observed.sum(axis=1)
             if not np.all(sums == 1.0):
                 raise ValueError(
-                    f"method {self.config.method!r} requires single-positive "
+                    f"method {method!r} requires single-positive "
                     f"observed training labels"
                 )
+        if method == "iun" and np.any((train_ds.y_observed == 1.0) & (train_ds.y_true == 0.0)):
+            raise ValueError("method 'iun' requires every observed positive to be a true positive")
+        if not 0.0 < self.k_expected <= train_ds.n_classes:
+            raise ValueError(
+                f"k_expected must be in (0, {train_ds.n_classes}], got {self.k_expected!r}"
+            )
+
+    def _adopt(self, student: Mlp) -> None:
+        """Make ``student`` and the teacher EMA the buffers the steps update."""
+        self._student = student
+        self._teacher = student.with_params(self.ema.teacher_params)
+        self.ema.teacher_params = self._teacher.params
+
+    @property
+    def model(self) -> Mlp:
+        """A copy of the student."""
+        return self._student.with_params(self._student.params)
 
     @property
     def teacher(self) -> Mlp:
-        return self.model.with_params(self.ema.teacher_params)
+        """A copy of the teacher."""
+        return self._student.with_params(self.ema.teacher_params)
 
-    def _baseline_loss(self, p, idx) -> losses.LossValue:
+    def _baseline_loss(self, p, idx):
+        """(value, dlogits) of the single-stage loss on clamped probabilities."""
         cfg = self.config
         y_obs = self.train_ds.y_observed[idx]
         if cfg.method in ("an", "adagc"):
-            return losses.loss_an(p, y_obs)
+            return losses._bce_terms(p, y_obs)
         if cfg.method == "an_ls":
-            return losses.loss_an_ls(p, y_obs, cfg.eps_smooth)
+            return losses._an_ls_terms(p, y_obs, cfg.eps_smooth)
         if cfg.method == "wan":
-            return losses.loss_wan(p, y_obs, self.w_neg)
+            return losses._bce_terms(p, y_obs, self.w_neg)
         if cfg.method == "epr":
-            return losses.loss_epr(p, y_obs, self.k_expected, cfg.epr_weight)
+            return losses._epr_terms(p, y_obs, self.k_expected, cfg.epr_weight)
         if cfg.method == "iun":
-            return losses.loss_iun(p, y_obs, self._true_neg_mask[idx])
+            return losses._iun_terms(p, y_obs, self._true_neg_mask[idx])
         if cfg.method == "gt":
-            return losses.loss_an(p, self.train_ds.y_true[idx])
+            return losses._bce_terms(p, self.train_ds.y_true[idx])
         raise AssertionError(cfg.method)
 
+    def _step(self, acts, dlogits) -> None:
+        """SGD step on the student, then the teacher EMA, both in place."""
+        theta = self._student.params
+        theta -= self.config.learning_rate * self._student._backprop(acts, dlogits)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("parameters contain non-finite entries")
+        _update_weights(self.ema.teacher_params, theta, self.ema.beta_t)
+
     def _warmup_iteration(self, idx) -> float:
-        xb = self.train_ds.features[idx]
-        p = sigmoid(self.model.forward(xb))
+        logits, acts = self._student._forward_cached(self.train_ds.features[idx])
+        p = _sigmoid(logits)
         if self.config.method == "adagc":
-            ema_update_predictions(self.ema, idx, p)
-        lv = self._baseline_loss(p, idx)
+            _update_predictions(self.ema, idx, p)
+        value, dlogits = self._baseline_loss(losses._clip(p), idx)
         nb = idx.size
-        grad = self.model.backward(xb, lv.dlogits / nb)
-        self.model = self.model.sgd_step(grad, self.config.learning_rate)
-        ema_update_weights(self.ema, self.model.params)
-        return lv.value / nb
+        self._step(acts, dlogits / nb)
+        return value / nb
 
     def _gc_iteration(self, idx) -> float:
         cfg = self.config
@@ -260,20 +294,17 @@ class Trainer:
         yb = self.train_ds.y_observed[idx]
         # pseudo-labels come from the un-mixed batch: two forward-only
         # passes feed the prediction EMA and the teacher-student fusion
-        p_student = sigmoid(self.model.forward(xb))
-        ema_update_predictions(self.ema, idx, p_student)
-        p_teacher = sigmoid(self.teacher.forward(xb))
-        t = make_pseudo_labels(
-            self.ema, p_teacher, idx,
-            student_probs=p_student if cfg.raw_student_pseudo else None,
-        )
+        p_student = _sigmoid(self._student._forward_cached(xb)[0])
+        _update_predictions(self.ema, idx, p_student)
+        p_teacher = _sigmoid(self._teacher._forward_cached(xb)[0])
+        t = _pseudo_labels(self.ema, p_teacher, idx,
+                           p_student if cfg.raw_student_pseudo else None)
         x_mix, y_mix, t_mix, _ = mixup_batch(xb, yb, t, self.rng, cfg.mixup_alpha)
-        p_mix = sigmoid(self.model.forward(x_mix))
-        lv = losses.loss_adagc(p_mix, y_mix, t_mix, cfg.lam)
-        grad = self.model.backward(x_mix, lv.dlogits)
-        self.model = self.model.sgd_step(grad, cfg.learning_rate)
-        ema_update_weights(self.ema, self.model.params)
-        return lv.value
+        logits, acts = self._student._forward_cached(x_mix)
+        p_mix = losses._clip(_sigmoid(logits))
+        value, dlogits = losses._adagc_terms(p_mix, y_mix, t_mix, cfg.lam)
+        self._step(acts, dlogits)
+        return value
 
     def _val_map(self, model: Mlp, labels) -> float:
         probs = sigmoid(model.forward(self.val_ds.features))
@@ -285,21 +316,23 @@ class Trainer:
         n = self.train_ds.n_samples
         order = self.rng.permutation(n)
         stage = self.stage
+        iteration = self._gc_iteration if stage == "gc" else self._warmup_iteration
         loss_sum = 0.0
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            if stage == "gc":
-                loss_sum += self._gc_iteration(idx)
-            else:
-                loss_sum += self._warmup_iteration(idx)
+            try:
+                loss_sum += iteration(order[start:start + cfg.batch_size])
+            except ValueError as exc:
+                raise ValueError(
+                    f"method {cfg.method!r}, epoch {self.epoch}, step {n_batches}: {exc}"
+                ) from exc
             n_batches += 1
 
-        noisy_map = self._val_map(self.teacher, self.val_ds.y_observed)
-        noisy_map_student = self._val_map(self.model, self.val_ds.y_observed)
+        noisy_map = self._val_map(self._teacher, self.val_ds.y_observed)
+        noisy_map_student = self._val_map(self._student, self.val_ds.y_observed)
         clean_map = None
         if cfg.log_clean_val:
-            clean_map = self._val_map(self.teacher, self.val_ds.y_true)
+            clean_map = self._val_map(self._teacher, self.val_ds.y_true)
 
         detect_early_learning(self.detector, noisy_map, cfg.patience)
         if cfg.method == "adagc" and self.detector.triggered:
@@ -332,8 +365,8 @@ class Trainer:
             "config": asdict(self.config),
             "epoch": self.epoch,
             "stage": self.stage,
-            "layer_sizes": list(self.model.layer_sizes),
-            "student_params": self.model.params.tolist(),
+            "layer_sizes": list(self._student.layer_sizes),
+            "student_params": self._student.params.tolist(),
             "teacher_params": self.ema.teacher_params.tolist(),
             "smoothed_preds": self.ema.smoothed_preds.tolist(),
             "visited": self.ema.visited.astype(int).tolist(),
@@ -351,10 +384,22 @@ class Trainer:
             raise ValueError(f"unsupported checkpoint version {ckpt.get('version')}")
         config = TrainConfig(**ckpt["config"])
         trainer = cls(config, train_ds, val_ds)
-        trainer.model = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt["student_params"]))
-        trainer.ema.teacher_params = np.array(ckpt["teacher_params"], dtype=np.float64)
-        trainer.ema.smoothed_preds = np.array(ckpt["smoothed_preds"], dtype=np.float64)
-        trainer.ema.visited = np.array(ckpt["visited"], dtype=bool)
+        student = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt["student_params"]))
+        smoothed = np.array(ckpt["smoothed_preds"], dtype=np.float64)
+        visited = np.array(ckpt["visited"], dtype=bool)
+        ema = trainer.ema
+        if student.layer_sizes != trainer._student.layer_sizes:
+            raise ValueError(f"checkpoint model has layers {student.layer_sizes}, "
+                             f"config and data give {trainer._student.layer_sizes}")
+        if smoothed.shape != ema.smoothed_preds.shape or visited.shape != ema.visited.shape:
+            raise ValueError("checkpoint prediction EMA does not match the training set")
+        if not np.all((smoothed >= 0.0) & (smoothed <= 1.0)):
+            raise ValueError("checkpoint smoothed_preds must lie in [0, 1]")
+        if ckpt["stage"] == "gc" and not config.raw_student_pseudo and not visited.all():
+            raise ValueError("checkpoint in the calibrated stage has unvisited samples")
+        ema.teacher_params = np.array(ckpt["teacher_params"], dtype=np.float64)
+        ema.smoothed_preds, ema.visited = smoothed, visited
+        trainer._adopt(student)
         trainer.detector = DetectorState(**ckpt["detector"])
         trainer.rng.bit_generator.state = ckpt["rng_state"]
         trainer.epoch = ckpt["epoch"]

@@ -180,6 +180,13 @@ class TestCliSurface:
         assert err["error"] == "ValueError"
         assert "method" in err["message"]
 
+    def test_non_finite_flag_exits_before_training(self, tmp_path, capsys):
+        rc = main(["train", "--lam", "nan", "--outdir", str(tmp_path / "x"), "--epochs", "1"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "lam must be finite, got nan"}
+        assert not (tmp_path / "x").exists()
+
     def test_grid_emits_one_directory_per_value(self, tmp_path):
         rc = main([
             "grid", "--n-samples", "160", "--n-classes", "4", "--n-features", "5",

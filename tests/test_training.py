@@ -1,15 +1,25 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 from spmlab.cli import apply_regime
 from spmlab.data import MultiLabelDataset, SyntheticSpec, generate_synthetic
-from spmlab.ema import ema_update_predictions, make_pseudo_labels
-from spmlab.losses import EPS_CLIP
+from spmlab.ema import ema_update_predictions, ema_update_weights, make_pseudo_labels
+from spmlab.losses import (
+    EPS_CLIP,
+    loss_adagc,
+    loss_an,
+    loss_an_ls,
+    loss_epr,
+    loss_iun,
+    loss_wan,
+)
 from spmlab.net import Mlp, make_rng, sigmoid
 from spmlab.training import (
+    METHODS,
     DetectorState,
     TrainConfig,
     Trainer,
@@ -144,6 +154,40 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 TrainConfig(**bad).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan),
+        ("lam", math.inf),
+        ("learning_rate", math.inf),
+        ("learning_rate", math.nan),
+        ("beta_t", math.nan),
+        ("gamma", -math.inf),
+        ("mixup_alpha", math.nan),
+        ("w_neg", math.nan),
+        ("k_expected", math.nan),
+        ("k_expected", 0.0),
+        ("epr_weight", math.nan),
+        ("epr_weight", -1.0),
+        ("threshold", math.nan),
+    ])
+    def test_rejects_field_naming_it_and_value(self, field, value):
+        # every method: a bad field fails before training, not mid-run
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value!r}$"):
+            TrainConfig(method="an", **{field: value}).validate()
+
+    @pytest.mark.parametrize("k_expected", [6.5, 100.0])
+    def test_resolved_k_expected_checked_against_class_count(self, k_expected):
+        tr, va, te = small_data()  # 6 classes
+        with pytest.raises(ValueError, match=rf"k_expected must be in \(0, 6\], got {k_expected}"):
+            Trainer(small_config(method="an", k_expected=k_expected), tr, va)
+
+    def test_iun_rejects_observed_positive_outside_truth(self):
+        tr, va, te = small_data()
+        bad = tr.y_observed.copy()
+        bad[0] = 0.0
+        bad[0, np.flatnonzero(tr.y_true[0] == 0.0)[0]] = 1.0
+        with pytest.raises(ValueError, match="observed positive"):
+            Trainer(small_config(method="iun"), tr.with_observed(bad), va)
+
 
 def small_data(regime="random", seed=0, n=600, n_classes=6, d=8):
     spec = SyntheticSpec(n_samples=n, n_classes=n_classes, n_features=d, seed=seed)
@@ -239,44 +283,137 @@ class TestTrainerMechanics:
         resumed.run()
         assert resumed.epoch == 6
 
-    def test_lambda_zero_gc_stage_equals_soft_bce_on_mixup(self):
-        # replay one epoch of the calibrated stage by hand with plain
-        # mean BCE on the mixed batch; lam=0 must give identical updates
+    @pytest.mark.parametrize("edit, load_data, error", [
+        pytest.param(lambda c: None, dict(d=5), "layers", id="other-features"),
+        pytest.param(lambda c: None, dict(n=400), "prediction EMA", id="other-train-size"),
+        pytest.param(lambda c: c["smoothed_preds"][0].__setitem__(0, 1.5), {},
+                     r"smoothed_preds must lie in \[0, 1\]", id="prediction-range"),
+        pytest.param(lambda c: c.update(stage="gc", visited=[0] * len(c["visited"])), {},
+                     "unvisited", id="gc-unvisited"),
+    ])
+    def test_checkpoint_checked_on_load(self, edit, load_data, error):
+        # the steps no longer check the state a checkpoint restores
         tr, va, te = small_data()
-        cfg = small_config(method="adagc", lam=0.0, epochs=40)
-        trainer = Trainer(cfg, tr, va)
-        trainer.run(max_epochs=10)
-        trainer.stage = "gc"
+        part = Trainer(small_config(method="adagc", epochs=6), tr, va)
+        part.run(max_epochs=2)
+        ckpt = json.loads(json.dumps(part.checkpoint()))
+        edit(ckpt)
+        other_tr, other_va, _ = small_data(**load_data)
+        with pytest.raises(ValueError, match=error):
+            Trainer.from_checkpoint(ckpt, other_tr, other_va)
 
-        replay_model = trainer.model
+    @pytest.mark.parametrize("stage, method, lam, raw_student", [
+        *[pytest.param("warmup", m, 3.0, False, id=f"warmup-{m}") for m in METHODS],
+        pytest.param("gc", "adagc", 0.0, False, id="gc-lam0"),
+        pytest.param("gc", "adagc", 3.0, False, id="gc-lam3"),
+        pytest.param("gc", "adagc", 3.0, True, id="gc-lam3-raw-student"),
+    ])
+    def test_lambda_zero_gc_stage_equals_soft_bce_on_mixup(self, stage, method, lam,
+                                                          raw_student):
+        # replay one epoch by hand through the checked public functions; the
+        # trainer's kernels must give bit-identical student, teacher and
+        # prediction EMA. With lam=0 the calibrated stage is plain mean BCE
+        # on the mixed batch.
+        tr, va, te = small_data()
+        cfg = small_config(method=method, lam=lam, raw_student_pseudo=raw_student, epochs=40)
+        trainer = Trainer(cfg, tr, va)
+        trainer.run(max_epochs=10 if stage == "gc" else 1)
+        trainer.stage = stage
+
+        replay_model = trainer.model  # a copy: run_epoch must not change it
         replay_ema = copy.deepcopy(trainer.ema)
         replay_rng = make_rng(0)
         replay_rng.bit_generator.state = trainer.rng.bit_generator.state
 
         trainer.run_epoch()
+        assert trainer.logs[-1].stage == stage
 
         n = tr.n_samples
         order = replay_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = tr.features[idx]
-            yb = tr.y_observed[idx]
-            p_student = sigmoid(replay_model.forward(xb))
-            ema_update_predictions(replay_ema, idx, p_student)
-            p_teacher = sigmoid(
-                replay_model.with_params(replay_ema.teacher_params).forward(xb)
-            )
-            t = make_pseudo_labels(replay_ema, p_teacher, idx)
-            x_mix, y_mix, t_mix, _ = mixup_batch(xb, yb, t, replay_rng, cfg.mixup_alpha)
-            p_mix = np.clip(sigmoid(replay_model.forward(x_mix)), EPS_CLIP, 1 - EPS_CLIP)
-            dlogits = y_mix * (p_mix - 1.0) + (1.0 - y_mix) * p_mix
-            grad = replay_model.backward(x_mix, dlogits / idx.size)
+            if stage == "gc":
+                x, dlogits = _replay_gc_batch(cfg, replay_model, replay_ema, replay_rng, tr, idx)
+            else:
+                x, dlogits = _replay_warmup_batch(trainer, replay_model, replay_ema, idx)
+            grad = replay_model.backward(x, dlogits)
             replay_model = replay_model.sgd_step(grad, cfg.learning_rate)
-            replay_ema.teacher_params = (
-                cfg.beta_t * replay_ema.teacher_params
-                + (1 - cfg.beta_t) * replay_model.params
-            )
+            ema_update_weights(replay_ema, replay_model.params)
         assert np.array_equal(trainer.model.params, replay_model.params)
+        assert np.array_equal(trainer.ema.teacher_params, replay_ema.teacher_params)
+        assert np.array_equal(trainer.ema.smoothed_preds, replay_ema.smoothed_preds)
+
+    def test_work_per_step(self, monkeypatch):
+        # a warm-up step forwards once, a calibrated step three times
+        # (student, teacher, mixed batch), and each epoch validates the
+        # teacher and the student; models are built per run, not per step
+        counts = {"_forward_cached": 0, "__init__": 0}
+        for name in counts:
+            original = getattr(Mlp, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Mlp, name, counted)
+        tr, va, te = small_data()
+        cfg = small_config(method="adagc", epochs=24, learning_rate=0.4)
+        trainer = Trainer(cfg, tr, va)
+        trainer.run()
+        stages = [log.stage for log in trainer.logs]
+        assert stages.count("warmup") > 0 and stages.count("gc") > 0
+        steps = math.ceil(tr.n_samples / cfg.batch_size)
+        expected = (stages.count("warmup") * steps + 3 * stages.count("gc") * steps
+                    + 2 * len(stages))
+        assert counts["_forward_cached"] == expected
+        assert counts["__init__"] <= len(stages)
+
+    @pytest.mark.parametrize("method", ["an", "adagc"])
+    @pytest.mark.parametrize("hidden, step, error", [
+        pytest.param(0, 0, "parameters contain non-finite entries", id="linear"),
+        pytest.param(8, 2, "forward pass produced non-finite logits", id="tanh"),
+    ])
+    def test_diverging_run_names_method_epoch_and_step(self, method, hidden, step, error):
+        tr, va, te = small_data()
+        cfg = small_config(method=method, hidden=hidden, learning_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^method '{method}', epoch 0, step {step}: {error}$"):
+                train(cfg, tr, va)
+
+
+def _replay_warmup_batch(trainer, model, ema, idx):
+    """(batch, dlogits) of one warm-up step, from the public loss functions."""
+    cfg, ds = trainer.config, trainer.train_ds
+    x, y_obs = ds.features[idx], ds.y_observed[idx]
+    p = sigmoid(model.forward(x))
+    if cfg.method == "adagc":
+        ema_update_predictions(ema, idx, p)
+    loss = {
+        "adagc": lambda: loss_an(p, y_obs),
+        "an": lambda: loss_an(p, y_obs),
+        "an_ls": lambda: loss_an_ls(p, y_obs, cfg.eps_smooth),
+        "wan": lambda: loss_wan(p, y_obs, trainer.w_neg),
+        "epr": lambda: loss_epr(p, y_obs, trainer.k_expected, cfg.epr_weight),
+        "iun": lambda: loss_iun(p, y_obs, (ds.y_true[idx] == 0.0).astype(float)),
+        "gt": lambda: loss_an(p, ds.y_true[idx]),
+    }[cfg.method]()
+    return x, loss.dlogits / idx.size
+
+
+def _replay_gc_batch(cfg, model, ema, rng, ds, idx):
+    """(mixed batch, dlogits) of one calibrated step, from the public functions."""
+    xb, yb = ds.features[idx], ds.y_observed[idx]
+    p_student = sigmoid(model.forward(xb))
+    ema_update_predictions(ema, idx, p_student)
+    p_teacher = sigmoid(model.with_params(ema.teacher_params).forward(xb))
+    t = make_pseudo_labels(ema, p_teacher, idx,
+                           student_probs=p_student if cfg.raw_student_pseudo else None)
+    x_mix, y_mix, t_mix, _ = mixup_batch(xb, yb, t, rng, cfg.mixup_alpha)
+    p_mix = sigmoid(model.forward(x_mix))
+    if cfg.lam == 0.0:
+        p_mix = np.clip(p_mix, EPS_CLIP, 1 - EPS_CLIP)
+        return x_mix, (y_mix * (p_mix - 1.0) + (1.0 - y_mix) * p_mix) / idx.size
+    return x_mix, loss_adagc(p_mix, y_mix, t_mix, cfg.lam).dlogits
 
 
 class TestEvaluate:
