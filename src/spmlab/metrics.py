@@ -2,8 +2,16 @@
 
 Ranking metrics use a fixed deterministic tie rule: scores are ranked in
 descending order, ties broken by ascending index (sample index for
-average precision, class index for coverage). Ranking-loss ties count as
-ordering errors.
+average precision, class index for coverage). The rule comes from one
+stable sort of the negated score matrix, per class for AP and per row for
+coverage, so no metric loops over rows. Ranking-loss ties count as
+ordering errors. Labels must be binary (0/1) and scores finite, or the
+metric raises ValueError naming the argument.
+
+The public functions check their inputs, then call private kernels that
+do not: ``compute_metric_report`` checks once for all metrics, and the
+Monte Carlo check sorts its fixed scores once and ranks every trial's
+labels by that order.
 
 The noisy-metric side relates evaluation against corrupted single-positive
 labels to evaluation against the clean ground truth: per-class counts obey
@@ -14,6 +22,7 @@ while dominant (instance-dependent) flips bias it upward.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,28 +47,75 @@ __all__ = [
 ]
 
 
-def _descending_order(scores, tiebreak):
-    """Indices sorting scores descending, ties broken by ascending tiebreak."""
-    return np.lexsort((tiebreak, -scores))
+def _check_binary(y: np.ndarray, name: str = "labels") -> np.ndarray:
+    """Raise unless every entry of ``y`` is 0 or 1, naming the first that is not."""
+    bad = (y != 0.0) & (y != 1.0)
+    if bad.any():
+        at = ", ".join(str(int(i)) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{name} must be binary (0/1), found {float(y[bad][0])!r} at [{at}]")
+    return y
+
+
+def _checked(scores, labels, name: str = "scores"):
+    """Finite 2-D scores and binary labels of the same shape, or ValueError."""
+    s = as_matrix(scores, name)
+    y = as_matrix(labels, "labels")
+    if s.shape != y.shape:
+        raise ValueError(f"{name} shape {s.shape} does not match labels {y.shape}")
+    return s, _check_binary(y)
+
+
+def _class_order(s: np.ndarray) -> np.ndarray:
+    """Per class (row), the samples by descending score, ties by ascending index.
+
+    A stable sort of ``-s`` keeps tied samples in index order, which is the
+    documented tie rule; the class-major layout keeps each sort contiguous.
+    """
+    return np.argsort(-s.T, axis=1, kind="stable")
+
+
+def _average_precisions(order: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-class AP of binary labels ``y`` (n x C) ranked by ``_class_order``.
+
+    Classes without positives get NaN. The k-th positive of a class, at
+    0-based depth d, has precision k / (d + 1). Each class's precisions
+    are summed as one contiguous vector, as a one-class call would sum
+    them, so the result does not depend on how many classes share a call.
+    """
+    n_classes = order.shape[0]
+    hit = np.take(y, order * n_classes + np.arange(n_classes)[:, None]) == 1.0
+    cls, depth = np.nonzero(hit)
+    n_pos = np.bincount(cls, minlength=n_classes)
+    ends = np.cumsum(n_pos)
+    k = np.arange(1, cls.size + 1) - np.repeat(ends - n_pos, n_pos)
+    prec = k / (depth + 1)
+    per_class = np.full(n_classes, np.nan)
+    for c in np.flatnonzero(n_pos):
+        per_class[c] = prec[ends[c] - n_pos[c]:ends[c]].sum() / n_pos[c]
+    return per_class
+
+
+def _macro_mean(per_class: np.ndarray) -> float:
+    """Mean AP over the classes that have positives."""
+    evaluable = ~np.isnan(per_class)
+    if not evaluable.any():
+        raise ValueError("no class has positive labels; mAP undefined")
+    return float(per_class[evaluable].mean())
 
 
 def average_precision(scores, labels) -> float:
     """Non-interpolated AP: mean precision at the ranks of the positives."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if s.shape != y.shape:
-        raise ValueError(f"scores and labels differ in length: {s.size} vs {y.size}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be binary")
-    n_pos = int(y.sum())
-    if n_pos == 0:
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if s.ndim != 1 or s.shape != y.shape:
+        raise ValueError(
+            f"scores and labels must be 1-D of equal length, got shapes {s.shape} and {y.shape}"
+        )
+    s, y = _checked(s[:, None], y[:, None])
+    ap = _average_precisions(_class_order(s), y)[0]
+    if np.isnan(ap):
         raise ValueError("class has no positive labels and is not evaluable")
-    order = _descending_order(s, np.arange(s.size))
-    hits = y[order]
-    cum_hits = np.cumsum(hits)
-    ranks = np.arange(1, s.size + 1)
-    prec_at_pos = (cum_hits / ranks)[hits == 1.0]
-    return float(prec_at_pos.sum() / n_pos)
+    return float(ap)
 
 
 def mean_average_precision(scores, labels):
@@ -67,38 +123,27 @@ def mean_average_precision(scores, labels):
 
     Classes without positives get AP = NaN and are excluded from the mean.
     """
-    s = as_matrix(scores, "scores")
-    y = as_matrix(labels, "labels")
-    if s.shape != y.shape:
-        raise ValueError(f"scores shape {s.shape} does not match labels {y.shape}")
-    per_class = np.full(s.shape[1], np.nan)
-    for c in range(s.shape[1]):
-        if y[:, c].sum() > 0:
-            per_class[c] = average_precision(s[:, c], y[:, c])
-    evaluable = ~np.isnan(per_class)
-    if not evaluable.any():
-        raise ValueError("no class has positive labels; mAP undefined")
-    return float(per_class[evaluable].mean()), per_class
+    s, y = _checked(scores, labels)
+    per_class = _average_precisions(_class_order(s), y)
+    return _macro_mean(per_class), per_class
 
 
 def coverage(scores, labels) -> float:
     """Mean depth of the worst-ranked true label, minus one."""
-    s = as_matrix(scores, "scores")
-    y = as_matrix(labels, "labels")
-    if s.shape != y.shape:
-        raise ValueError(f"scores shape {s.shape} does not match labels {y.shape}")
+    return _coverage(*_checked(scores, labels))
+
+
+def _coverage(s: np.ndarray, y: np.ndarray) -> float:
+    """``coverage`` of checked inputs."""
     n, n_classes = s.shape
-    class_ids = np.arange(n_classes)
-    total = 0.0
-    for i in range(n):
-        pos = y[i] == 1.0
-        if not pos.any():
-            raise ValueError(f"row {i} has no positive label")
-        order = _descending_order(s[i], class_ids)
-        ranks = np.empty(n_classes, dtype=np.intp)
-        ranks[order] = np.arange(1, n_classes + 1)
-        total += ranks[pos].max() - 1
-    return float(total / n)
+    order = np.argsort(-s, axis=1, kind="stable")
+    hits = np.take_along_axis(y, order, axis=1)
+    # the deepest 0-based position a true label holds; -1 when there is none
+    depth = np.where(hits == 1.0, np.arange(n_classes), -1).max(axis=1)
+    empty = np.flatnonzero(depth < 0)
+    if empty.size:
+        raise ValueError(f"row {empty[0]} has no positive label")
+    return float(depth.sum() / n)
 
 
 def ranking_loss(scores, labels) -> float:
@@ -107,32 +152,25 @@ def ranking_loss(scores, labels) -> float:
     A tie counts as an error. Rows lacking a positive or a negative label
     are skipped; see ``compute_metric_report`` for the skipped count.
     """
-    value, _ = _ranking_loss_counted(scores, labels)
+    value, _ = _ranking_loss_counted(*_checked(scores, labels))
     return value
 
 
-def _ranking_loss_counted(scores, labels):
-    s = as_matrix(scores, "scores")
-    y = as_matrix(labels, "labels")
-    if s.shape != y.shape:
-        raise ValueError(f"scores shape {s.shape} does not match labels {y.shape}")
-    total = 0.0
-    valid = 0
-    skipped = 0
-    for i in range(s.shape[0]):
-        pos = y[i] == 1.0
-        neg = ~pos
-        if not pos.any() or not neg.any():
-            skipped += 1
-            continue
-        sp = s[i, pos]
-        sn = s[i, neg]
-        violations = (sp[:, None] <= sn[None, :]).sum()
-        total += violations / (sp.size * sn.size)
-        valid += 1
-    if valid == 0:
+def _ranking_loss_counted(s: np.ndarray, y: np.ndarray):
+    """``ranking_loss`` of checked inputs, and the number of rows skipped."""
+    n_classes = s.shape[1]
+    # descending score; on a tie the negative goes first, so it counts
+    # against the positive it ties with
+    order = np.lexsort((y, -s), axis=1)
+    hits = np.take_along_axis(y, order, axis=1)
+    violations = (np.cumsum(1.0 - hits, axis=1) * hits).sum(axis=1)
+    n_pos = hits.sum(axis=1)
+    valid = (n_pos > 0) & (n_pos < n_classes)
+    if not valid.any():
         raise ValueError("no row has both a positive and a negative label")
-    return float(total / valid), skipped
+    frac = violations[valid] / (n_pos[valid] * (n_classes - n_pos[valid]))
+    # summed left to right, row by row; pairwise summation would round differently
+    return float(np.cumsum(frac)[-1] / frac.size), int(valid.size - frac.size)
 
 
 def thresholded_metrics(probs, labels, threshold: float = 0.5):
@@ -141,10 +179,11 @@ def thresholded_metrics(probs, labels, threshold: float = 0.5):
     Returns (oa, mf1, mprecision, mrecall, per-class precision, recall, f1).
     Empty denominators yield 0 rather than NaN.
     """
-    p = as_matrix(probs, "probs")
-    y = as_matrix(labels, "labels")
-    if p.shape != y.shape:
-        raise ValueError(f"probs shape {p.shape} does not match labels {y.shape}")
+    return _thresholded(*_checked(probs, labels, "probs"), threshold)
+
+
+def _thresholded(p: np.ndarray, y: np.ndarray, threshold: float):
+    """``thresholded_metrics`` of checked probabilities and labels."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     pred = (p >= threshold).astype(np.float64)
@@ -235,12 +274,12 @@ class MetricReport:
 
 def compute_metric_report(probs, labels, threshold: float = 0.5) -> MetricReport:
     """Evaluate probabilities against binary labels on every metric."""
-    p = as_matrix(probs, "probs")
-    y = as_matrix(labels, "labels")
-    map_value, ap_per_class = mean_average_precision(p, y)
-    cov = coverage(p, y)
+    p, y = _checked(probs, labels, "probs")
+    ap_per_class = _average_precisions(_class_order(p), y)
+    map_value = _macro_mean(ap_per_class)
+    cov = _coverage(p, y)
     rl, rl_skipped = _ranking_loss_counted(p, y)
-    oa, mf1, mprec, mrec, prec_c, rec_c, f1_c = thresholded_metrics(p, y, threshold)
+    oa, mf1, mprec, mrec, prec_c, rec_c, f1_c = _thresholded(p, y, threshold)
     return MetricReport(
         map=map_value,
         coverage=cov,
@@ -291,8 +330,13 @@ def noisy_metric_transform(p, tp, pp, f, pf):
     if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
         raise ValueError("count vectors must be 1-D and of equal length")
     results = []
-    for c, (p_c, tp_c, pp_c, f_c, pf_c) in enumerate(zip(*arrays)):
-        p_c, tp_c, pp_c, f_c, pf_c = (int(v) for v in (p_c, tp_c, pp_c, f_c, pf_c))
+    for c, row in enumerate(zip(*arrays)):
+        for name, v in zip(("P", "TP", "PP", "F", "PF"), row):
+            if not float(v).is_integer():
+                raise ValueError(
+                    f"class {c}: count {name} must be a whole number, got {float(v)!r}"
+                )
+        p_c, tp_c, pp_c, f_c, pf_c = (int(v) for v in row)
         if min(p_c, tp_c, pp_c, f_c, pf_c) < 0:
             raise ValueError(f"class {c}: counts must be non-negative")
         if not (pf_c <= f_c <= p_c):
@@ -367,6 +411,9 @@ def estimate_proposition_bounds(clean_ap, beta, regime: str) -> float:
     b = np.asarray(beta, dtype=np.float64)
     if ap.shape != b.shape or ap.ndim != 1:
         raise ValueError("clean_ap and beta must be 1-D vectors of equal length")
+    for name, v in (("clean_ap", ap), ("beta", b)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} contains non-finite entries")
     if np.any(b <= 0.0) or np.any(b >= 1.0):
         raise ValueError("beta entries must lie in (0, 1)")
     def pop_cov(u, v):
@@ -415,6 +462,10 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     lowest-scored positives (the model "knows" the dominant class, so
     flipped positives are the ones it ranks poorly).
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if regime not in ("random", "dominant"):
@@ -434,7 +485,10 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     scores = y * margins + rng.standard_normal((n, n_classes))
     betas = rng.uniform(config.beta_low, config.beta_high, n_classes)
 
-    clean_map, clean_ap = mean_average_precision(scores, y)
+    # the scores never change, so one sort serves every trial
+    order = _class_order(scores)
+    clean_ap = _average_precisions(order, y)
+    clean_map = _macro_mean(clean_ap)
     predicted = estimate_proposition_bounds(clean_ap, betas, regime)
 
     pos_index = [np.flatnonzero(y[:, c] == 1.0) for c in range(n_classes)]
@@ -455,7 +509,7 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
                 keys = -config.dominant_sharpness * scores[pos, c]
                 keys = keys - np.log(-np.log(rng.random(pos.size)))
                 y_noisy[pos[np.argsort(keys)[-n_flip:]], c] = 0.0
-        measured[trial], _ = mean_average_precision(scores, y_noisy)
+        measured[trial] = _macro_mean(_average_precisions(order, y_noisy))
 
     return MonteCarloReport(
         clean_map=clean_map,

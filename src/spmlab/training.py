@@ -19,7 +19,13 @@ import numpy as np
 from . import losses
 from .data import MultiLabelDataset, atomic_open
 from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
-from .metrics import MetricReport, compute_metric_report, mean_average_precision
+from .metrics import (
+    MetricReport,
+    _average_precisions,
+    _class_order,
+    _macro_mean,
+    compute_metric_report,
+)
 from .net import Mlp, _sigmoid, make_rng, sigmoid
 
 __all__ = [
@@ -306,10 +312,11 @@ class Trainer:
         self._step(acts, dlogits)
         return value
 
-    def _val_map(self, model: Mlp, labels) -> float:
-        probs = sigmoid(model.forward(self.val_ds.features))
-        value, _ = mean_average_precision(probs, labels)
-        return value
+    def _val_map(self, model: Mlp, *label_sets) -> list:
+        """Validation mAP of ``model`` against each label set, from one sort."""
+        order = _class_order(sigmoid(model.forward(self.val_ds.features)))
+        # the validation labels were checked when the dataset was built
+        return [_macro_mean(_average_precisions(order, y)) for y in label_sets]
 
     def run_epoch(self) -> EpochLog:
         cfg = self.config
@@ -328,11 +335,11 @@ class Trainer:
                 ) from exc
             n_batches += 1
 
-        noisy_map = self._val_map(self._teacher, self.val_ds.y_observed)
-        noisy_map_student = self._val_map(self._student, self.val_ds.y_observed)
-        clean_map = None
-        if cfg.log_clean_val:
-            clean_map = self._val_map(self._teacher, self.val_ds.y_true)
+        val = self.val_ds
+        teacher_labels = (val.y_observed, val.y_true) if cfg.log_clean_val else (val.y_observed,)
+        noisy_map, *clean = self._val_map(self._teacher, *teacher_labels)
+        clean_map = clean[0] if clean else None
+        (noisy_map_student,) = self._val_map(self._student, val.y_observed)
 
         detect_early_learning(self.detector, noisy_map, cfg.patience)
         if cfg.method == "adagc" and self.detector.triggered:

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmlab.metrics import (
     MetricReport,
@@ -13,6 +17,9 @@ from spmlab.metrics import (
     noisy_metric_transform,
     ranking_loss,
     thresholded_metrics,
+    _average_precisions,
+    _class_order,
+    _macro_mean,
 )
 from spmlab.net import make_rng
 
@@ -56,6 +63,19 @@ class TestAveragePrecision:
         assert average_precision([0.5, 0.5], [1, 0]) == 1.0
         assert average_precision([0.5, 0.5], [0, 1]) == 0.5
 
+    @pytest.mark.parametrize("scores, match", [
+        ([np.nan, 1.0, 0.5], "non-finite"),
+        ([np.inf, 1.0, 0.5], "non-finite"),
+        ([[0.9, 0.8, 0.1]], "1-D"),
+    ])
+    def test_bad_scores_rejected(self, scores, match):
+        with pytest.raises(ValueError, match=match):
+            average_precision(scores, [1, 0, 0])
+
+    def test_two_d_labels_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            average_precision([0.9, 0.8], [[1, 0]])
+
     def test_monotone_in_positive_score(self):
         rng = make_rng(0)
         for _ in range(50):
@@ -94,6 +114,23 @@ class TestMeanAveragePrecision:
     def test_no_evaluable_class_rejected(self):
         with pytest.raises(ValueError, match="mAP undefined"):
             mean_average_precision([[0.5]], [[0.0]])
+
+
+class TestLabelsMustBeBinary:
+    SCORES = [[0.9, 0.2], [0.3, 0.8]]
+
+    @pytest.mark.parametrize("metric, labels, found", [
+        (coverage, [[1, 0.5], [0.5, 1]], "0.5 at [0, 1]"),
+        (ranking_loss, [[1, 2], [0, 1]], "2.0 at [0, 1]"),
+        (thresholded_metrics, [[1, 0.5], [0, 1]], "0.5 at [0, 1]"),
+        (mean_average_precision, [[-1, 1], [-1, 0]], "-1.0 at [0, 0]"),
+        (compute_metric_report, [[1, 0], [0, 0.25]], "0.25 at [1, 1]"),
+        (lambda s, y: average_precision(np.ravel(s), np.ravel(y)), [[1, 0], [3, 0]],
+         "3.0 at [2, 0]"),
+    ])
+    def test_non_binary_labels_rejected_by_name_and_value(self, metric, labels, found):
+        with pytest.raises(ValueError, match=r"labels must be binary \(0/1\), found " + re.escape(found)):
+            metric(self.SCORES, labels)
 
 
 class TestCoverage:
@@ -169,6 +206,51 @@ class TestOracleAgreement:
                 continue
             assert abs(rl - brute_ranking_loss(scores, labels)) <= 1e-12
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_scores_match_brute_force(self, data):
+        n = data.draw(st.integers(1, 25))
+        n_classes = data.draw(st.integers(1, 7))
+        levels = data.draw(st.integers(1, 4))
+        cells = n * n_classes
+        scores = np.array(data.draw(st.lists(st.integers(0, levels), min_size=cells,
+                                             max_size=cells)), dtype=float)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=cells,
+                                             max_size=cells)), dtype=float)
+        scores = scores.reshape(n, n_classes) / levels
+        labels = labels.reshape(n, n_classes)
+        labels[labels.sum(axis=1) == 0, 0] = 1.0
+        value, _ = mean_average_precision(scores, labels)
+        assert abs(value - brute_mean_average_precision(scores, labels)) <= 1e-12
+        assert abs(coverage(scores, labels) - brute_coverage(scores, labels)) <= 1e-12
+        if np.all(labels == 1.0):
+            with pytest.raises(ValueError, match="no row"):
+                ranking_loss(scores, labels)
+        else:
+            assert abs(ranking_loss(scores, labels) - brute_ranking_loss(scores, labels)) <= 1e-12
+
+    def test_per_class_ap_equals_per_column_average_precision(self):
+        rng = make_rng(47)
+        for k in range(20):
+            scores, labels = random_instance(rng, tie_free=(k % 2 == 0))
+            _, per_class = mean_average_precision(scores, labels)
+            expect = [average_precision(scores[:, c], labels[:, c])
+                      if labels[:, c].any() else np.nan for c in range(labels.shape[1])]
+            assert np.array_equal(per_class, expect, equal_nan=True)
+
+    def test_presorted_kernel_equals_public_map(self):
+        # the Monte Carlo loop ranks every trial's labels by one fixed order
+        rng = make_rng(48)
+        scores = np.round(rng.standard_normal((300, 7)), 1)
+        clean = (rng.random((300, 7)) < 0.3).astype(float)
+        order = _class_order(scores)
+        for _ in range(50):
+            noisy = clean * (rng.random(clean.shape) >= 0.6)
+            per_class = _average_precisions(order, noisy)
+            value, expect = mean_average_precision(scores, noisy)
+            assert np.array_equal(per_class, expect, equal_nan=True)
+            assert _macro_mean(per_class) == value
+
     def test_permutation_invariance(self):
         rng = make_rng(43)
         scores, labels = random_instance(rng)
@@ -209,6 +291,15 @@ class TestNoisyMetricTransform:
         with pytest.raises(ValueError, match="PF <= TP"):
             noisy_metric_transform([5], [1], [5], [3], [2])
 
+    @pytest.mark.parametrize("counts, match", [
+        (([10.7], [5.9], [9], [3], [1]), "class 0: count P must be a whole number, got 10.7"),
+        (([10], [6], [9], [3], [np.nan]), "class 0: count PF must be a whole number, got nan"),
+        (([10, 8], [6, 5], [9, np.inf], [3, 2], [1, 1]), "class 1: count PP .* got inf"),
+    ])
+    def test_non_integer_counts_rejected(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            noisy_metric_transform(*counts)
+
     def test_identity_on_random_integer_fixtures(self):
         rng = make_rng(44)
         for _ in range(100):
@@ -247,6 +338,15 @@ class TestPropositionBounds:
         with pytest.raises(ValueError):
             estimate_proposition_bounds([0.5], [0.5], "weird")
 
+    @pytest.mark.parametrize("clean_ap, beta, name", [
+        ([0.5, np.nan], [0.3, 0.4], "clean_ap"),
+        ([0.5, 0.6], [np.nan, 0.4], "beta"),
+        ([np.inf, 0.6], [0.3, 0.4], "clean_ap"),
+    ])
+    def test_non_finite_inputs_rejected(self, clean_ap, beta, name):
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            estimate_proposition_bounds(clean_ap, beta, "random")
+
 
 class TestMonteCarlo:
     def test_small_smoke_random_direction(self):
@@ -263,6 +363,10 @@ class TestMonteCarlo:
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError, match="100"):
             monte_carlo_proposition_check(MonteCarloConfig(), "random", 50)
+
+    def test_non_integer_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be an integer, got 100.5"):
+            monte_carlo_proposition_check(MonteCarloConfig(), "random", 100.5)
 
 
 class TestMetricReport:
