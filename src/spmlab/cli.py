@@ -80,11 +80,16 @@ def _load_splits(spec: ExperimentSpec) -> dict:
     return {name: load_split_csv(datadir, name) for name in ("train", "val", "test")}
 
 
-def _resolve_noise_seed(spec: ExperimentSpec) -> int:
-    if spec.noise_seed is not None:
-        return spec.noise_seed
-    if spec.synthetic is not None:
-        return spec.synthetic.seed
+def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
+    """The explicit seed, else the synthetic seed, else the data's spec.json seed, else 0."""
+    if noise_seed is not None:
+        return noise_seed
+    if synthetic is not None:
+        return synthetic.seed
+    if data_dir is not None:
+        spec_path = Path(data_dir, "spec.json")
+        if spec_path.exists():
+            return read_spec_json(spec_path).seed
     return 0
 
 
@@ -166,7 +171,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
 
     splits = _load_splits(spec)
-    noise_rng = make_rng([_resolve_noise_seed(spec), NOISE_STREAM])
+    noise_seed = _resolve_noise_seed(spec.noise_seed, spec.synthetic, spec.data_dir)
+    noise_rng = make_rng([noise_seed, NOISE_STREAM])
     train_ds = apply_regime(splits["train"], spec.regime, noise_rng)
     val_ds = apply_regime(splits["val"], spec.regime, noise_rng)
 
@@ -181,7 +187,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     config_payload = {
         "train_config": resolved,
         "regime": spec.regime,
-        "noise_seed": _resolve_noise_seed(spec),
+        "noise_seed": noise_seed,
         "synthetic": None if spec.synthetic is None else asdict(spec.synthetic),
         "data_dir": spec.data_dir,
         "trigger_epoch": trainer.detector.trigger_epoch,
@@ -324,11 +330,7 @@ def _cmd_corrupt(args) -> int:
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
     outdir.mkdir(parents=True, exist_ok=True)
-    noise_seed = args.noise_seed
-    if noise_seed is None:
-        spec_path = datadir / "spec.json"
-        noise_seed = read_spec_json(spec_path).seed if spec_path.exists() else 0
-    rng = make_rng([noise_seed, NOISE_STREAM])
+    rng = make_rng([_resolve_noise_seed(args.noise_seed, data_dir=datadir), NOISE_STREAM])
     flips = None
     for name in ("train", "val"):
         ds = load_split_csv(datadir, name)
@@ -376,7 +378,8 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_grid(items) -> list:
-    axes = []
+    """(field, raw values) per grid entry; a field or a value may appear only once."""
+    axes = {}
     valid = {f.name for f in fields(TrainConfig)}
     for item in items:
         if "=" not in item:
@@ -385,8 +388,14 @@ def _parse_grid(items) -> list:
         key = key.replace("-", "_")
         if key not in valid:
             raise ValueError(f"unknown config field {key!r} in grid")
-        axes.append((key, values.split(",")))
-    return axes
+        if key in axes:
+            raise ValueError(f"grid field {key!r} is given twice")
+        values = values.split(",")
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"grid field {key!r} lists value {repeated!r} twice")
+        axes[key] = values
+    return list(axes.items())
 
 
 def _grid_cells(axes) -> list:

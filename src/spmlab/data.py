@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .net import as_matrix, make_rng
+from .net import (
+    _check_binary,
+    _check_extents,
+    _check_rows_positive,
+    as_matrix,
+    make_rng,
+)
 
 __all__ = [
     "MultiLabelDataset",
@@ -61,27 +67,18 @@ class MultiLabelDataset:
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
-        self.y_true = as_matrix(self.y_true, "y_true")
+        self.y_true = _check_binary(self.y_true, "y_true")
         if self.features.shape[0] != self.y_true.shape[0]:
             raise ValueError(
                 f"features have {self.features.shape[0]} rows, "
                 f"labels have {self.y_true.shape[0]}"
             )
-        if not np.all((self.y_true == 0.0) | (self.y_true == 1.0)):
-            raise ValueError("y_true must be binary")
-        rows = np.flatnonzero(self.y_true.sum(axis=1) == 0)
-        if rows.size:
-            raise ValueError(f"y_true row {rows[0]} has no positive label")
+        _check_rows_positive(self.y_true, "y_true")
         if self.y_observed is not None:
-            self.y_observed = as_matrix(self.y_observed, "y_observed")
-            if self.y_observed.shape != self.y_true.shape:
-                raise ValueError("y_observed shape does not match y_true")
-            if not np.all((self.y_observed == 0.0) | (self.y_observed == 1.0)):
-                raise ValueError("y_observed must be binary")
+            self.y_observed = _check_binary(self.y_observed, "y_observed",
+                                            self.y_true.shape, "y_true")
         if self.extents is not None:
-            self.extents = as_matrix(self.extents, "extents")
-            if self.extents.shape != self.y_true.shape:
-                raise ValueError("extents shape does not match y_true")
+            self.extents = _check_extents(self.extents, self.y_true)
 
     @property
     def n_samples(self) -> int:

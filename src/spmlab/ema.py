@@ -5,10 +5,13 @@ updated once per optimizer step) and a prediction-space EMA (per-sample
 smoothed student outputs, updated whenever a sample is forwarded).
 Pseudo-labels fuse the two with a convex coefficient gamma.
 
-Each public function checks its inputs, then calls one private kernel
-(``_update_weights``, ``_update_predictions``, ``_pseudo_labels``); the
-trainer checks once at construction and calls the kernels in each step.
-Both updates change the state in place.
+Each public function checks its inputs with the rule helpers of ``net``
+(probabilities in [0, 1] and of the shape the sample indices and classes
+give; an error names the argument and the first offending value with its
+position), then calls one private kernel (``_update_weights``,
+``_update_predictions``, ``_pseudo_labels``); the trainer checks once at
+construction and calls the kernels in each step. Both updates change the
+state in place.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import as_matrix
+from .net import _check_shape, _check_unit
 
 __all__ = [
     "DualEmaState",
@@ -61,12 +64,8 @@ def init_dual_ema(student_params, n_train: int, n_classes: int,
 
 def ema_update_weights(state: DualEmaState, student_params) -> DualEmaState:
     """teacher <- beta_t * teacher + (1 - beta_t) * student, elementwise, in place."""
-    theta = np.asarray(student_params, dtype=np.float64)
-    if theta.shape != state.teacher_params.shape:
-        raise ValueError(
-            f"student parameters have shape {theta.shape}, "
-            f"teacher holds {state.teacher_params.shape}"
-        )
+    theta = _check_shape(np.asarray(student_params, dtype=np.float64),
+                         state.teacher_params.shape, "student_params", "teacher_params")
     _update_weights(state.teacher_params, theta, state.beta_t)
     return state
 
@@ -80,15 +79,10 @@ def _update_weights(teacher: np.ndarray, theta: np.ndarray, beta_t: float) -> No
 def ema_update_predictions(state: DualEmaState, sample_indices, p_batch) -> DualEmaState:
     """Per-sample prediction smoothing; a first visit copies the prediction."""
     idx = np.asarray(sample_indices, dtype=np.intp)
-    p = as_matrix(p_batch, "p_batch")
     if np.any(idx < 0) or np.any(idx >= state.smoothed_preds.shape[0]):
         raise ValueError("sample index out of range")
-    if p.shape != (idx.size, state.smoothed_preds.shape[1]):
-        raise ValueError(
-            f"p_batch has shape {p.shape}, expected {(idx.size, state.smoothed_preds.shape[1])}"
-        )
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("predictions must lie in [0, 1]")
+    p = _check_unit(p_batch, "p_batch", (idx.size, state.smoothed_preds.shape[1]),
+                    "sample_indices and classes")
     _update_predictions(state, idx, p)
     return state
 
@@ -111,28 +105,16 @@ def make_pseudo_labels(state: DualEmaState, teacher_probs, sample_indices,
     every requested sample must have been visited.
     """
     idx = np.asarray(sample_indices, dtype=np.intp)
-    p_t = as_matrix(teacher_probs, "teacher_probs")
     if np.any(idx < 0) or np.any(idx >= state.smoothed_preds.shape[0]):
         raise ValueError("sample index out of range")
-    if p_t.shape != (idx.size, state.smoothed_preds.shape[1]):
-        raise ValueError(
-            f"teacher_probs has shape {p_t.shape}, "
-            f"expected {(idx.size, state.smoothed_preds.shape[1])}"
-        )
+    p_t = _check_unit(teacher_probs, "teacher_probs", (idx.size, state.smoothed_preds.shape[1]),
+                      "sample_indices and classes")
     if student_probs is None:
         if not np.all(state.visited[idx]):
             raise ValueError("pseudo-labels requested for samples never visited")
-        p_s = state.smoothed_preds[idx]
     else:
-        p_s = as_matrix(student_probs, "student_probs")
-        if p_s.shape != p_t.shape:
-            raise ValueError(
-                f"student_probs has shape {p_s.shape}, expected {p_t.shape}"
-            )
-    for name, arr in (("teacher_probs", p_t), ("student_probs", p_s)):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError(f"{name} must lie in [0, 1]")
-    return _pseudo_labels(state, p_t, idx, None if student_probs is None else p_s)
+        student_probs = _check_unit(student_probs, "student_probs", p_t.shape, "teacher_probs")
+    return _pseudo_labels(state, p_t, idx, student_probs)
 
 
 def _pseudo_labels(state: DualEmaState, p_t: np.ndarray, idx: np.ndarray,

@@ -5,12 +5,16 @@ and its analytic gradient with respect to the logits, so a model gradient
 is one ``Mlp.backward`` call away. Probabilities are clamped into
 ``[EPS_CLIP, 1 - EPS_CLIP]`` before any logarithm.
 
-Each public function checks its inputs, clamps, then calls one private
-kernel (``_bce_terms``, ``_an_ls_terms``, ``_epr_terms``, ``_iun_terms``,
-``_adagc_terms``, ``_gc_core``) that takes clamped probabilities and
-returns ``(value, dlogits)``. The trainer checks its inputs once, at
-construction, and calls the same kernels in each step, so every formula
-lives in one place and the tests of the public functions cover it.
+Each public function checks its inputs with the rule helpers of ``net``:
+labels are binary, probabilities and pseudo-labels lie in [0, 1], and
+every array has the shape of ``p``; an error names the argument and the
+first offending value with its position. It then clamps and calls one
+private kernel (``_bce_terms``, ``_an_ls_terms``, ``_epr_terms``,
+``_iun_terms``, ``_adagc_terms``, ``_gc_core``) that takes clamped
+probabilities and returns ``(value, dlogits)``. The trainer checks its
+inputs once, at construction, and calls the same kernels in each step, so
+every formula lives in one place and the tests of the public functions
+cover it.
 
 Conventions:
 
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .net import as_matrix
+from .net import _check_binary, _check_unit
 
 __all__ = [
     "EPS_CLIP",
@@ -53,36 +57,12 @@ class LossValue(NamedTuple):
 
 
 def _clamp(p) -> np.ndarray:
-    p = as_matrix(p, "probabilities")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return _clip(p)
+    return _clip(_check_unit(p, "p"))
 
 
 def _clip(p: np.ndarray) -> np.ndarray:
     """Probabilities in [0, 1] clamped into [EPS_CLIP, 1 - EPS_CLIP], unchecked."""
     return np.clip(p, EPS_CLIP, 1.0 - EPS_CLIP)
-
-
-def _check_shapes(p, other, name) -> np.ndarray:
-    other = as_matrix(other, name)
-    if other.shape != p.shape:
-        raise ValueError(
-            f"{name} has shape {other.shape}, expected {p.shape} to match probabilities"
-        )
-    return other
-
-
-def _check_binary(y, name="labels") -> np.ndarray:
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError(f"{name} must be binary (0/1 entries)")
-    return y
-
-
-def _check_unit(t, name="pseudo_labels") -> np.ndarray:
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    return t
 
 
 def _bce_terms(p, targets, w_neg=1.0):
@@ -95,7 +75,7 @@ def _bce_terms(p, targets, w_neg=1.0):
 def loss_an(p, y_observed) -> LossValue:
     """Assume-negative BCE: every unobserved label is treated as a negative."""
     p = _clamp(p)
-    y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
+    y = _check_binary(y_observed, "y_observed", p.shape, "p")
     return LossValue(*_bce_terms(p, y))
 
 
@@ -104,7 +84,7 @@ def loss_an_ls(p, y_observed, eps_smooth: float) -> LossValue:
     if not 0.0 <= eps_smooth < 0.5:
         raise ValueError(f"eps_smooth must be in [0, 0.5), got {eps_smooth}")
     p = _clamp(p)
-    y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
+    y = _check_binary(y_observed, "y_observed", p.shape, "p")
     return LossValue(*_an_ls_terms(p, y, eps_smooth))
 
 
@@ -118,7 +98,7 @@ def loss_wan(p, y_observed, w_neg: float) -> LossValue:
     if not 0.0 < w_neg <= 1.0:
         raise ValueError(f"w_neg must be in (0, 1], got {w_neg}")
     p = _clamp(p)
-    y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
+    y = _check_binary(y_observed, "y_observed", p.shape, "p")
     return LossValue(*_bce_terms(p, y, w_neg))
 
 
@@ -128,7 +108,7 @@ def loss_epr(p, y_observed, k_expected: float, epr_weight: float = 1.0) -> LossV
     penalty = epr_weight * (1/n) * sum_i ((sum_c p_ic - k_expected) / C)^2
     """
     p = _clamp(p)
-    y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
+    y = _check_binary(y_observed, "y_observed", p.shape, "p")
     n_classes = p.shape[1]
     if not 0.0 < k_expected <= n_classes:
         raise ValueError(
@@ -154,11 +134,8 @@ def loss_iun(p, y_observed, true_negative_mask) -> LossValue:
     contribute neither loss nor gradient.
     """
     p = _clamp(p)
-    y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
-    mask = _check_binary(
-        _check_shapes(p, true_negative_mask, "true_negative_mask"),
-        "true_negative_mask",
-    )
+    y = _check_binary(y_observed, "y_observed", p.shape, "p")
+    mask = _check_binary(true_negative_mask, "true_negative_mask", p.shape, "p")
     if np.any((mask == 1.0) & (y == 1.0)):
         raise ValueError("true_negative_mask marks an observed positive as negative")
     return LossValue(*_iun_terms(p, y, mask))
@@ -178,10 +155,8 @@ def reg_elr_mcc(p_simplex, t_simplex) -> LossValue:
     to 1 - EPS_CLIP before the logarithm. Reference implementation only:
     the binary-label training path never uses it.
     """
-    p = as_matrix(p_simplex, "p_simplex")
-    t = _check_shapes(p, t_simplex, "t_simplex")
-    if np.any(p < 0.0) or np.any(t < 0.0):
-        raise ValueError("simplex entries must be non-negative")
+    p = _check_unit(p_simplex, "p_simplex")
+    t = _check_unit(t_simplex, "t_simplex", p.shape, "p_simplex")
     for name, arr in (("p_simplex", p), ("t_simplex", t)):
         sums = arr.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-9):
@@ -203,7 +178,7 @@ def reg_gc_binary(p, t) -> LossValue:
     vector [t, 1-t]; dominated by negative labels, kept as a reference.
     """
     p = _clamp(p)
-    t = _check_unit(_check_shapes(p, t, "pseudo_labels"))
+    t = _check_unit(t, "t", p.shape, "p")
     n = p.shape[0]
     ip = p * t + (1.0 - p) * (1.0 - t)
     ipc = np.minimum(ip, 1.0 - EPS_CLIP)
@@ -230,8 +205,8 @@ def reg_gc(p, t, y_observed) -> LossValue:
     positive predictions instead of being penalized as false negatives.
     """
     p = _clamp(p)
-    t = _check_unit(_check_shapes(p, t, "pseudo_labels"))
-    y = _check_binary(_check_shapes(p, y_observed, "y_observed"), "y_observed")
+    t = _check_unit(t, "t", p.shape, "p")
+    y = _check_binary(y_observed, "y_observed", p.shape, "p")
     return LossValue(*_gc_core(p, t, y == 0.0))
 
 
@@ -246,8 +221,8 @@ def loss_adagc(p, y, t, lam: float) -> LossValue:
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     p = _clamp(p)
-    y = _check_unit(_check_shapes(p, y, "y"), "y")
-    t = _check_unit(_check_shapes(p, t, "pseudo_labels"))
+    y = _check_unit(y, "y", p.shape, "p")
+    t = _check_unit(t, "t", p.shape, "p")
     return LossValue(*_adagc_terms(p, y, t, lam))
 
 

@@ -23,12 +23,12 @@ while dominant (instance-dependent) flips bias it upward.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .net import as_matrix
+from .net import _check_binary, as_matrix
 
 __all__ = [
     "MetricReport",
@@ -47,22 +47,10 @@ __all__ = [
 ]
 
 
-def _check_binary(y: np.ndarray, name: str = "labels") -> np.ndarray:
-    """Raise unless every entry of ``y`` is 0 or 1, naming the first that is not."""
-    bad = (y != 0.0) & (y != 1.0)
-    if bad.any():
-        at = ", ".join(str(int(i)) for i in np.argwhere(bad)[0])
-        raise ValueError(f"{name} must be binary (0/1), found {float(y[bad][0])!r} at [{at}]")
-    return y
-
-
 def _checked(scores, labels, name: str = "scores"):
     """Finite 2-D scores and binary labels of the same shape, or ValueError."""
     s = as_matrix(scores, name)
-    y = as_matrix(labels, "labels")
-    if s.shape != y.shape:
-        raise ValueError(f"{name} shape {s.shape} does not match labels {y.shape}")
-    return s, _check_binary(y)
+    return s, _check_binary(labels, "labels", s.shape, name)
 
 
 def _class_order(s: np.ndarray) -> np.ndarray:
@@ -227,49 +215,26 @@ class MetricReport:
     rankloss_skipped_rows: int
 
     def to_json_dict(self) -> dict:
-        def listify(a):
-            return [None if np.isnan(v) else float(v) for v in a]
-
-        return {
-            "map": self.map,
-            "coverage": self.coverage,
-            "rankloss": self.rankloss,
-            "oa": self.oa,
-            "mf1": self.mf1,
-            "mprecision": self.mprecision,
-            "mrecall": self.mrecall,
-            "threshold": self.threshold,
-            "ap_per_class": listify(self.ap_per_class),
-            "precision_per_class": listify(self.precision_per_class),
-            "recall_per_class": listify(self.recall_per_class),
-            "f1_per_class": listify(self.f1_per_class),
-            "n_classes_evaluated": self.n_classes_evaluated,
-            "rankloss_skipped_rows": self.rankloss_skipped_rows,
-        }
+        """Every field by name; arrays become lists with NaN as None."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = [None if np.isnan(v) else float(v) for v in value]
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MetricReport":
-        def arr(key):
-            return np.array(
-                [np.nan if v is None else float(v) for v in d[key]], dtype=np.float64
-            )
-
-        return cls(
-            map=d["map"],
-            coverage=d["coverage"],
-            rankloss=d["rankloss"],
-            oa=d["oa"],
-            mf1=d["mf1"],
-            mprecision=d["mprecision"],
-            mrecall=d["mrecall"],
-            threshold=d["threshold"],
-            ap_per_class=arr("ap_per_class"),
-            precision_per_class=arr("precision_per_class"),
-            recall_per_class=arr("recall_per_class"),
-            f1_per_class=arr("f1_per_class"),
-            n_classes_evaluated=d["n_classes_evaluated"],
-            rankloss_skipped_rows=d["rankloss_skipped_rows"],
-        )
+        """Inverse of ``to_json_dict``: lists become float arrays with None as NaN."""
+        kwargs = {}
+        for f in fields(cls):
+            value = d[f.name]
+            if isinstance(value, list):
+                value = np.array([np.nan if v is None else float(v) for v in value],
+                                 dtype=np.float64)
+            kwargs[f.name] = value
+        return cls(**kwargs)
 
 
 def compute_metric_report(probs, labels, threshold: float = 0.5) -> MetricReport:

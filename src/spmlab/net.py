@@ -11,6 +11,15 @@ The public API checks its inputs and never changes an ``Mlp``:
 input checks; the trainer calls them on student and teacher models whose
 parameter buffers it owns and updates in place, and hands out copies as
 snapshots.
+
+Every module checks its array inputs with the helpers beside
+``as_matrix``, one per rule: binary labels (``_check_binary``), values
+in [0, 1] (``_check_unit``), a matching shape (``_check_shape``), a
+positive label in every row (``_check_rows_positive``) and extents
+supported on the true labels (``_check_extents``). Each raises
+ValueError through ``_reject``, naming the argument, the rule and the
+first offending value with its 0-based position. Only CSV ingestion
+keeps its own checks, whose messages name the file, line and column.
 """
 
 from __future__ import annotations
@@ -35,6 +44,62 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def _reject(name: str, rule: str, found: str) -> ValueError:
+    """The error every input rule raises: argument, rule, and what was found."""
+    return ValueError(f"{name} must {rule}, found {found}")
+
+
+def _check_cells(a: np.ndarray, bad: np.ndarray, name: str, rule: str) -> np.ndarray:
+    """Return ``a`` unless the mask ``bad`` flags an entry; name the first one."""
+    if bad.any():
+        at = np.argwhere(bad)[0]
+        position = ", ".join(str(int(i)) for i in at)
+        raise _reject(name, rule, f"{float(a[tuple(at)])!r} at [{position}]")
+    return a
+
+
+def _check_shape(a: np.ndarray, shape: tuple, name: str, ref: str) -> np.ndarray:
+    """Return the array ``a`` if it has ``shape``, the shape ``ref`` gives it."""
+    if a.shape != shape:
+        raise _reject(name, f"have shape {shape} to match {ref}", f"shape {a.shape}")
+    return a
+
+
+def _check_binary(a, name: str, shape=None, ref: str = "") -> np.ndarray:
+    """``as_matrix(a, name)``, with only 0/1 entries (and ``shape``, if given)."""
+    y = as_matrix(a, name)
+    if shape is not None:
+        _check_shape(y, shape, name, ref)
+    return _check_cells(y, (y != 0.0) & (y != 1.0), name, "be binary (0/1)")
+
+
+def _check_unit(a, name: str, shape=None, ref: str = "") -> np.ndarray:
+    """``as_matrix(a, name)``, with entries in [0, 1] (and ``shape``, if given)."""
+    p = as_matrix(a, name)
+    if shape is not None:
+        _check_shape(p, shape, name, ref)
+    return _check_cells(p, (p < 0.0) | (p > 1.0), name, "lie in [0, 1]")
+
+
+def _check_rows_positive(y: np.ndarray, name: str) -> np.ndarray:
+    """Return the binary matrix ``y`` if every row has a positive label."""
+    empty = ~y.any(axis=1)
+    if empty.any():
+        row = int(np.flatnonzero(empty)[0])
+        raise _reject(name, "have a positive label in every row",
+                      f"no positive label in row {row}")
+    return y
+
+
+def _check_extents(extents, y_true: np.ndarray) -> np.ndarray:
+    """``as_matrix(extents)``: non-negative, zero where ``y_true`` is 0, positive where 1."""
+    e = _check_shape(as_matrix(extents, "extents"), y_true.shape, "extents", "y_true")
+    _check_cells(e, e < 0.0, "extents", "be non-negative")
+    _check_cells(e, (e != 0.0) & (y_true == 0.0), "extents", "be zero where the label is 0")
+    return _check_cells(e, (e == 0.0) & (y_true == 1.0), "extents",
+                        "be positive on a true-positive cell")
 
 
 # Smallest/largest float64 strictly inside (0, 1); sigmoid outputs are
@@ -162,12 +227,8 @@ class Mlp:
     def backward(self, batch, dloss_dlogits) -> np.ndarray:
         """Chain an upstream logit gradient back to a flat parameter gradient."""
         x = self._check_batch(batch)
-        g = as_matrix(dloss_dlogits, "dloss_dlogits")
-        if g.shape != (x.shape[0], self.n_outputs):
-            raise ValueError(
-                f"dloss_dlogits has shape {g.shape}, expected "
-                f"{(x.shape[0], self.n_outputs)}"
-            )
+        g = _check_shape(as_matrix(dloss_dlogits, "dloss_dlogits"),
+                         (x.shape[0], self.n_outputs), "dloss_dlogits", "batch and outputs")
         _, acts = self._forward_cached(x)
         return self._backprop(acts, g)
 
@@ -188,11 +249,7 @@ class Mlp:
 
     def sgd_step(self, grad, lr: float) -> "Mlp":
         """Plain gradient step: theta' = theta - lr * grad."""
-        g = np.asarray(grad, dtype=np.float64)
-        if g.shape != self.params.shape:
-            raise ValueError(
-                f"gradient has shape {g.shape}, expected {self.params.shape}"
-            )
+        g = _check_shape(np.asarray(grad, dtype=np.float64), self.params.shape, "grad", "params")
         if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         return Mlp(self.layer_sizes, self.params - lr * g)

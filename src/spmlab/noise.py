@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open
-from .net import as_matrix
+from .net import _check_binary, _check_extents, _check_rows_positive
 
 __all__ = [
     "FlipRateTable",
@@ -25,21 +25,12 @@ __all__ = [
 ]
 
 
-def _check_labels(y, name="y_true") -> np.ndarray:
-    y = as_matrix(y, name)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError(f"{name} must be binary (0/1 entries)")
-    return y
-
-
 def simulate_random_spml(y_true, rng: np.random.Generator) -> np.ndarray:
     """Keep one positive per row, chosen uniformly among the row's positives."""
-    y = _check_labels(y_true)
+    y = _check_rows_positive(_check_binary(y_true, "y_true"), "y_true")
     out = np.zeros_like(y)
     for i, row in enumerate(y):
         positives = np.flatnonzero(row == 1.0)
-        if positives.size == 0:
-            raise ValueError(f"row {i} has no positive label")
         keep = positives[rng.integers(0, positives.size)]
         out[i, keep] = 1.0
     return out
@@ -47,16 +38,8 @@ def simulate_random_spml(y_true, rng: np.random.Generator) -> np.ndarray:
 
 def simulate_dominant_spml(y_true, extents) -> np.ndarray:
     """Keep the positive with the largest extent; ties go to the lowest index."""
-    y = _check_labels(y_true)
-    e = as_matrix(extents, "extents")
-    if e.shape != y.shape:
-        raise ValueError(f"extents shape {e.shape} does not match labels {y.shape}")
-    if np.any(e < 0.0):
-        raise ValueError("extents must be non-negative")
-    if np.any((e > 0.0) & (y == 0.0)):
-        raise ValueError("extents are positive on a cell whose true label is 0")
-    if np.any((e == 0.0) & (y == 1.0)):
-        raise ValueError("extents are zero on a true-positive cell")
+    y = _check_binary(y_true, "y_true")
+    e = _check_extents(extents, y)
     row_sums = e.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-9):
         raise ValueError("extent rows must sum to 1 over positive classes")
@@ -108,10 +91,8 @@ class FlipRateTable:
 
 def compute_flip_rates(y_true, y_observed) -> FlipRateTable:
     """Flip rates of an observed labeling relative to the ground truth."""
-    y = _check_labels(y_true)
-    obs = _check_labels(y_observed, "y_observed")
-    if obs.shape != y.shape:
-        raise ValueError(f"y_observed shape {obs.shape} does not match {y.shape}")
+    y = _check_binary(y_true, "y_true")
+    obs = _check_binary(y_observed, "y_observed", y.shape, "y_true")
     if np.any(obs > y):
         raise ValueError("y_observed marks a positive the ground truth does not have")
     support = y.sum(axis=0)

@@ -26,7 +26,7 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import Mlp, _sigmoid, make_rng, sigmoid
+from .net import Mlp, _check_shape, _check_unit, _sigmoid, make_rng, sigmoid
 
 __all__ = [
     "METHODS",
@@ -392,16 +392,14 @@ class Trainer:
         config = TrainConfig(**ckpt["config"])
         trainer = cls(config, train_ds, val_ds)
         student = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt["student_params"]))
-        smoothed = np.array(ckpt["smoothed_preds"], dtype=np.float64)
-        visited = np.array(ckpt["visited"], dtype=bool)
         ema = trainer.ema
         if student.layer_sizes != trainer._student.layer_sizes:
             raise ValueError(f"checkpoint model has layers {student.layer_sizes}, "
                              f"config and data give {trainer._student.layer_sizes}")
-        if smoothed.shape != ema.smoothed_preds.shape or visited.shape != ema.visited.shape:
-            raise ValueError("checkpoint prediction EMA does not match the training set")
-        if not np.all((smoothed >= 0.0) & (smoothed <= 1.0)):
-            raise ValueError("checkpoint smoothed_preds must lie in [0, 1]")
+        smoothed = _check_unit(np.array(ckpt["smoothed_preds"], dtype=np.float64), "smoothed_preds",
+                               ema.smoothed_preds.shape, "the prediction EMA of the training set")
+        visited = _check_shape(np.array(ckpt["visited"], dtype=bool), ema.visited.shape,
+                               "visited", "the prediction EMA of the training set")
         if ckpt["stage"] == "gc" and not config.raw_student_pseudo and not visited.all():
             raise ValueError("checkpoint in the calibrated stage has unvisited samples")
         ema.teacher_params = np.array(ckpt["teacher_params"], dtype=np.float64)

@@ -170,6 +170,22 @@ class TestCliSurface:
         assert rc == 0
         assert (tmp_path / "out" / "metrics.json").exists()
 
+    def test_train_on_data_dir_uses_the_noise_seed_of_corrupt(self, tmp_path):
+        # both commands seed the noise from spec.json when no --noise-seed is given
+        main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "200",
+              "--n-classes", "4", "--n-features", "5", "--data-seed", "3"])
+        assert main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "random"]) == 0
+        rc = main([
+            "train", "--data-dir", str(tmp_path / "d"), "--regime", "random",
+            "--method", "an", "--epochs", "1", "--hidden", "4",
+            "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        written = (tmp_path / "d" / "fliprates.csv").read_bytes()
+        assert (tmp_path / "out" / "fliprates.csv").read_bytes() == written
+        with open(tmp_path / "out" / "config.json") as fh:
+            assert json.load(fh)["noise_seed"] == 3
+
     def test_bad_arguments_emit_error_json(self, tmp_path, capsys):
         rc = main([
             "train", "--method", "nope", "--outdir", str(tmp_path / "x"),
@@ -220,6 +236,20 @@ class TestCliSurface:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["message"]
+
+    @pytest.mark.parametrize("grid, message", [
+        (["lam=1,2", "lam=3"], "grid field 'lam' is given twice"),
+        (["eps-smooth=0.1", "eps_smooth=0.2"], "grid field 'eps_smooth' is given twice"),
+        (["gamma=0.5,1,0.5"], "grid field 'gamma' lists value '0.5' twice"),
+    ])
+    def test_grid_repeats_rejected_before_any_run(self, tmp_path, capsys, grid, message):
+        argv = ["grid", "--outdir", str(tmp_path / "g")]
+        for item in grid:
+            argv += ["--grid", item]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "g").exists()
 
     def test_empty_train_argv_builds_default_configs(self):
         args = cli._build_parser().parse_args(["train", "--outdir", "x"])

@@ -5,6 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spmlab import losses as L
+from spmlab.data import MultiLabelDataset
+from spmlab.ema import (
+    ema_update_predictions,
+    ema_update_weights,
+    init_dual_ema,
+    make_pseudo_labels,
+)
 from spmlab.metrics import (
     MetricReport,
     MonteCarloConfig,
@@ -22,6 +30,7 @@ from spmlab.metrics import (
     _macro_mean,
 )
 from spmlab.net import make_rng
+from spmlab.noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 
 from oracles import (
     brute_coverage,
@@ -116,6 +125,98 @@ class TestMeanAveragePrecision:
             mean_average_precision([[0.5]], [[0.0]])
 
 
+# Every public array boundary of the package checks the same rules and
+# reports a violation as the metrics do: argument, rule, first offending
+# value and its 0-based position.
+P = [[0.9, 0.2], [0.3, 0.8]]
+Y = [[1.0, 0.0], [0.0, 1.0]]
+HALF = [[1.0, 0.5], [0.0, 1.0]]       # non-binary at [0, 1]
+OVER = [[0.9, 1.5], [0.3, 0.8]]       # outside [0, 1] at [0, 1]
+UNDER = [[0.9, 0.2], [-0.25, 0.8]]    # outside [0, 1] at [1, 0]
+NOT_BINARY = "must be binary (0/1), found 0.5 at [0, 1]"
+ABOVE_ONE = "must lie in [0, 1], found 1.5 at [0, 1]"
+BELOW_ZERO = "must lie in [0, 1], found -0.25 at [1, 0]"
+X = np.zeros((2, 3))
+
+
+def fresh_ema():
+    return init_dual_ema(np.zeros(3), 2, 2)
+
+
+def visited_ema():
+    state = fresh_ema()
+    ema_update_predictions(state, [0, 1], P)
+    return state
+
+
+BOUNDARY_CASES = [
+    *[pytest.param(f, "y_observed " + NOT_BINARY, id=f"{name}-y_observed") for name, f in [
+        ("loss_an", lambda: L.loss_an(P, HALF)),
+        ("loss_an_ls", lambda: L.loss_an_ls(P, HALF, 0.1)),
+        ("loss_wan", lambda: L.loss_wan(P, HALF, 0.5)),
+        ("loss_epr", lambda: L.loss_epr(P, HALF, 1.0)),
+        ("loss_iun", lambda: L.loss_iun(P, HALF, np.zeros((2, 2)))),
+        ("reg_gc", lambda: L.reg_gc(P, P, HALF)),
+    ]],
+    pytest.param(lambda: L.loss_iun(P, Y, HALF), "true_negative_mask " + NOT_BINARY,
+                 id="loss_iun-true_negative_mask"),
+    *[pytest.param(f, "p " + ABOVE_ONE, id=f"{name}-p") for name, f in [
+        ("loss_an", lambda: L.loss_an(OVER, Y)),
+        ("loss_an_ls", lambda: L.loss_an_ls(OVER, Y, 0.1)),
+        ("loss_wan", lambda: L.loss_wan(OVER, Y, 0.5)),
+        ("loss_epr", lambda: L.loss_epr(OVER, Y, 1.0)),
+        ("loss_iun", lambda: L.loss_iun(OVER, Y, np.zeros((2, 2)))),
+        ("reg_gc_binary", lambda: L.reg_gc_binary(OVER, P)),
+        ("reg_gc", lambda: L.reg_gc(OVER, P, Y)),
+        ("loss_adagc", lambda: L.loss_adagc(OVER, Y, P, 1.0)),
+    ]],
+    *[pytest.param(f, "t " + BELOW_ZERO, id=f"{name}-t") for name, f in [
+        ("reg_gc_binary", lambda: L.reg_gc_binary(P, UNDER)),
+        ("reg_gc", lambda: L.reg_gc(P, UNDER, Y)),
+        ("loss_adagc", lambda: L.loss_adagc(P, Y, UNDER, 1.0)),
+    ]],
+    pytest.param(lambda: L.loss_adagc(P, UNDER, P, 1.0), "y " + BELOW_ZERO, id="loss_adagc-y"),
+    pytest.param(lambda: L.reg_elr_mcc([[1.5, -0.5], [0.5, 0.5]], [[0.5, 0.5]] * 2),
+                 "p_simplex must lie in [0, 1], found 1.5 at [0, 0]", id="reg_elr_mcc-p_simplex"),
+    pytest.param(lambda: L.reg_elr_mcc([[0.5, 0.5]] * 2, [[0.5, 0.5], [-0.5, 1.5]]),
+                 "t_simplex must lie in [0, 1], found -0.5 at [1, 0]", id="reg_elr_mcc-t_simplex"),
+    pytest.param(lambda: L.loss_an(np.full((2, 3), 0.5), Y),
+                 "y_observed must have shape (2, 3) to match p, found shape (2, 2)",
+                 id="loss_an-shape"),
+    pytest.param(lambda: ema_update_weights(fresh_ema(), np.zeros(4)),
+                 "student_params must have shape (3,) to match teacher_params, found shape (4,)",
+                 id="ema_update_weights-shape"),
+    pytest.param(lambda: ema_update_predictions(fresh_ema(), [0, 1], OVER),
+                 "p_batch " + ABOVE_ONE, id="ema_update_predictions-p_batch"),
+    pytest.param(lambda: make_pseudo_labels(visited_ema(), OVER, [0, 1]),
+                 "teacher_probs " + ABOVE_ONE, id="make_pseudo_labels-teacher_probs"),
+    pytest.param(lambda: make_pseudo_labels(fresh_ema(), P, [0, 1], UNDER),
+                 "student_probs " + BELOW_ZERO, id="make_pseudo_labels-student_probs"),
+    pytest.param(lambda: simulate_random_spml(HALF, make_rng(0)), "y_true " + NOT_BINARY,
+                 id="simulate_random_spml"),
+    pytest.param(lambda: simulate_dominant_spml(HALF, Y), "y_true " + NOT_BINARY,
+                 id="simulate_dominant_spml"),
+    pytest.param(lambda: compute_flip_rates(HALF, Y), "y_true " + NOT_BINARY,
+                 id="compute_flip_rates-y_true"),
+    pytest.param(lambda: compute_flip_rates(Y, HALF), "y_observed " + NOT_BINARY,
+                 id="compute_flip_rates-y_observed"),
+    pytest.param(lambda: MultiLabelDataset(X, HALF), "y_true " + NOT_BINARY, id="dataset-y_true"),
+    pytest.param(lambda: MultiLabelDataset(X, Y, HALF), "y_observed " + NOT_BINARY,
+                 id="dataset-y_observed"),
+    pytest.param(lambda: MultiLabelDataset(X, [[1.0, 0.0], [0.0, 0.0]]),
+                 "y_true must have a positive label in every row, found no positive label in row 1",
+                 id="dataset-empty-row"),
+    pytest.param(lambda: MultiLabelDataset(X, Y, extents=[[1.5, -0.5], [0.3, 0.7]]),
+                 "extents must be non-negative, found -0.5 at [0, 1]", id="dataset-negative-extent"),
+    pytest.param(lambda: MultiLabelDataset(X, Y, extents=[[1.0, 0.0], [0.3, 0.7]]),
+                 "extents must be zero where the label is 0, found 0.3 at [1, 0]",
+                 id="dataset-extent-where-label-is-0"),
+    pytest.param(lambda: MultiLabelDataset(X, Y, extents=[[1.0, 0.0], [0.0, 0.0]]),
+                 "extents must be positive on a true-positive cell, found 0.0 at [1, 1]",
+                 id="dataset-zero-extent-on-positive"),
+]
+
+
 class TestLabelsMustBeBinary:
     SCORES = [[0.9, 0.2], [0.3, 0.8]]
 
@@ -131,6 +232,11 @@ class TestLabelsMustBeBinary:
     def test_non_binary_labels_rejected_by_name_and_value(self, metric, labels, found):
         with pytest.raises(ValueError, match=r"labels must be binary \(0/1\), found " + re.escape(found)):
             metric(self.SCORES, labels)
+
+    @pytest.mark.parametrize("call, message", BOUNDARY_CASES)
+    def test_every_boundary_names_argument_value_and_position(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestCoverage:
