@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -35,6 +35,7 @@ from .data import (
 from .net import Mlp, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .training import (
+    EpochLog,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -52,13 +53,14 @@ NOISE_STREAM = 9157
 
 @dataclass
 class ExperimentSpec:
+    """One run; its config.json is these fields as resolved, minus outdir, plus trigger_epoch."""
+
     train_config: TrainConfig
     outdir: str
     regime: str = "random"
     synthetic: SyntheticSpec | None = None
     data_dir: str | None = None
     noise_seed: int | None = None
-    emit_curves: bool = True
 
     def validate(self) -> None:
         self.train_config.validate()
@@ -107,105 +109,85 @@ def apply_regime(ds: MultiLabelDataset, regime: str,
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def _corrupt_splits(splits: dict, regime: str, noise_seed: int):
+    """Train then val with observed labels from one noise RNG, and the train flip rates."""
+    rng = make_rng([noise_seed, NOISE_STREAM])
+    observed = {name: apply_regime(splits[name], regime, rng) for name in ("train", "val")}
+    return observed, compute_flip_rates(observed["train"].y_true, observed["train"].y_observed)
+
+
 def _json_dump(obj, path) -> None:
     with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_curves(path, logs) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "stage", "loss", "noisy_val_map",
-             "noisy_val_map_student", "clean_val_map"]
-        )
-        for log in logs:
-            writer.writerow([
-                log.epoch,
-                log.stage,
-                repr(log.train_loss),
-                repr(log.noisy_val_map),
-                repr(log.noisy_val_map_student),
-                "" if log.clean_val_map is None else repr(log.clean_val_map),
-            ])
+def _field_type(hint):
+    """(type, optional) of a field hinted ``T`` or ``T | None``."""
+    args = set(get_args(hint)) - {type(None)}
+    return (args.pop(), True) if args else (hint, False)
 
 
-def read_curves(path) -> list:
-    """Re-ingest a curves.csv written by ``run_experiment``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    out = []
-    for row in rows:
-        out.append({
-            "epoch": int(row["epoch"]),
-            "stage": row["stage"],
-            "loss": float(row["loss"]),
-            "noisy_val_map": float(row["noisy_val_map"]),
-            "noisy_val_map_student": float(row["noisy_val_map_student"]),
-            "clean_val_map": None if row["clean_val_map"] == ""
-            else float(row["clean_val_map"]),
-        })
-    return out
+def _from_fields(cls, payload: dict):
+    """Rebuild ``cls`` from its ``asdict`` form, nested dataclasses included."""
+    kinds = {name: _field_type(hint)[0] for name, hint in get_type_hints(cls).items()}
+    return cls(**{k: _from_fields(kinds[k], v) if is_dataclass(kinds[k]) and v is not None else v
+                  for k, v in payload.items()})
 
 
 def read_config_json(path) -> ExperimentSpec:
-    """Rebuild an experiment spec from a written config.json."""
+    """Rebuild the experiment spec from a written config.json."""
     with open(path) as fh:
         payload = json.load(fh)
-    synthetic = payload["synthetic"]
-    return ExperimentSpec(
-        train_config=TrainConfig(**payload["train_config"]),
-        outdir=str(Path(path).parent),
-        regime=payload["regime"],
-        synthetic=None if synthetic is None else SyntheticSpec(**synthetic),
-        data_dir=payload["data_dir"],
-        noise_seed=payload["noise_seed"],
-    )
+    del payload["trigger_epoch"]  # an outcome of the run, not part of its spec
+    return _from_fields(ExperimentSpec, dict(payload, outdir=str(Path(path).parent)))
+
+
+# (EpochLog field, curves.csv header) per column; train_loss is the one
+# column not named after its field
+_CURVE_COLUMNS = [(f.name, "loss" if f.name == "train_loss" else f.name) for f in fields(EpochLog)]
+
+
+def _write_curves(path, logs) -> None:
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header for _, header in _CURVE_COLUMNS])
+        # csv writes None as an empty cell and a float as its repr
+        writer.writerows([getattr(log, name) for name, _ in _CURVE_COLUMNS] for log in logs)
+
+
+def read_curves(path) -> list:
+    """Re-ingest a curves.csv: one dict per epoch, keyed by column header."""
+    hints = get_type_hints(EpochLog)
+    types = {header: _field_type(hints[name]) for name, header in _CURVE_COLUMNS}
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [{header: None if optional and row[header] == "" else kind(row[header])
+             for header, (kind, optional) in types.items()} for row in rows]
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Run one experiment and write its artifacts; returns their paths."""
+    """Run one experiment and write its five artifacts; returns their paths by stem."""
     spec.validate()
     outdir = Path(spec.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    paths = {Path(name).stem: outdir / name for name in
+             ("config.json", "metrics.json", "curves.csv", "fliprates.csv", "checkpoint.json")}
 
     splits = _load_splits(spec)
     noise_seed = _resolve_noise_seed(spec.noise_seed, spec.synthetic, spec.data_dir)
-    noise_rng = make_rng([noise_seed, NOISE_STREAM])
-    train_ds = apply_regime(splits["train"], spec.regime, noise_rng)
-    val_ds = apply_regime(splits["val"], spec.regime, noise_rng)
+    observed, flips = _corrupt_splits(splits, spec.regime, noise_seed)
+    flips.to_csv(paths["fliprates"])
 
-    flips = compute_flip_rates(train_ds.y_true, train_ds.y_observed)
-    flips.to_csv(outdir / "fliprates.csv")
-
-    result = train(spec.train_config, train_ds, val_ds, splits["test"])
+    result = train(spec.train_config, observed["train"], observed["val"], splits["test"])
     trainer = result.trainer
-    resolved = asdict(spec.train_config)
-    resolved["w_neg"] = trainer.w_neg
-    resolved["k_expected"] = trainer.k_expected
-    config_payload = {
-        "train_config": resolved,
-        "regime": spec.regime,
-        "noise_seed": noise_seed,
-        "synthetic": None if spec.synthetic is None else asdict(spec.synthetic),
-        "data_dir": spec.data_dir,
-        "trigger_epoch": trainer.detector.trigger_epoch,
-    }
-    _json_dump(config_payload, outdir / "config.json")
-    _json_dump(result.report.to_json_dict(), outdir / "metrics.json")
-    if spec.emit_curves:
-        _write_curves(outdir / "curves.csv", trainer.logs)
-    save_checkpoint(trainer.checkpoint(), outdir / "checkpoint.json")
-
-    paths = {
-        "config": outdir / "config.json",
-        "metrics": outdir / "metrics.json",
-        "fliprates": outdir / "fliprates.csv",
-        "checkpoint": outdir / "checkpoint.json",
-    }
-    if spec.emit_curves:
-        paths["curves"] = outdir / "curves.csv"
+    resolved = replace(spec, noise_seed=noise_seed, train_config=replace(
+        spec.train_config, w_neg=trainer.w_neg, k_expected=trainer.k_expected))
+    config = {k: v for k, v in asdict(resolved).items() if k != "outdir"}
+    _json_dump(dict(config, trigger_epoch=trainer.detector.trigger_epoch), paths["config"])
+    _json_dump(result.report.to_json_dict(), paths["metrics"])
+    _write_curves(paths["curves"], trainer.logs)
+    save_checkpoint(trainer.checkpoint(), paths["checkpoint"])
     return paths
 
 
@@ -232,12 +214,9 @@ def _parse_value(cls, name: str, raw: str):
 
     Bools take only ``true``/``false``; optional fields also take ``none``.
     """
-    hint = get_type_hints(cls)[name]
-    optional = type(None) in get_args(hint)
+    hint, optional = _field_type(get_type_hints(cls)[name])
     if optional and raw == "none":
         return None
-    if optional:
-        (hint,) = set(get_args(hint)) - {type(None)}
     try:
         return {"true": True, "false": False}[raw] if hint is bool else hint(raw)
     except (KeyError, ValueError):
@@ -293,17 +272,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--regime", choices=list(REGIMES), default="random")
     run.add_argument("--noise-seed", type=int, default=None)
     run.add_argument("--outdir", required=True)
-    run.add_argument("--no-curves", action="store_true")
     sub.add_parser("train", parents=[run], help="run one experiment")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data-dir", required=True)
     p_eval.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_eval.add_argument("--threshold", type=float, default=0.5)
+    p_eval.add_argument("--threshold", type=float, default=None,
+                        help="defaults to the threshold of the run")
     p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--use-student", action="store_true",
-                        help="score the student parameters instead of the teacher")
+                        help="score the student even where the run reports its teacher")
 
     p_grid = sub.add_parser("grid", parents=[run], help="run a grid of experiments")
     p_grid.add_argument("--grid", action="append", required=True,
@@ -330,18 +309,18 @@ def _cmd_corrupt(args) -> int:
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = make_rng([_resolve_noise_seed(args.noise_seed, data_dir=datadir), NOISE_STREAM])
-    flips = None
-    for name in ("train", "val"):
-        ds = load_split_csv(datadir, name)
-        ds = apply_regime(ds, args.regime, rng)
+    splits = {name: load_split_csv(datadir, name) for name in ("train", "val")}
+    noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
+    observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
+    for name, ds in observed.items():
         write_split_csv(ds, outdir, name)
-        if name == "train":
-            flips = compute_flip_rates(ds.y_true, ds.y_observed)
     flips.to_csv(outdir / "fliprates.csv")
     if outdir != datadir:
-        # keep the clean test split alongside the corrupted training data
+        # a complete data directory: the clean test split, and the spec whose
+        # seed lets train --data-dir <outdir> redraw exactly these labels
         write_split_csv(load_split_csv(datadir, "test"), outdir, "test")
+        if (datadir / "spec.json").exists():
+            write_spec_json(read_spec_json(datadir / "spec.json"), outdir / "spec.json")
     print(outdir)
     return 0
 
@@ -355,7 +334,6 @@ def _spec_from_train_args(args) -> ExperimentSpec:
         synthetic=synthetic,
         data_dir=args.data_dir,
         noise_seed=args.noise_seed,
-        emit_curves=not args.no_curves,
     )
 
 
@@ -366,10 +344,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Score the model the run reports at the run's threshold, unless overridden."""
     ckpt = load_checkpoint(args.checkpoint)
-    params_key = "student_params" if args.use_student else "teacher_params"
-    model = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt[params_key]))
-    report = evaluate(model, load_split_csv(args.data_dir, args.split), args.threshold)
+    config = TrainConfig(**ckpt["config"])
+    teacher = config.reports_teacher and not args.use_student
+    model = Mlp(ckpt["layer_sizes"], ckpt["teacher_params" if teacher else "student_params"])
+    threshold = config.threshold if args.threshold is None else args.threshold
+    report = evaluate(model, load_split_csv(args.data_dir, args.split), threshold)
     payload = report.to_json_dict()
     if args.out:
         _json_dump(payload, args.out)

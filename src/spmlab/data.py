@@ -24,6 +24,7 @@ import numpy as np
 from .net import (
     _check_binary,
     _check_extents,
+    _check_param,
     _check_rows_positive,
     as_matrix,
     make_rng,
@@ -113,18 +114,14 @@ class SyntheticSpec:
         self.split_ratio = tuple(self.split_ratio)  # JSON stores it as a list
 
     def validate(self) -> None:
-        if self.n_samples < 4:
-            raise ValueError("n_samples must be at least 4")
-        if self.n_classes < 2 or self.n_features < 1:
-            raise ValueError("need at least 2 classes and 1 feature")
-        if not self.separation > 0:
-            raise ValueError("separation must be positive")
-        if not 1.0 <= self.mean_positives <= self.n_classes:
-            raise ValueError(
-                f"mean_positives must be in [1, {self.n_classes}], got {self.mean_positives}"
-            )
-        if not self.extent_concentration > 0:
-            raise ValueError("extent_concentration must be positive")
+        _check_param("n_samples", self.n_samples, self.n_samples >= 4, "at least 4")
+        _check_param("n_classes", self.n_classes, self.n_classes >= 2, "at least 2")
+        _check_param("n_features", self.n_features, self.n_features >= 1, "at least 1")
+        _check_param("separation", self.separation, self.separation > 0, "positive")
+        _check_param("mean_positives", self.mean_positives,
+                     1.0 <= self.mean_positives <= self.n_classes, f"in [1, {self.n_classes}]")
+        _check_param("extent_concentration", self.extent_concentration,
+                     self.extent_concentration > 0, "positive")
         if len(self.split_ratio) != 3 or any(r <= 0 for r in self.split_ratio):
             raise ValueError("split_ratio must be three positive numbers")
 

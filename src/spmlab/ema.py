@@ -6,12 +6,12 @@ smoothed student outputs, updated whenever a sample is forwarded).
 Pseudo-labels fuse the two with a convex coefficient gamma.
 
 Each public function checks its inputs with the rule helpers of ``net``
-(probabilities in [0, 1] and of the shape the sample indices and classes
-give; an error names the argument and the first offending value with its
-position), then calls one private kernel (``_update_weights``,
-``_update_predictions``, ``_pseudo_labels``); the trainer checks once at
-construction and calls the kernels in each step. Both updates change the
-state in place.
+(sample indices in range, probabilities in [0, 1] and of the shape the
+sample indices and classes give; an error names the argument and the
+first offending value with its position), then calls one private kernel
+(``_update_weights``, ``_update_predictions``, ``_pseudo_labels``); the
+trainer checks once at construction and calls the kernels in each step.
+Both updates change the state in place.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import _check_shape, _check_unit
+from .net import _check_indices, _check_param, _check_shape, _check_unit
 
 __all__ = [
     "DualEmaState",
@@ -43,8 +43,7 @@ class DualEmaState:
     def __post_init__(self):
         for name in ("beta_t", "beta_s", "gamma"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            _check_param(name, v, 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def init_dual_ema(student_params, n_train: int, n_classes: int,
@@ -78,9 +77,7 @@ def _update_weights(teacher: np.ndarray, theta: np.ndarray, beta_t: float) -> No
 
 def ema_update_predictions(state: DualEmaState, sample_indices, p_batch) -> DualEmaState:
     """Per-sample prediction smoothing; a first visit copies the prediction."""
-    idx = np.asarray(sample_indices, dtype=np.intp)
-    if np.any(idx < 0) or np.any(idx >= state.smoothed_preds.shape[0]):
-        raise ValueError("sample index out of range")
+    idx = _check_indices(sample_indices, state.smoothed_preds.shape[0], "sample_indices")
     p = _check_unit(p_batch, "p_batch", (idx.size, state.smoothed_preds.shape[1]),
                     "sample_indices and classes")
     _update_predictions(state, idx, p)
@@ -104,9 +101,7 @@ def make_pseudo_labels(state: DualEmaState, teacher_probs, sample_indices,
     ablation); otherwise the stored smoothed predictions are used and
     every requested sample must have been visited.
     """
-    idx = np.asarray(sample_indices, dtype=np.intp)
-    if np.any(idx < 0) or np.any(idx >= state.smoothed_preds.shape[0]):
-        raise ValueError("sample index out of range")
+    idx = _check_indices(sample_indices, state.smoothed_preds.shape[0], "sample_indices")
     p_t = _check_unit(teacher_probs, "teacher_probs", (idx.size, state.smoothed_preds.shape[1]),
                       "sample_indices and classes")
     if student_probs is None:

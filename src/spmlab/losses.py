@@ -8,13 +8,14 @@ is one ``Mlp.backward`` call away. Probabilities are clamped into
 Each public function checks its inputs with the rule helpers of ``net``:
 labels are binary, probabilities and pseudo-labels lie in [0, 1], and
 every array has the shape of ``p``; an error names the argument and the
-first offending value with its position. It then clamps and calls one
-private kernel (``_bce_terms``, ``_an_ls_terms``, ``_epr_terms``,
-``_iun_terms``, ``_adagc_terms``, ``_gc_core``) that takes clamped
-probabilities and returns ``(value, dlogits)``. The trainer checks its
-inputs once, at construction, and calls the same kernels in each step, so
-every formula lives in one place and the tests of the public functions
-cover it.
+first offending value with its position. A scalar weight must be finite
+and meet the rule ``TrainConfig.validate`` gives its field. It then
+clamps and calls one private kernel (``_bce_terms``, ``_an_ls_terms``,
+``_epr_terms``, ``_iun_terms``, ``_adagc_terms``, ``_gc_core``) that
+takes clamped probabilities and returns ``(value, dlogits)``. The trainer
+checks its inputs once, at construction, and calls the same kernels in
+each step, so every formula lives in one place and the tests of the
+public functions cover it.
 
 Conventions:
 
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .net import _check_binary, _check_unit
+from .net import _check_binary, _check_param, _check_unit
 
 __all__ = [
     "EPS_CLIP",
@@ -81,8 +82,7 @@ def loss_an(p, y_observed) -> LossValue:
 
 def loss_an_ls(p, y_observed, eps_smooth: float) -> LossValue:
     """Assume-negative BCE against label-smoothed targets."""
-    if not 0.0 <= eps_smooth < 0.5:
-        raise ValueError(f"eps_smooth must be in [0, 0.5), got {eps_smooth}")
+    _check_param("eps_smooth", eps_smooth, 0.0 <= eps_smooth < 0.5, "in [0, 0.5)")
     p = _clamp(p)
     y = _check_binary(y_observed, "y_observed", p.shape, "p")
     return LossValue(*_an_ls_terms(p, y, eps_smooth))
@@ -95,8 +95,7 @@ def _an_ls_terms(p, y, eps_smooth):
 
 def loss_wan(p, y_observed, w_neg: float) -> LossValue:
     """Weak assume-negative BCE: negative terms scaled by ``w_neg``."""
-    if not 0.0 < w_neg <= 1.0:
-        raise ValueError(f"w_neg must be in (0, 1], got {w_neg}")
+    _check_param("w_neg", w_neg, 0.0 < w_neg <= 1.0, "in (0, 1]")
     p = _clamp(p)
     y = _check_binary(y_observed, "y_observed", p.shape, "p")
     return LossValue(*_bce_terms(p, y, w_neg))
@@ -110,10 +109,8 @@ def loss_epr(p, y_observed, k_expected: float, epr_weight: float = 1.0) -> LossV
     p = _clamp(p)
     y = _check_binary(y_observed, "y_observed", p.shape, "p")
     n_classes = p.shape[1]
-    if not 0.0 < k_expected <= n_classes:
-        raise ValueError(
-            f"k_expected must be in (0, {n_classes}], got {k_expected}"
-        )
+    _check_param("k_expected", k_expected, 0.0 < k_expected <= n_classes, f"in (0, {n_classes}]")
+    _check_param("epr_weight", epr_weight, epr_weight >= 0, "non-negative")
     return LossValue(*_epr_terms(p, y, k_expected, epr_weight))
 
 
@@ -218,8 +215,7 @@ def loss_adagc(p, y, t, lam: float) -> LossValue:
     source. Both terms are averaged over the batch so ``lam`` transfers
     across batch sizes.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    _check_param("lam", lam, lam >= 0, "non-negative")
     p = _clamp(p)
     y = _check_unit(y, "y", p.shape, "p")
     t = _check_unit(t, "t", p.shape, "p")

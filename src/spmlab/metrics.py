@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .net import _check_binary, as_matrix
+from .net import _check_binary, _check_param, as_matrix
 
 __all__ = [
     "MetricReport",
@@ -172,8 +172,7 @@ def thresholded_metrics(probs, labels, threshold: float = 0.5):
 
 def _thresholded(p: np.ndarray, y: np.ndarray, threshold: float):
     """``thresholded_metrics`` of checked probabilities and labels."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    _check_param("threshold", threshold, 0.0 < threshold < 1.0, "in (0, 1)")
     pred = (p >= threshold).astype(np.float64)
     oa = float((pred == y).mean())   # normalized by n * C
     tp = (pred * y).sum(axis=0)

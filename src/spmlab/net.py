@@ -15,11 +15,13 @@ snapshots.
 Every module checks its array inputs with the helpers beside
 ``as_matrix``, one per rule: binary labels (``_check_binary``), values
 in [0, 1] (``_check_unit``), a matching shape (``_check_shape``), a
-positive label in every row (``_check_rows_positive``) and extents
-supported on the true labels (``_check_extents``). Each raises
-ValueError through ``_reject``, naming the argument, the rule and the
-first offending value with its 0-based position. Only CSV ingestion
-keeps its own checks, whose messages name the file, line and column.
+positive label in every row (``_check_rows_positive``), extents
+supported on the true labels (``_check_extents``) and sample indices in
+range (``_check_indices``). Each raises ValueError through ``_reject``,
+naming the argument, the rule and the first offending value with its
+0-based position. Only CSV ingestion keeps its own checks, whose
+messages name the file, line and column. Scalar hyperparameters go
+through ``_check_param``, the rule ``TrainConfig.validate`` applies.
 """
 
 from __future__ import annotations
@@ -91,6 +93,25 @@ def _check_rows_positive(y: np.ndarray, name: str) -> np.ndarray:
         raise _reject(name, "have a positive label in every row",
                       f"no positive label in row {row}")
     return y
+
+
+def _check_indices(sample_indices, n_samples: int, name: str) -> np.ndarray:
+    """``sample_indices`` as an intp vector, each in [0, n_samples)."""
+    idx = np.asarray(sample_indices, dtype=np.intp)
+    bad = np.flatnonzero((idx < 0) | (idx >= n_samples))
+    if bad.size:
+        raise _reject(name, f"index the {n_samples} samples",
+                      f"{idx.flat[bad[0]]} out of range at [{bad[0]}]")
+    return idx
+
+
+def _check_param(name: str, value, ok: bool, requirement: str):
+    """Return a scalar hyperparameter if it is finite and ``ok`` (it meets ``requirement``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not ok:
+        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    return value
 
 
 def _check_extents(extents, y_true: np.ndarray) -> np.ndarray:
@@ -250,6 +271,5 @@ class Mlp:
     def sgd_step(self, grad, lr: float) -> "Mlp":
         """Plain gradient step: theta' = theta - lr * grad."""
         g = _check_shape(np.asarray(grad, dtype=np.float64), self.params.shape, "grad", "params")
-        if not lr > 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        _check_param("lr", lr, lr > 0, "positive")
         return Mlp(self.layer_sizes, self.params - lr * g)

@@ -11,7 +11,6 @@ single-stage runs of the corresponding loss.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -26,7 +25,7 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import Mlp, _check_shape, _check_unit, _sigmoid, make_rng, sigmoid
+from .net import Mlp, _check_param, _check_shape, _check_unit, _sigmoid, make_rng, sigmoid
 
 __all__ = [
     "METHODS",
@@ -72,34 +71,35 @@ class TrainConfig:
     log_clean_val: bool = False       # diagnostic only, never used for decisions
 
     def validate(self) -> None:
-        """Reject a bad field with a message naming the field and its value."""
+        """Reject a bad field through ``net._check_param``, naming it and its value."""
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        rules = {
+            "lam": (self.lam >= 0, "non-negative"),
+            "beta_t": (0.0 <= self.beta_t <= 1.0, "in [0, 1]"),
+            "beta_s": (0.0 <= self.beta_s <= 1.0, "in [0, 1]"),
+            "gamma": (0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+            "mixup_alpha": (self.method != "adagc" or self.mixup_alpha > 0,
+                            "positive for the calibrated method"),
+            "patience": (self.patience >= 1, "at least 1"),
+            "eps_smooth": (0.0 <= self.eps_smooth < 0.5, "in [0, 0.5)"),
+            "w_neg": (self.w_neg is None or 0.0 < self.w_neg <= 1.0, "in (0, 1]"),
+            "k_expected": (self.k_expected is None or self.k_expected > 0, "positive"),
+            "epr_weight": (self.epr_weight >= 0, "non-negative"),
+            "epochs": (self.epochs >= 1, "at least 1"),
+            "batch_size": (self.batch_size >= 1, "at least 1"),
+            "learning_rate": (self.learning_rate > 0, "positive"),
+            "threshold": (0.0 < self.threshold < 1.0, "in (0, 1)"),
+            "hidden": (self.hidden >= 0, "non-negative"),
+        }
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        rules = (
-            ("lam", self.lam >= 0, "non-negative"),
-            ("beta_t", 0.0 <= self.beta_t <= 1.0, "in [0, 1]"),
-            ("beta_s", 0.0 <= self.beta_s <= 1.0, "in [0, 1]"),
-            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
-            ("mixup_alpha", self.method != "adagc" or self.mixup_alpha > 0,
-             "positive for the calibrated method"),
-            ("patience", self.patience >= 1, "at least 1"),
-            ("eps_smooth", 0.0 <= self.eps_smooth < 0.5, "in [0, 0.5)"),
-            ("w_neg", self.w_neg is None or 0.0 < self.w_neg <= 1.0, "in (0, 1]"),
-            ("k_expected", self.k_expected is None or self.k_expected > 0, "positive"),
-            ("epr_weight", self.epr_weight >= 0, "non-negative"),
-            ("epochs", self.epochs >= 1, "at least 1"),
-            ("batch_size", self.batch_size >= 1, "at least 1"),
-            ("learning_rate", self.learning_rate > 0, "positive"),
-            ("threshold", 0.0 < self.threshold < 1.0, "in (0, 1)"),
-            ("hidden", self.hidden >= 0, "non-negative"),
-        )
-        for name, ok, requirement in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
+            ok, requirement = rules.get(f.name, (True, ""))
+            _check_param(f.name, getattr(self, f.name), ok, requirement)
+
+    @property
+    def reports_teacher(self) -> bool:
+        """Whether a run reports its teacher (the calibrated method) or its student."""
+        return self.method == "adagc"
 
 
 @dataclass
@@ -121,8 +121,7 @@ def detect_early_learning(state: DetectorState, noisy_val_map: float,
     Only a strict improvement resets the patience counter; the trigger
     fires the first time the counter reaches ``patience``.
     """
-    if not 0.0 <= noisy_val_map <= 1.0:
-        raise ValueError(f"mAP must be in [0, 1], got {noisy_val_map}")
+    _check_param("noisy_val_map", noisy_val_map, 0.0 <= noisy_val_map <= 1.0, "in [0, 1]")
     epoch = state.n_seen
     if noisy_val_map > state.best_map:
         state.best_map = noisy_val_map
@@ -155,8 +154,7 @@ def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
     pseudo-labels. Cells where both sources agree pass through untouched,
     so mixed values never leave the convex hull of their endpoints.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_param("alpha", alpha, alpha > 0, "positive")
     arrays = [np.asarray(a, dtype=np.float64) for a in (x, y, t)]
     n = arrays[0].shape[0]
     if n == 0:
@@ -237,10 +235,8 @@ class Trainer:
                 )
         if method == "iun" and np.any((train_ds.y_observed == 1.0) & (train_ds.y_true == 0.0)):
             raise ValueError("method 'iun' requires every observed positive to be a true positive")
-        if not 0.0 < self.k_expected <= train_ds.n_classes:
-            raise ValueError(
-                f"k_expected must be in (0, {train_ds.n_classes}], got {self.k_expected!r}"
-            )
+        _check_param("k_expected", self.k_expected, 0.0 < self.k_expected <= train_ds.n_classes,
+                     f"in (0, {train_ds.n_classes}]")
 
     def _adopt(self, student: Mlp) -> None:
         """Make ``student`` and the teacher EMA the buffers the steps update."""
@@ -385,10 +381,7 @@ class Trainer:
     @classmethod
     def from_checkpoint(cls, ckpt: dict, train_ds: MultiLabelDataset,
                         val_ds: MultiLabelDataset) -> "Trainer":
-        if ckpt.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError("not a trainer checkpoint")
-        if ckpt.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {ckpt.get('version')}")
+        _check_checkpoint(ckpt, "checkpoint")
         config = TrainConfig(**ckpt["config"])
         trainer = cls(config, train_ds, val_ds)
         student = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt["student_params"]))
@@ -440,8 +433,8 @@ class TrainResult:
 
     @property
     def final_model(self) -> Mlp:
-        """Teacher for the calibrated method, student otherwise."""
-        return self.teacher if self.trainer.config.method == "adagc" else self.student
+        """The model the run reports: see ``TrainConfig.reports_teacher``."""
+        return self.teacher if self.trainer.config.reports_teacher else self.student
 
 
 def train(config: TrainConfig, train_ds: MultiLabelDataset,
@@ -469,6 +462,16 @@ def save_checkpoint(ckpt: dict, path) -> None:
         fh.write("\n")
 
 
+def _check_checkpoint(ckpt, source: str) -> dict:
+    """Return ``ckpt`` if it is a trainer checkpoint of this format version."""
+    if not isinstance(ckpt, dict) or ckpt.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{source}: not a trainer checkpoint")
+    if ckpt.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{source}: unsupported checkpoint version "
+                         f"{ckpt.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    return ckpt
+
+
 def load_checkpoint(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _check_checkpoint(json.load(fh), str(path))

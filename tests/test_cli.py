@@ -13,8 +13,9 @@ from spmlab.cli import (
     run_experiment,
 )
 from spmlab.data import SyntheticSpec, load_split_csv, write_spec_json
+from spmlab.net import Mlp
 from spmlab.noise import FlipRateTable
-from spmlab.training import TrainConfig, load_checkpoint, save_checkpoint
+from spmlab.training import METHODS, TrainConfig, evaluate, load_checkpoint, save_checkpoint
 
 
 def tiny_spec(outdir, method="an", **config_kw):
@@ -352,3 +353,81 @@ class TestCliSurface:
         with open(tmp_path / "eval.json") as fh:
             saved = json.load(fh)
         assert payload["map"] == saved["map"]
+
+
+@pytest.fixture(scope="module")
+def csv_data(tmp_path_factory):
+    datadir = tmp_path_factory.mktemp("data")
+    main(["gen", "--outdir", str(datadir), "--n-samples", "200", "--n-classes", "4",
+          "--n-features", "5", "--data-seed", "7"])
+    return datadir
+
+
+def train_on_csv(datadir, outdir, method, *flags):
+    regime = "none" if method == "gt" else "random"
+    return main(["train", "--data-dir", str(datadir), "--regime", regime, "--method", method,
+                 "--epochs", "4", "--hidden", "4", "--beta-t", "0.9", "--patience", "1",
+                 "--outdir", str(outdir), *flags])
+
+
+class TestRunDirectory:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_eval_rescores_what_train_reported(self, csv_data, tmp_path, method):
+        # no flags: the model the run reports, at the run's own threshold
+        assert train_on_csv(csv_data, tmp_path / "run", method, "--threshold", "0.4") == 0
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data-dir", str(csv_data), "--split", "test",
+                     "--out", str(tmp_path / "e.json")]) == 0
+        written = (tmp_path / "run" / "metrics.json").read_bytes()
+        assert (tmp_path / "e.json").read_bytes() == written
+
+    @pytest.mark.parametrize("flags, params, threshold", [
+        (["--use-student"], "student_params", 0.4),
+        (["--threshold", "0.6"], "teacher_params", 0.6),
+        (["--use-student", "--threshold", "0.6"], "student_params", 0.6),
+    ], ids=["student", "threshold", "both"])
+    def test_eval_flags_override_model_and_threshold(self, csv_data, tmp_path,
+                                                     flags, params, threshold):
+        run = tmp_path / "run"
+        assert train_on_csv(csv_data, run, "adagc", "--threshold", "0.4") == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data-dir", str(csv_data), "--out", str(tmp_path / "e.json"),
+                     *flags]) == 0
+        ckpt = load_checkpoint(run / "checkpoint.json")
+        model = Mlp(ckpt["layer_sizes"], ckpt[params])
+        report = evaluate(model, load_split_csv(csv_data, "test"), threshold)
+        cli._json_dump(report.to_json_dict(), tmp_path / "expected.json")
+        assert (tmp_path / "e.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    @pytest.mark.parametrize("payload, error", [
+        ({"format": "x"}, "not a trainer checkpoint"),
+        ([1, 2], "not a trainer checkpoint"),
+        ({"format": "spmlab-checkpoint", "version": 99},
+         "unsupported checkpoint version 99, expected 1"),
+    ], ids=["format", "not-an-object", "version"])
+    def test_eval_names_a_file_that_is_not_a_checkpoint(self, csv_data, tmp_path, capsys,
+                                                        payload, error):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"{path}: {error}"}
+
+    def test_run_experiment_returns_its_five_artifacts(self, tmp_path):
+        paths = run_experiment(tiny_spec(tmp_path / "run", epochs=1))
+        assert sorted(paths) == ["checkpoint", "config", "curves", "fliprates", "metrics"]
+        assert sorted(paths.values()) == sorted((tmp_path / "run").iterdir())
+
+    def test_corrupt_outdir_is_a_complete_data_directory(self, tmp_path):
+        # train on the copy redraws exactly the labels corrupt wrote there
+        main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "200",
+              "--n-classes", "4", "--n-features", "5", "--data-seed", "3"])
+        assert main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "random",
+                     "--outdir", str(tmp_path / "c")]) == 0
+        assert main(["train", "--data-dir", str(tmp_path / "c"), "--regime", "random",
+                     "--method", "an", "--epochs", "1", "--hidden", "4",
+                     "--outdir", str(tmp_path / "out")]) == 0
+        written = (tmp_path / "c" / "fliprates.csv").read_bytes()
+        assert (tmp_path / "out" / "fliprates.csv").read_bytes() == written
+        with open(tmp_path / "out" / "config.json") as fh:
+            assert json.load(fh)["noise_seed"] == 3

@@ -86,6 +86,20 @@ class TestPredictionEma:
         with pytest.raises(ValueError):
             ema_update_predictions(st, [0], np.array([[1.5, 0.5]]))
 
+    @pytest.mark.parametrize("indices, message", [
+        ([0, 6], "sample_indices must index the 6 samples, found 6 out of range at [1]"),
+        ([-1], "sample_indices must index the 6 samples, found -1 out of range at [0]"),
+    ], ids=["past-the-end", "negative"])
+    def test_index_error_names_index_position_and_bound(self, indices, message):
+        st = fresh_state()
+        p = np.full((len(indices), 2), 0.5)
+        with pytest.raises(ValueError) as exc:
+            ema_update_predictions(st, indices, p)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            make_pseudo_labels(st, p, indices)
+        assert str(exc.value) == message
+
 
 class TestPseudoLabels:
     def test_gamma_one_is_teacher(self):

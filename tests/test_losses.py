@@ -263,6 +263,23 @@ class TestLossAdagc:
             L.loss_adagc(one_cell(0.5), one_cell(0.0), one_cell(0.5), -1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: L.loss_adagc(one_cell(0.5), one_cell(0.0), one_cell(0.5), float("nan")),
+     "lam must be finite, got nan"),
+    (lambda: L.loss_epr(one_cell(0.5), one_cell(1.0), 1.0, epr_weight=-1.0),
+     "epr_weight must be non-negative, got -1.0"),
+    (lambda: L.loss_epr(one_cell(0.5), one_cell(1.0), 1.0, epr_weight=float("nan")),
+     "epr_weight must be finite, got nan"),
+    (lambda: L.loss_wan(one_cell(0.5), one_cell(1.0), float("inf")),
+     "w_neg must be finite, got inf"),
+], ids=["adagc-lam-nan", "epr-weight-negative", "epr-weight-nan", "wan-w-neg-inf"])
+def test_weights_follow_the_config_rules(call, message):
+    # the same rule and message form as TrainConfig.validate
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def _random_instance(rng, n=5, sizes=(3, 4, 3)):
     model = Mlp.init(sizes, rng)
     x = rng.standard_normal((n, sizes[0]))

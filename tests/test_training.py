@@ -129,6 +129,17 @@ class TestMixup:
             mixup_batch(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                         make_rng(0), 0.0)
 
+    @pytest.mark.parametrize("alpha, message", [
+        (math.inf, "alpha must be finite, got inf"),
+        (math.nan, "alpha must be finite, got nan"),
+        (-1.0, "alpha must be positive, got -1.0"),
+    ])
+    def test_alpha_rule_names_value(self, alpha, message):
+        with pytest.raises(ValueError) as exc:
+            mixup_batch(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                        make_rng(0), alpha)
+        assert str(exc.value) == message
+
 
 class TestConfigValidation:
     def test_unknown_method(self):
@@ -282,6 +293,20 @@ class TestTrainerMechanics:
         assert resumed.logs == part.logs
         resumed.run()
         assert resumed.epoch == 6
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda c: c.update(format="x"), "checkpoint: not a trainer checkpoint"),
+        (lambda c: c.update(version=2),
+         "checkpoint: unsupported checkpoint version 2, expected 1"),
+    ], ids=["format", "version"])
+    def test_checkpoint_format_and_version_checked(self, edit, error):
+        tr, va, te = small_data()
+        part = Trainer(small_config(method="an", epochs=1), tr, va)
+        ckpt = part.checkpoint()
+        edit(ckpt)
+        with pytest.raises(ValueError) as exc:
+            Trainer.from_checkpoint(ckpt, tr, va)
+        assert str(exc.value) == error
 
     @pytest.mark.parametrize("edit, load_data, error", [
         pytest.param(lambda c: None, dict(d=5), "layers", id="other-features"),
