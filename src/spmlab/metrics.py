@@ -9,15 +9,19 @@ ordering errors. Labels must be binary (0/1) and scores finite, or the
 metric raises ValueError naming the argument.
 
 The public functions check their inputs, then call private kernels that
-do not: ``compute_metric_report`` checks once for all metrics, and the
-Monte Carlo check sorts its fixed scores once and ranks every trial's
-labels by that order.
+do not: ``compute_metric_report`` checks once for all metrics. AP has one
+kernel: the positives of a label matrix are listed once in rank order
+(class, depth, sample), and any matrix that only removes some of them is a
+keep-mask over that list, so the Monte Carlo check sorts its fixed scores
+once and scores a chunk of trials per call.
 
 The noisy-metric side relates evaluation against corrupted single-positive
 labels to evaluation against the clean ground truth: per-class counts obey
 an exact identity in the flip rate beta and the recovered-flip fraction
 alpha, and Monte Carlo checks confirm that random flips bias mAP downward
-while dominant (instance-dependent) flips bias it upward.
+while dominant (instance-dependent) flips bias it upward, never above the
+exact ceiling of flipping each class's lowest-ranked positives. The checks
+make the same draws as a loop of one trial after another.
 """
 
 from __future__ import annotations
@@ -62,25 +66,61 @@ def _class_order(s: np.ndarray) -> np.ndarray:
     return np.argsort(-s.T, axis=1, kind="stable")
 
 
-def _average_precisions(order: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-class AP of binary labels ``y`` (n x C) ranked by ``_class_order``.
+def _ranked_positives(order: np.ndarray, y: np.ndarray):
+    """Every positive of ``y`` (n x C) in class-major rank order.
 
-    Classes without positives get NaN. The k-th positive of a class, at
-    0-based depth d, has precision k / (d + 1). Each class's precisions
-    are summed as one contiguous vector, as a one-class call would sum
-    them, so the result does not depend on how many classes share a call.
+    Returns the class segment bounds (C + 1 offsets: class c holds
+    positions ``bounds[c]:bounds[c + 1]``), and each positive's 0-based
+    depth in its class's ``_class_order`` ranking and its sample index.
     """
     n_classes = order.shape[0]
     hit = np.take(y, order * n_classes + np.arange(n_classes)[:, None]) == 1.0
     cls, depth = np.nonzero(hit)
-    n_pos = np.bincount(cls, minlength=n_classes)
-    ends = np.cumsum(n_pos)
-    k = np.arange(1, cls.size + 1) - np.repeat(ends - n_pos, n_pos)
-    prec = k / (depth + 1)
-    per_class = np.full(n_classes, np.nan)
-    for c in np.flatnonzero(n_pos):
-        per_class[c] = prec[ends[c] - n_pos[c]:ends[c]].sum() / n_pos[c]
-    return per_class
+    bounds = np.zeros(n_classes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cls, minlength=n_classes), out=bounds[1:])
+    return bounds, depth, order[cls, depth]
+
+
+def _kept_average_precisions(bounds: np.ndarray, depth: np.ndarray,
+                             keep: np.ndarray) -> np.ndarray:
+    """Per-class AP (T x C) of T label matrices, each a subset of ranked positives.
+
+    ``bounds`` and ``depth`` come from ``_ranked_positives``; row t of the
+    boolean ``keep`` (T x m) says which of those m positives are still
+    positive in matrix t. A kept positive's precision is its 1-based rank
+    among its class's kept positives over (depth + 1). Classes with nothing
+    kept get NaN. Each (matrix, class) segment of precisions is summed as
+    one contiguous vector, as a one-class call would sum it, so the result
+    does not depend on how many classes or matrices share a call.
+    """
+    n_trials, m = keep.shape
+    # kept positives before each flat position; the leading 0 serves the
+    # segments that start at position 0, empty classes included
+    seen = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=seen[1:])
+    at = seen[np.arange(n_trials)[:, None] * m + bounds]
+    # the rank among the class's kept positives, read only where kept
+    rank = seen[1:].reshape(n_trials, m) - np.repeat(at[:, :-1], np.diff(bounds), axis=1)
+    prec = (rank / (depth + 1))[keep]
+    counts = np.diff(at, axis=1).ravel()
+    ends = np.cumsum(counts)
+    filled = np.flatnonzero(counts)
+    starts, stops = (ends - counts)[filled].tolist(), ends[filled].tolist()
+    per_class = np.full(counts.size, np.nan)
+    per_class[filled] = np.array(
+        [prec[a:b].sum() for a, b in zip(starts, stops)]) / counts[filled]
+    return per_class.reshape(n_trials, -1)
+
+
+def _average_precisions(order: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-class AP of binary labels ``y`` (n x C) ranked by ``_class_order``.
+
+    The one-matrix, all-kept case of ``_kept_average_precisions``: classes
+    without positives get NaN, and the k-th positive of a class, at 0-based
+    depth d, has precision k / (d + 1).
+    """
+    bounds, depth, _ = _ranked_positives(order, y)
+    return _kept_average_precisions(bounds, depth, np.ones((1, depth.size), dtype=bool))[0]
 
 
 def _macro_mean(per_class: np.ndarray) -> float:
@@ -369,7 +409,9 @@ def estimate_proposition_bounds(clean_ap, beta, regime: str) -> float:
     random:   (1 - mean(beta)) * mAP* - Cov(beta, AP*)
     dominant: mean(1/(1-beta)) * mAP* + Cov(1/(1-beta), AP*)
 
-    Covariances are population covariances across classes.
+    Covariances are population covariances across classes. The dominant
+    value is a loose upper bound that can exceed 1 (about 2 at the Monte
+    Carlo defaults); ``MonteCarloReport.ceiling_map`` is the exact one.
     """
     ap = np.asarray(clean_ap, dtype=np.float64)
     b = np.asarray(beta, dtype=np.float64)
@@ -408,12 +450,49 @@ class MonteCarloConfig:
 
 @dataclass
 class MonteCarloReport:
+    """Clean, closed-form and per-trial noisy mAP of one Monte Carlo check.
+
+    ``ceiling_map`` is the dominant regime's exact maximum: the noisy mAP
+    when each class's round(beta_c * P_c) lowest-ranked positives flip. No
+    trial exceeds it. It is None in the random regime.
+    """
+
     clean_map: float
     predicted_map: float
     measured: np.ndarray
     measured_mean: float
     frac_below_clean: float
     frac_above_clean: float
+    ceiling_map: float | None = None
+
+
+# cells of random draws per chunk of trials: a few trials at a time keep
+# the temporaries small; larger chunks buy no speed and cost memory
+_CHUNK_CELLS = 320_000
+
+
+def _trial_maps(per_class: np.ndarray) -> np.ndarray:
+    """``_macro_mean`` of each row of a (T x C) per-class AP matrix."""
+    complete = ~np.isnan(per_class).any(axis=1)
+    maps = np.empty(per_class.shape[0])
+    # a row-wise mean sums each row exactly as a 1-D mean would
+    maps[complete] = per_class[complete].mean(axis=1)
+    for t in np.flatnonzero(~complete):
+        maps[t] = _macro_mean(per_class[t])
+    return maps
+
+
+def _lowest_flip_map(bounds: np.ndarray, depth: np.ndarray, n_flip: np.ndarray) -> float:
+    """mAP when exactly the ``n_flip[c]`` lowest-ranked positives of each class flip.
+
+    No other choice of n_flip[c] positives per class scores higher: the
+    j-th kept positive is then at the smallest depth it can have, so each
+    precision, and each partial sum of them, is the largest possible.
+    """
+    n_pos = np.diff(bounds)
+    position = np.arange(depth.size) - np.repeat(bounds[:-1], n_pos)
+    keep = position < np.repeat(n_pos - n_flip, n_pos)
+    return float(_trial_maps(_kept_average_precisions(bounds, depth, keep[None]))[0])
 
 
 def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
@@ -425,6 +504,13 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     flip, drawn without replacement with weights concentrated on the
     lowest-scored positives (the model "knows" the dominant class, so
     flipped positives are the ones it ranks poorly).
+
+    A noisy matrix only removes positives, so each trial is a keep-mask
+    over the clean positives in rank order, and trials are drawn and scored
+    a chunk at a time. The draws are those of one trial after another: per
+    trial, the random regime draws an n x C uniform matrix, and the
+    dominant regime one uniform per positive of each class with flips, in
+    class order and, within a class, in sample order.
     """
     try:
         trials = operator.index(trials)
@@ -455,26 +541,39 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     clean_map = _macro_mean(clean_ap)
     predicted = estimate_proposition_bounds(clean_ap, betas, regime)
 
-    pos_index = [np.flatnonzero(y[:, c] == 1.0) for c in range(n_classes)]
-    measured = np.empty(trials)
-    for trial in range(trials):
-        y_noisy = y.copy()
-        if regime == "random":
-            flip = (rng.random((n, n_classes)) < betas) & (y == 1.0)
-            y_noisy[flip] = 0.0
-        else:
-            for c in range(n_classes):
-                pos = pos_index[c]
-                n_flip = int(round(betas[c] * pos.size))
-                if n_flip == 0:
-                    continue
-                # Gumbel top-k = weighted sampling without replacement,
-                # weights exp(-sharpness * score): low scores flip first
-                keys = -config.dominant_sharpness * scores[pos, c]
-                keys = keys - np.log(-np.log(rng.random(pos.size)))
-                y_noisy[pos[np.argsort(keys)[-n_flip:]], c] = 0.0
-        measured[trial] = _macro_mean(_average_precisions(order, y_noisy))
+    bounds, depth, sample = _ranked_positives(order, y)
+    n_pos = np.diff(bounds)
+    cls = np.repeat(np.arange(n_classes), n_pos)
+    n_flip = np.array([int(round(betas[c] * n_pos[c])) for c in range(n_classes)])
+    flipping = np.flatnonzero(n_flip)
+    # per flipping class, its positives in sample order (the order of the
+    # draws) as positions in the ranked list, and their base Gumbel keys
+    # with weights exp(-sharpness * score): low scores flip first
+    by_sample = [bounds[c] + np.argsort(sample[bounds[c]:bounds[c + 1]]) for c in flipping]
+    base_keys = [-config.dominant_sharpness * scores[sample[r], c]
+                 for r, c in zip(by_sample, flipping)]
+    flat = sample * n_classes + cls
 
+    chunk = max(1, _CHUNK_CELLS // (n * n_classes))
+    measured = np.empty(trials)
+    for first in range(0, trials, chunk):
+        t = min(chunk, trials - first)
+        if regime == "random":
+            u = rng.random((t, n, n_classes))
+            keep = ~(np.take(u.reshape(t, -1), flat, axis=1) < betas[cls])
+        else:
+            keep = np.ones((t, depth.size), dtype=bool)
+            gumbel = np.log(-np.log(rng.random((t, n_pos[flipping].sum()))))
+            offset = 0
+            for c, rows, base in zip(flipping, by_sample, base_keys):
+                # Gumbel top-k = weighted sampling without replacement
+                keys = base - gumbel[:, offset:offset + rows.size]
+                top = np.argpartition(keys, rows.size - n_flip[c], axis=1)[:, -n_flip[c]:]
+                keep[np.arange(t)[:, None], rows[top]] = False
+                offset += rows.size
+        measured[first:first + t] = _trial_maps(_kept_average_precisions(bounds, depth, keep))
+
+    ceiling = _lowest_flip_map(bounds, depth, n_flip) if regime == "dominant" else None
     return MonteCarloReport(
         clean_map=clean_map,
         predicted_map=predicted,
@@ -482,4 +581,5 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
         measured_mean=float(measured.mean()),
         frac_below_clean=float((measured < clean_map).mean()),
         frac_above_clean=float((measured > clean_map).mean()),
+        ceiling_map=ceiling,
     )

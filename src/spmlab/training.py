@@ -469,9 +469,20 @@ def _check_checkpoint(ckpt, source: str) -> dict:
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{source}: unsupported checkpoint version "
                          f"{ckpt.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    config = ckpt.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{source}: config is not a JSON object")
+    known = {f.name for f in fields(TrainConfig)}
+    unknown = next((key for key in config if key not in known), None)
+    if unknown is not None:
+        raise ValueError(f"{source}: unknown config field {unknown!r}")
     return ckpt
 
 
 def load_checkpoint(path) -> dict:
     with open(path) as fh:
-        return _check_checkpoint(json.load(fh), str(path))
+        try:
+            ckpt = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    return _check_checkpoint(ckpt, str(path))

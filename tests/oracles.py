@@ -2,11 +2,18 @@
 
 Everything here is deliberately written with explicit Python loops and
 pairwise comparisons, sharing no code with the package implementations.
+The one exception in style is ``reference_monte_carlo``: the per-trial
+Monte Carlo loop as it stood before the chunked rewrite, kept verbatim
+with its AP kernel so the rewrite can be held to bit-equal results; it
+takes the closed form, which the rewrite did not touch, from the package.
 """
 
+import itertools
 import math
 
 import numpy as np
+
+from spmlab.metrics import estimate_proposition_bounds
 
 
 def fd_gradient(f, theta, h=1e-5):
@@ -132,3 +139,80 @@ def straight_line_mlp(layer_sizes, params, x_row):
             out = [math.tanh(v) for v in out]
         acts = out
     return acts
+
+
+def brute_best_flip_ap(scores, labels, k):
+    """Highest AP over every way to flip exactly k of the positives to negative."""
+    positives = [i for i, v in enumerate(labels) if v == 1]
+    best = -1.0
+    for flipped in itertools.combinations(positives, k):
+        noisy = [0 if i in flipped else v for i, v in enumerate(labels)]
+        best = max(best, brute_average_precision(scores, noisy))
+    return best
+
+
+def _reference_class_order(s):
+    return np.argsort(-s.T, axis=1, kind="stable")
+
+
+def _reference_average_precisions(order, y):
+    n_classes = order.shape[0]
+    hit = np.take(y, order * n_classes + np.arange(n_classes)[:, None]) == 1.0
+    cls, depth = np.nonzero(hit)
+    n_pos = np.bincount(cls, minlength=n_classes)
+    ends = np.cumsum(n_pos)
+    k = np.arange(1, cls.size + 1) - np.repeat(ends - n_pos, n_pos)
+    prec = k / (depth + 1)
+    per_class = np.full(n_classes, np.nan)
+    for c in np.flatnonzero(n_pos):
+        per_class[c] = prec[ends[c] - n_pos[c]:ends[c]].sum() / n_pos[c]
+    return per_class
+
+
+def _reference_macro_mean(per_class):
+    evaluable = ~np.isnan(per_class)
+    if not evaluable.any():
+        raise ValueError("no class has positive labels; mAP undefined")
+    return float(per_class[evaluable].mean())
+
+
+def reference_monte_carlo(config, regime, trials):
+    """(clean mAP, closed-form mAP, per-trial noisy mAP) one trial at a time."""
+    rng = np.random.default_rng(config.seed)
+    n, n_classes = config.n_samples, config.n_classes
+
+    base = rng.uniform(0.1, 1.0, n_classes)
+    prevalence = np.clip(base * (config.mean_positives / base.sum()), 0.02, 0.9)
+    y = (rng.random((n, n_classes)) < prevalence).astype(np.float64)
+    empty = y.sum(axis=1) == 0
+    if empty.any():
+        forced = rng.choice(n_classes, size=int(empty.sum()), p=prevalence / prevalence.sum())
+        y[np.flatnonzero(empty), forced] = 1.0
+
+    margins = rng.uniform(config.margin_low, config.margin_high, n_classes)
+    scores = y * margins + rng.standard_normal((n, n_classes))
+    betas = rng.uniform(config.beta_low, config.beta_high, n_classes)
+
+    order = _reference_class_order(scores)
+    clean_ap = _reference_average_precisions(order, y)
+    clean_map = _reference_macro_mean(clean_ap)
+    predicted = estimate_proposition_bounds(clean_ap, betas, regime)
+
+    pos_index = [np.flatnonzero(y[:, c] == 1.0) for c in range(n_classes)]
+    measured = np.empty(trials)
+    for trial in range(trials):
+        y_noisy = y.copy()
+        if regime == "random":
+            flip = (rng.random((n, n_classes)) < betas) & (y == 1.0)
+            y_noisy[flip] = 0.0
+        else:
+            for c in range(n_classes):
+                pos = pos_index[c]
+                n_flip = int(round(betas[c] * pos.size))
+                if n_flip == 0:
+                    continue
+                keys = -config.dominant_sharpness * scores[pos, c]
+                keys = keys - np.log(-np.log(rng.random(pos.size)))
+                y_noisy[pos[np.argsort(keys)[-n_flip:]], c] = 0.0
+        measured[trial] = _reference_macro_mean(_reference_average_precisions(order, y_noisy))
+    return clean_map, predicted, measured

@@ -413,6 +413,25 @@ class TestRunDirectory:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"{path}: {error}"}
 
+    def test_eval_names_a_file_that_is_not_json(self, csv_data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("not json")
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"{path}: not valid JSON "
+                       "(Expecting value: line 1 column 1 (char 0))"}
+
+    def test_eval_rejects_an_unknown_config_field(self, csv_data, tmp_path, capsys):
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        ckpt = json.loads(path.read_text())
+        ckpt["config"]["bogus"] = 1
+        path.write_text(json.dumps(ckpt))
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": f"{path}: unknown config field 'bogus'"}
+
     def test_run_experiment_returns_its_five_artifacts(self, tmp_path):
         paths = run_experiment(tiny_spec(tmp_path / "run", epochs=1))
         assert sorted(paths) == ["checkpoint", "config", "curves", "fliprates", "metrics"]

@@ -27,15 +27,21 @@ from spmlab.metrics import (
     thresholded_metrics,
     _average_precisions,
     _class_order,
+    _kept_average_precisions,
+    _lowest_flip_map,
     _macro_mean,
+    _ranked_positives,
 )
 from spmlab.net import make_rng
 from spmlab.noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 
 from oracles import (
+    _reference_average_precisions,
+    brute_best_flip_ap,
     brute_coverage,
     brute_mean_average_precision,
     brute_ranking_loss,
+    reference_monte_carlo,
 )
 
 
@@ -473,6 +479,90 @@ class TestMonteCarlo:
     def test_non_integer_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be an integer, got 100.5"):
             monte_carlo_proposition_check(MonteCarloConfig(), "random", 100.5)
+
+    @pytest.mark.parametrize("regime", ["random", "dominant"])
+    @pytest.mark.parametrize("config, trials", [
+        pytest.param(MonteCarloConfig(seed=0), 500, id="bench-seed0"),
+        pytest.param(MonteCarloConfig(seed=7), 500, id="bench-seed7"),
+        # 3000 x 19 cells give chunks of 5 trials, so the last chunk has one
+        pytest.param(MonteCarloConfig(n_samples=3000, seed=3), 101, id="partial-chunk"),
+        # 12, 22 and 4 of 12, 24 and 4 positives flip: whole classes empty out
+        pytest.param(MonteCarloConfig(n_samples=30, n_classes=3, mean_positives=1.2,
+                                      beta_low=0.9, beta_high=0.97, seed=30), 100,
+                     id="class-all-flipped"),
+        # n_flip is 2, 1, 0, 0, 0: the last three classes draw nothing
+        pytest.param(MonteCarloConfig(n_samples=60, n_classes=5, mean_positives=1.5,
+                                      beta_low=0.005, beta_high=0.08, seed=0), 100,
+                     id="no-flip-classes"),
+        pytest.param(MonteCarloConfig(n_samples=300, n_classes=2, mean_positives=1.0,
+                                      seed=4), 100, id="two-classes"),
+    ])
+    def test_trials_bit_equal_to_per_trial_reference(self, config, trials, regime):
+        rep = monte_carlo_proposition_check(config, regime, trials)
+        clean_map, predicted_map, measured = reference_monte_carlo(config, regime, trials)
+        assert np.array_equal(rep.measured, measured)
+        assert rep.clean_map == clean_map
+        assert rep.predicted_map == predicted_map
+
+    @pytest.mark.parametrize("regime", ["random", "dominant"])
+    @pytest.mark.parametrize("config, error", [
+        # classes 0 and 3 of 6 have no clean positive
+        pytest.param(MonteCarloConfig(n_samples=12, n_classes=6, mean_positives=1.5, seed=34),
+                     "clean_ap contains non-finite entries", id="empty-classes"),
+        # every positive flips in some trial
+        pytest.param(MonteCarloConfig(n_samples=4, n_classes=2, mean_positives=1.0,
+                                      beta_low=0.9, beta_high=0.97, seed=0),
+                     "no class has positive labels", id="all-flipped"),
+    ])
+    def test_same_error_as_per_trial_reference(self, config, error, regime):
+        with pytest.raises(ValueError, match=error):
+            reference_monte_carlo(config, regime, 100)
+        with pytest.raises(ValueError, match=error):
+            monte_carlo_proposition_check(config, regime, 100)
+
+    def test_kept_kernel_with_empty_classes_equals_reference(self):
+        # empty classes first, in the middle and last; some trials keep nothing
+        rng = make_rng(49)
+        scores = np.round(rng.standard_normal((40, 7)), 1)
+        clean = (rng.random((40, 7)) < 0.3).astype(float)
+        clean[:, [0, 3, 6]] = 0.0
+        order = _class_order(scores)
+        bounds, depth, sample = _ranked_positives(order, clean)
+        cls = np.repeat(np.arange(7), np.diff(bounds))
+        keep = rng.random((30, depth.size)) < rng.random((30, 1))
+        keep[:3] = False
+        per_class = _kept_average_precisions(bounds, depth, keep)
+        for row, kept in zip(per_class, keep):
+            noisy = np.zeros_like(clean)
+            noisy[sample[kept], cls[kept]] = 1.0
+            assert np.array_equal(row, _reference_average_precisions(order, noisy),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("config, trials", [
+        pytest.param(MonteCarloConfig(n_samples=2000, n_classes=19, seed=7), 500, id="seed7"),
+        pytest.param(MonteCarloConfig(n_samples=400, n_classes=6, seed=1), 100, id="small"),
+        pytest.param(MonteCarloConfig(n_samples=60, n_classes=3, mean_positives=1.2,
+                                      dominant_sharpness=0.5, seed=2), 300, id="tiny-soft"),
+    ])
+    def test_dominant_trials_never_exceed_the_ceiling(self, config, trials):
+        rep = monte_carlo_proposition_check(config, "dominant", trials)
+        assert np.all(rep.measured <= rep.ceiling_map) and rep.ceiling_map <= 1.0
+        assert monte_carlo_proposition_check(config, "random", 100).ceiling_map is None
+
+    def test_lowest_flip_maximises_ap_over_all_flip_sets(self):
+        # tie-heavy scores: the ceiling's ranking follows the documented tie rule
+        rng = make_rng(50)
+        for _ in range(60):
+            n, n_classes = int(rng.integers(3, 10)), int(rng.integers(1, 4))
+            scores = rng.integers(0, 3, (n, n_classes)).astype(float)
+            labels = (rng.random((n, n_classes)) < 0.6).astype(float)
+            labels[0] = 1.0  # every class has a positive
+            n_pos = labels.sum(axis=0).astype(int)
+            n_flip = np.array([int(rng.integers(0, p)) for p in n_pos])
+            bounds, depth, _ = _ranked_positives(_class_order(scores), labels)
+            best = [brute_best_flip_ap(scores[:, c], labels[:, c], n_flip[c])
+                    for c in range(n_classes)]
+            assert abs(_lowest_flip_map(bounds, depth, n_flip) - np.mean(best)) <= 1e-12
 
 
 class TestMetricReport:

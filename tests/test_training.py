@@ -308,6 +308,19 @@ class TestTrainerMechanics:
             Trainer.from_checkpoint(ckpt, tr, va)
         assert str(exc.value) == error
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda c: c["config"].update(bogus=1), "checkpoint: unknown config field 'bogus'"),
+        (lambda c: c.update(config=5), "checkpoint: config is not a JSON object"),
+        (lambda c: c.pop("config"), "checkpoint: config is not a JSON object"),
+    ], ids=["unknown-field", "not-an-object", "missing"])
+    def test_checkpoint_config_checked(self, edit, error):
+        tr, va, te = small_data()
+        ckpt = Trainer(small_config(method="an", epochs=1), tr, va).checkpoint()
+        edit(ckpt)
+        with pytest.raises(ValueError) as exc:
+            Trainer.from_checkpoint(ckpt, tr, va)
+        assert str(exc.value) == error
+
     @pytest.mark.parametrize("edit, load_data, error", [
         pytest.param(lambda c: None, dict(d=5), "layers", id="other-features"),
         pytest.param(lambda c: None, dict(n=400), "prediction EMA", id="other-train-size"),
