@@ -63,7 +63,8 @@ def _clamp(p) -> np.ndarray:
 
 def _clip(p: np.ndarray) -> np.ndarray:
     """Probabilities in [0, 1] clamped into [EPS_CLIP, 1 - EPS_CLIP], unchecked."""
-    return np.clip(p, EPS_CLIP, 1.0 - EPS_CLIP)
+    out = np.maximum(p, EPS_CLIP)
+    return np.minimum(out, 1.0 - EPS_CLIP, out=out)
 
 
 def _bce_terms(p, targets, w_neg=1.0):

@@ -2,11 +2,11 @@
 
 Ranking metrics use a fixed deterministic tie rule: scores are ranked in
 descending order, ties broken by ascending index (sample index for
-average precision, class index for coverage). The rule comes from one
-stable sort of the negated score matrix, per class for AP and per row for
-coverage, so no metric loops over rows. Ranking-loss ties count as
-ordering errors. Labels must be binary (0/1) and scores finite, or the
-metric raises ValueError naming the argument.
+average precision, class index for coverage). Coverage takes the rule from
+one stable sort per row, AP from an unstable sort per class plus an exact
+tie fix-up (``_class_order``), so no metric loops over rows. Ranking-loss
+ties count as ordering errors. Labels must be binary (0/1) and scores
+finite, or the metric raises ValueError naming the argument.
 
 The public functions check their inputs, then call private kernels that
 do not: ``compute_metric_report`` checks once for all metrics. AP has one
@@ -60,10 +60,19 @@ def _checked(scores, labels, name: str = "scores"):
 def _class_order(s: np.ndarray) -> np.ndarray:
     """Per class (row), the samples by descending score, ties by ascending index.
 
-    A stable sort of ``-s`` keeps tied samples in index order, which is the
-    documented tie rule; the class-major layout keeps each sort contiguous.
+    An unstable sort of ``-s``, faster than a stable one, groups equal scores
+    into runs; sorting the unique key ``run * n + sample`` then orders each
+    run by index: the stable order, whatever algorithm either sort uses.
     """
-    return np.argsort(-s.T, axis=1, kind="stable")
+    neg = np.negative(s.T, order="C")
+    n_classes, n = neg.shape
+    order = np.argsort(neg, axis=1)
+    ranked = np.take(neg, order + n * np.arange(n_classes)[:, None]).ravel()
+    # run numbers carry across rows; a row only needs them non-decreasing
+    run = np.zeros(neg.shape, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=run.reshape(-1)[1:])
+    run *= n
+    return np.sort(run + order, axis=1) - run
 
 
 def _ranked_positives(order: np.ndarray, y: np.ndarray):
@@ -418,7 +427,7 @@ def estimate_proposition_bounds(clean_ap, beta, regime: str) -> float:
     if ap.shape != b.shape or ap.ndim != 1:
         raise ValueError("clean_ap and beta must be 1-D vectors of equal length")
     for name, v in (("clean_ap", ap), ("beta", b)):
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite entries")
     if np.any(b <= 0.0) or np.any(b >= 1.0):
         raise ValueError("beta entries must lie in (0, 1)")
@@ -435,7 +444,7 @@ def estimate_proposition_bounds(clean_ap, beta, regime: str) -> float:
 
 @dataclass
 class MonteCarloConfig:
-    """Synthetic score/label generator for the proposition checks."""
+    """Synthetic score/label generator for the proposition checks; checked on creation."""
 
     n_samples: int = 2000
     n_classes: int = 19
@@ -446,6 +455,19 @@ class MonteCarloConfig:
     margin_high: float = 2.5
     dominant_sharpness: float = 6.0
     seed: int = 0
+
+    def __post_init__(self):
+        _check_param("n_samples", self.n_samples, self.n_samples >= 1, "at least 1")
+        _check_param("n_classes", self.n_classes, self.n_classes >= 1, "at least 1")
+        _check_param("mean_positives", self.mean_positives, self.mean_positives > 0, "positive")
+        _check_param("beta_low", self.beta_low, 0.0 <= self.beta_low < 1.0, "in [0, 1)")
+        _check_param("beta_high", self.beta_high, self.beta_low <= self.beta_high <= 1.0
+                     and self.beta_high > 0.0, "in [beta_low, 1] and positive")
+        _check_param("margin_low", self.margin_low, True, "")
+        _check_param("margin_high", self.margin_high, self.margin_high >= self.margin_low,
+                     "at least margin_low")
+        _check_param("dominant_sharpness", self.dominant_sharpness,
+                     self.dominant_sharpness > 0, "positive")
 
 
 @dataclass

@@ -10,7 +10,8 @@ The public API checks its inputs and never changes an ``Mlp``:
 (logits plus the activations backprop needs) and ``_backprop`` skip the
 input checks; the trainer calls them on student and teacher models whose
 parameter buffers it owns and updates in place, and hands out copies as
-snapshots.
+snapshots. A model builds its (W, b) views into ``params`` once, so
+``params`` is only ever updated in place, never rebound.
 
 Every module checks its array inputs with the helpers beside
 ``as_matrix``, one per rule: binary labels (``_check_binary``), values
@@ -43,7 +44,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -132,7 +133,7 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 def sigmoid(logits) -> np.ndarray:
     """Numerically stable logistic, with outputs in the open interval (0, 1)."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("logits contain non-finite entries")
     return _sigmoid(z)
 
@@ -142,7 +143,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     neg = np.exp(-np.abs(z))  # in (0, 1], never overflows
     out = neg / (1.0 + neg)   # sigmoid(-|z|)
     out = np.where(z >= 0.0, 1.0 - out, out)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    return np.minimum(np.maximum(out, _SIG_LO, out=out), _SIG_HI, out=out)
 
 
 def softmax(logits) -> np.ndarray:
@@ -173,10 +174,15 @@ class Mlp:
                 f"model with layers {sizes} expects {expected} parameters, "
                 f"got array of shape {theta.shape}"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("parameters contain non-finite entries")
         self.layer_sizes = sizes
         self.params = theta.copy()
+        self._layers, off = [], 0
+        for fi, fo in zip(sizes[:-1], sizes[1:]):
+            self._layers.append((self.params[off:off + fi * fo].reshape(fi, fo),
+                                 self.params[off + fi * fo:off + (fi + 1) * fo]))
+            off += (fi + 1) * fo
 
     @staticmethod
     def param_count(layer_sizes) -> int:
@@ -208,16 +214,6 @@ class Mlp:
     def with_params(self, params) -> "Mlp":
         return Mlp(self.layer_sizes, params)
 
-    def _layers(self):
-        """Yield (W, b) views into the flat parameter vector."""
-        off = 0
-        for fi, fo in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            w = self.params[off:off + fi * fo].reshape(fi, fo)
-            off += fi * fo
-            b = self.params[off:off + fo]
-            off += fo
-            yield w, b
-
     def _check_batch(self, batch) -> np.ndarray:
         x = as_matrix(batch, "batch")
         if x.shape[1] != self.n_inputs:
@@ -233,15 +229,12 @@ class Mlp:
 
     def _forward_cached(self, x: np.ndarray):
         """(logits, per-layer inputs) of a checked batch; raises on non-finite logits."""
-        layers = list(self._layers())
         acts = [x]
-        z = x
-        for w, b in layers[:-1]:
-            z = np.tanh(z @ w + b)
-            acts.append(z)
-        w, b = layers[-1]
-        logits = z @ w + b
-        if not np.all(np.isfinite(logits)):
+        for w, b in self._layers[:-1]:
+            acts.append(np.tanh(acts[-1] @ w + b))
+        w, b = self._layers[-1]
+        logits = acts[-1] @ w + b
+        if not np.isfinite(logits).all():
             raise ValueError("forward pass produced non-finite logits")
         return logits, acts
 
@@ -255,18 +248,13 @@ class Mlp:
 
     def _backprop(self, acts, g: np.ndarray) -> np.ndarray:
         """Flat parameter gradient from ``_forward_cached``'s activations."""
-        layers = list(self._layers())
-        grads = [None] * len(layers)
+        parts = []  # per layer, last first: db, then dW
         delta = g
-        for i in range(len(layers) - 1, -1, -1):
-            a_in = acts[i]
-            dw = a_in.T @ delta
-            db = delta.sum(axis=0)
-            grads[i] = (dw, db)
+        for i in range(len(self._layers) - 1, -1, -1):
+            parts += [delta.sum(axis=0), (acts[i].T @ delta).ravel()]
             if i > 0:
-                w, _ = layers[i]
-                delta = (delta @ w.T) * (1.0 - acts[i] ** 2)  # tanh'
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+                delta = (delta @ self._layers[i][0].T) * (1.0 - acts[i] ** 2)  # tanh'
+        return np.concatenate(parts[::-1])
 
     def sgd_step(self, grad, lr: float) -> "Mlp":
         """Plain gradient step: theta' = theta - lr * grad."""

@@ -163,12 +163,11 @@ def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
         raise ValueError("x, y, t must share the batch dimension")
     partner = rng.integers(0, n, size=n)
     phi = rng.beta(alpha, alpha, size=n)
+    rest = 1.0 - phi
     mixed = []
     for a in arrays:
-        w = phi.reshape((n,) + (1,) * (a.ndim - 1))
-        m = w * a + (1.0 - w) * a[partner]
-        same = a == a[partner]
-        mixed.append(np.where(same, a, m))
+        shape, b = (n,) + (1,) * (a.ndim - 1), a[partner]
+        mixed.append(np.where(a == b, a, phi.reshape(shape) * a + rest.reshape(shape) * b))
     return mixed[0], mixed[1], mixed[2], phi
 
 
@@ -276,7 +275,7 @@ class Trainer:
         """SGD step on the student, then the teacher EMA, both in place."""
         theta = self._student.params
         theta -= self.config.learning_rate * self._student._backprop(acts, dlogits)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("parameters contain non-finite entries")
         _update_weights(self.ema.teacher_params, theta, self.ema.beta_t)
 

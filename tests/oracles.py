@@ -2,10 +2,16 @@
 
 Everything here is deliberately written with explicit Python loops and
 pairwise comparisons, sharing no code with the package implementations.
-The one exception in style is ``reference_monte_carlo``: the per-trial
-Monte Carlo loop as it stood before the chunked rewrite, kept verbatim
-with its AP kernel so the rewrite can be held to bit-equal results; it
-takes the closed form, which the rewrite did not touch, from the package.
+The exceptions in style are earlier forms of fast paths, kept verbatim so
+their rewrites can be held to bit-equal results:
+
+* ``reference_monte_carlo``: the per-trial Monte Carlo loop as it stood
+  before the chunked rewrite, with its AP kernel; it takes the closed
+  form, which the rewrite did not touch, from the package.
+* ``reference_class_order``: the one stable argsort that ranked each class
+  before the two-pass order.
+* ``reference_mixup``: the Mixup body as it stood before it gathered each
+  partner row once.
 """
 
 import itertools
@@ -151,8 +157,24 @@ def brute_best_flip_ap(scores, labels, k):
     return best
 
 
-def _reference_class_order(s):
+def reference_class_order(s):
+    """Per class (row), the samples by descending score, ties by ascending index."""
     return np.argsort(-s.T, axis=1, kind="stable")
+
+
+def reference_mixup(x, y, t, rng, alpha):
+    """(x_mix, y_mix, t_mix, phi) with the draws and arithmetic of ``mixup_batch``."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in (x, y, t)]
+    n = arrays[0].shape[0]
+    partner = rng.integers(0, n, size=n)
+    phi = rng.beta(alpha, alpha, size=n)
+    mixed = []
+    for a in arrays:
+        w = phi.reshape((n,) + (1,) * (a.ndim - 1))
+        m = w * a + (1.0 - w) * a[partner]
+        same = a == a[partner]
+        mixed.append(np.where(same, a, m))
+    return mixed[0], mixed[1], mixed[2], phi
 
 
 def _reference_average_precisions(order, y):
@@ -193,7 +215,7 @@ def reference_monte_carlo(config, regime, trials):
     scores = y * margins + rng.standard_normal((n, n_classes))
     betas = rng.uniform(config.beta_low, config.beta_high, n_classes)
 
-    order = _reference_class_order(scores)
+    order = reference_class_order(scores)
     clean_ap = _reference_average_precisions(order, y)
     clean_map = _reference_macro_mean(clean_ap)
     predicted = estimate_proposition_bounds(clean_ap, betas, regime)

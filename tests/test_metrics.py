@@ -41,6 +41,7 @@ from oracles import (
     brute_coverage,
     brute_mean_average_precision,
     brute_ranking_loss,
+    reference_class_order,
     reference_monte_carlo,
 )
 
@@ -374,6 +375,49 @@ class TestOracleAgreement:
         assert abs(ranking_loss(scores, labels) - ranking_loss(scores[perm], labels[perm])) <= 1e-12
 
 
+# score palettes that force ties: a few quantised levels, values one ulp
+# apart at the top of the sigmoid's range, and zeros of both signs
+CLASS_ORDER_PALETTES = {
+    "quantised": np.linspace(-1.0, 1.0, 5),
+    "saturated": np.array([1.0 - 2.0**-53, 1.0 - 2.0**-52, 0.5]),
+    "signed-zero": np.array([0.0, -0.0, 2.0**-1074]),
+}
+
+
+class TestClassOrder:
+    """The two-pass ``_class_order`` against the stable argsort it replaced."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort_on_ties(self, data):
+        palette = CLASS_ORDER_PALETTES[data.draw(st.sampled_from(sorted(CLASS_ORDER_PALETTES)))]
+        n = data.draw(st.integers(1, 40))
+        n_classes = data.draw(st.integers(1, 6))
+        codes = data.draw(st.lists(st.integers(0, palette.size - 1),
+                                   min_size=n * n_classes, max_size=n * n_classes))
+        scores = palette[np.array(codes)].reshape(n, n_classes)
+        # some columns hold one value throughout
+        flat = data.draw(st.lists(st.booleans(), min_size=n_classes, max_size=n_classes))
+        scores[:, flat] = scores[0, flat]
+        assert np.array_equal(_class_order(scores), reference_class_order(scores))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (0, 3), (3, 0)])
+    def test_degenerate_shapes(self, shape):
+        scores = np.round(make_rng(51).standard_normal(shape), 0)
+        order = _class_order(scores)
+        assert order.shape == shape[::-1]
+        assert np.array_equal(order, reference_class_order(scores))
+
+    @pytest.mark.parametrize("shape, levels", [
+        ((1000, 19), None), ((2000, 19), 20), ((5000, 80), None), ((3000, 5), 2),
+    ])
+    def test_equals_stable_argsort_at_benchmark_shapes(self, shape, levels):
+        scores = make_rng(52).random(shape)
+        if levels is not None:
+            scores = np.round(scores * levels) / levels
+        assert np.array_equal(_class_order(scores), reference_class_order(scores))
+
+
 class TestNoisyMetricTransform:
     def test_worked_counts(self):
         (res,) = noisy_metric_transform([10], [8], [9], [7], [6])
@@ -479,6 +523,43 @@ class TestMonteCarlo:
     def test_non_integer_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be an integer, got 100.5"):
             monte_carlo_proposition_check(MonteCarloConfig(), "random", 100.5)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_samples": 0}, "n_samples must be at least 1, got 0"),
+        ({"n_classes": 0}, "n_classes must be at least 1, got 0"),
+        ({"mean_positives": -1}, "mean_positives must be positive, got -1"),
+        ({"mean_positives": float("inf")}, "mean_positives must be finite, got inf"),
+        ({"beta_low": -0.1}, "beta_low must be in [0, 1), got -0.1"),
+        # beta_c would be exactly 1, outside the closed form's (0, 1)
+        ({"beta_low": 1.0, "beta_high": 1.0}, "beta_low must be in [0, 1), got 1.0"),
+        ({"beta_high": float("nan")}, "beta_high must be finite, got nan"),
+        ({"beta_low": 0.9}, "beta_high must be in [beta_low, 1] and positive, got 0.8"),
+        ({"beta_high": 1.5}, "beta_high must be in [beta_low, 1] and positive, got 1.5"),
+        # beta_c would be exactly 0
+        ({"beta_low": 0.0, "beta_high": 0.0},
+         "beta_high must be in [beta_low, 1] and positive, got 0.0"),
+        ({"margin_low": float("-inf")}, "margin_low must be finite, got -inf"),
+        ({"margin_high": float("nan")}, "margin_high must be finite, got nan"),
+        ({"margin_low": 3.0}, "margin_high must be at least margin_low, got 2.5"),
+        ({"dominant_sharpness": float("nan")}, "dominant_sharpness must be finite, got nan"),
+        ({"dominant_sharpness": 0.0}, "dominant_sharpness must be positive, got 0.0"),
+    ])
+    def test_config_rule_names_field_and_value(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            MonteCarloConfig(**changes)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("changes", [
+        {"beta_low": 0.0, "beta_high": 1.0},
+        {"beta_low": 0.5, "beta_high": 0.5},
+        {"margin_low": 2.0, "margin_high": 2.0},
+        {"n_classes": 1, "mean_positives": 0.5},
+    ])
+    def test_config_bounds_are_usable(self, changes):
+        config = MonteCarloConfig(n_samples=300, seed=2, **changes)
+        for regime in ("random", "dominant"):
+            rep = monte_carlo_proposition_check(config, regime, 100)
+            assert np.isfinite(rep.measured).all()
 
     @pytest.mark.parametrize("regime", ["random", "dominant"])
     @pytest.mark.parametrize("config, trials", [

@@ -151,6 +151,35 @@ class TestConstruction:
             Mlp((2, 2, 2, 2), np.zeros(18))
 
 
+class TestCachedViews:
+    """The kernels read ``params`` through views built once, at construction."""
+
+    @pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 3)])
+    def test_in_place_update_reaches_forward_and_backprop(self, sizes):
+        rng = make_rng(12)
+        m = Mlp.init(sizes, rng)
+        x = rng.standard_normal((6, sizes[0]))
+        g = rng.standard_normal((6, sizes[-1]))
+        m._forward_cached(x)
+        m.params -= 0.5 * rng.standard_normal(m.n_params)
+        fresh = Mlp(m.layer_sizes, m.params.copy())
+        logits, acts = m._forward_cached(x)
+        fresh_logits, fresh_acts = fresh._forward_cached(x)
+        assert np.array_equal(logits, fresh_logits)
+        assert all(np.array_equal(a, b) for a, b in zip(acts, fresh_acts))
+        assert np.array_equal(m._backprop(acts, g), fresh._backprop(fresh_acts, g))
+
+    def test_with_params_copy_ignores_later_updates(self):
+        rng = make_rng(13)
+        m = Mlp.init((5, 4, 3), rng)
+        x = rng.standard_normal((6, 5))
+        copy = m.with_params(m.params)
+        before = copy.forward(x)
+        m.params -= 1.0
+        assert np.array_equal(copy.forward(x), before)
+        assert not np.array_equal(m.forward(x), before)
+
+
 def test_softmax_rows_sum_to_one():
     z = make_rng(4).standard_normal((6, 5)) * 30
     s = softmax(z)

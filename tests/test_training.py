@@ -29,7 +29,7 @@ from spmlab.training import (
     train,
 )
 
-from oracles import brute_average_precision
+from oracles import brute_average_precision, reference_mixup
 
 
 def walk_detector(series, patience):
@@ -118,6 +118,34 @@ class TestMixup:
         assert xm[0, 0] == 1.0       # 0.25 * 4
         assert ym[0, 0] == 0.25      # 0.25 * 1
         assert tm[0, 0] == 0.2       # 0.25 * 0.8
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_reference(self, ndim, seed):
+        # few distinct values and self-pairing make a == a[partner] common
+        rng = make_rng(seed)
+        shape = (16,) if ndim == 1 else (16, 5)
+        x = rng.standard_normal((16, 3) if ndim == 2 else 16)
+        y = (rng.random(shape) < 0.3).astype(float)
+        t = np.round(rng.random(shape), 1)
+        rng_ref = make_rng([seed, 1])
+        rng_new = make_rng([seed, 1])
+        for _ in range(20):
+            expected = reference_mixup(x, y, t, rng_ref, 0.7)
+            got = mixup_batch(x, y, t, rng_new, 0.7)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_bit_equal_to_reference_on_partner_ties(self):
+        # every sample is its own partner or an exact copy of it
+        rng = _StubRng([1, 0, 3, 2], [0.3, 0.6, 0.1, 0.9])
+        x = np.array([[1.0, 2.0], [1.0, 2.0], [0.5, 0.5], [0.5, -0.5]])
+        y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        t = np.array([[0.2, 0.4], [0.2, 0.4], [0.3, 0.3], [0.3, 0.7]])
+        got = mixup_batch(x, y, t, rng, 1.0)
+        expected = reference_mixup(x, y, t, rng, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        assert np.array_equal(got[0][:2], x[:2]) and np.array_equal(got[1][:2], y[:2])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -380,6 +408,23 @@ class TestTrainerMechanics:
         assert np.array_equal(trainer.model.params, replay_model.params)
         assert np.array_equal(trainer.ema.teacher_params, replay_ema.teacher_params)
         assert np.array_equal(trainer.ema.smoothed_preds, replay_ema.smoothed_preds)
+
+    @pytest.mark.parametrize("method", ["an", "adagc"])
+    def test_models_taken_from_trainer_never_change(self, method):
+        # the trainer updates its buffers in place; what it hands out is a copy
+        tr, va, te = small_data()
+        trainer = Trainer(small_config(method=method, epochs=24, learning_rate=0.4), tr, va)
+        trainer.run(max_epochs=2)
+        taken = [trainer.model, trainer.teacher]
+        params = [m.params.copy() for m in taken]
+        outputs = [m.forward(va.features) for m in taken]
+        trainer.run()
+        assert trainer.stage == "gc" or method == "an"
+        for m, p, out in zip(taken, params, outputs):
+            assert np.array_equal(m.params, p)
+            assert np.array_equal(m.forward(va.features), out)
+        assert not np.array_equal(trainer.model.params, params[0])
+        assert not np.array_equal(trainer.teacher.params, params[1])
 
     def test_work_per_step(self, monkeypatch):
         # a warm-up step forwards once, a calibrated step three times
