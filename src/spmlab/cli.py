@@ -28,6 +28,7 @@ from .data import (
     atomic_open,
     generate_synthetic,
     load_split_csv,
+    read_json,
     read_spec_json,
     write_spec_json,
     write_split_csv,
@@ -137,8 +138,7 @@ def _from_fields(cls, payload: dict):
 
 def read_config_json(path) -> ExperimentSpec:
     """Rebuild the experiment spec from a written config.json."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     del payload["trigger_epoch"]  # an outcome of the run, not part of its spec
     return _from_fields(ExperimentSpec, dict(payload, outdir=str(Path(path).parent)))
 

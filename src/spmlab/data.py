@@ -8,6 +8,11 @@ dominant corruption protocol.
 Synthetic features are extent-weighted mixtures of per-class Gaussian
 prototypes plus unit noise, so dominant classes are the most visible and
 minor classes carry proportionally weaker signal.
+
+CSV files are only parsed here: a cell must be a finite number and every
+row as wide as the first. The rules on the arrays are those of
+``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
+prefixes a rejection with the file, line and column it points at.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ import numpy as np
 from .net import (
     _check_binary,
     _check_extents,
+    _check_int_fields,
     _check_param,
     _check_rows_positive,
+    _check_shape,
     as_matrix,
     make_rng,
 )
@@ -69,11 +76,7 @@ class MultiLabelDataset:
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
         self.y_true = _check_binary(self.y_true, "y_true")
-        if self.features.shape[0] != self.y_true.shape[0]:
-            raise ValueError(
-                f"features have {self.features.shape[0]} rows, "
-                f"labels have {self.y_true.shape[0]}"
-            )
+        _check_shape(self.y_true, (self.n_samples, self.n_classes), "y_true", "the feature rows")
         _check_rows_positive(self.y_true, "y_true")
         if self.y_observed is not None:
             self.y_observed = _check_binary(self.y_observed, "y_observed",
@@ -124,6 +127,7 @@ class SyntheticSpec:
                      self.extent_concentration > 0, "positive")
         if len(self.split_ratio) != 3 or any(r <= 0 for r in self.split_ratio):
             raise ValueError("split_ratio must be three positive numbers")
+        _check_int_fields(self)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> dict:
@@ -138,10 +142,7 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     weights = weights / weights.sum()
     prototypes = spec.separation * rng.standard_normal((n_classes, d)) / np.sqrt(d)
 
-    if n_classes > 1:
-        p_extra = (spec.mean_positives - 1.0) / (n_classes - 1.0)
-    else:
-        p_extra = 0.0
+    p_extra = (spec.mean_positives - 1.0) / (n_classes - 1.0)  # validate: n_classes >= 2
     cardinality = 1 + rng.binomial(n_classes - 1, p_extra, size=n)
 
     y = np.zeros((n, n_classes))
@@ -161,136 +162,95 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     n_train = int(round(n * ratio[0] / ratio.sum()))
     n_val = int(round(n * ratio[1] / ratio.sum()))
     bounds = [0, n_train, n_train + n_val, n]
-    names = ("train", "val", "test")
-    return {
-        name: MultiLabelDataset(
-            features[a:b], y[a:b], extents=extents[a:b]
-        )
-        for name, a, b in zip(names, bounds[:-1], bounds[1:])
-    }
-
-
-def _float_rows(array):
-    return [[repr(float(v)) for v in row] for row in array]
-
-
-def _int_rows(array):
-    return [[str(int(v)) for v in row] for row in array]
+    return {name: MultiLabelDataset(features[a:b], y[a:b], extents=extents[a:b])
+            for name, a, b in zip(("train", "val", "test"), bounds[:-1], bounds[1:])}
 
 
 def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
-    """Write one split as prefix_{features,labels[,extents][,observed]}.csv."""
+    """Write one split as prefix_{features,labels[,extents][,observed]}.csv.
+
+    Floats are written as their shortest repr (``str`` of a float), labels as integers.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def emit(kind, rows):
-        path = outdir / f"{prefix}_{kind}.csv"
-        with atomic_open(path, newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        written.append(path)
-
-    emit("features", _float_rows(ds.features))
-    emit("labels", _int_rows(ds.y_true))
-    if ds.extents is not None:
-        emit("extents", _float_rows(ds.extents))
-    if ds.y_observed is not None:
-        emit("observed", _int_rows(ds.y_observed))
+    for kind, array, dtype in (("features", ds.features, float), ("labels", ds.y_true, int),
+                               ("extents", ds.extents, float), ("observed", ds.y_observed, int)):
+        if array is not None:
+            path = outdir / f"{prefix}_{kind}.csv"
+            with atomic_open(path, newline="") as fh:
+                csv.writer(fh).writerows(array.astype(dtype).tolist())
+            written.append(path)
     return written
 
 
 def _read_numeric_csv(path, name):
-    rows = []
-    width = None
+    """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped."""
+    rows, lines = [], []
     with open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"{name} {path}: line {line_no} has {len(row)} columns, expected {width}"
-                )
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{name} {path}: line {line_no} has {len(row)} columns, "
+                                 f"expected {len(rows[0])}")
             parsed = []
             for col, cell in enumerate(row, start=1):
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    raise ValueError(
-                        f"{name} {path}: line {line_no}, column {col}: "
-                        f"not a number: {cell!r}"
-                    ) from None
+                    raise ValueError(f"{name} {path}: line {line_no}, column {col}: "
+                                     f"not a number: {cell!r}") from None
             rows.append(parsed)
+            lines.append(line_no)
     if not rows:
         raise ValueError(f"{name} {path}: file is empty")
-    return np.array(rows, dtype=np.float64)
+    matrix = np.array(rows, dtype=np.float64)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{name} {path}: line {lines[i]}, column {j + 1}: "
+                         f"not a finite number: {float(matrix[i, j])!r}")
+    return matrix, lines
 
 
-def ingest_csv(features_path, labels_path, extents_path=None) -> MultiLabelDataset:
-    """Build a validated dataset from CSV files (no observed labels)."""
-    features = _read_numeric_csv(features_path, "features")
-    labels = _read_numeric_csv(labels_path, "labels")
-    if labels.shape[0] != features.shape[0]:
-        raise ValueError(
-            f"labels {labels_path} has {labels.shape[0]} rows, "
-            f"features {features_path} has {features.shape[0]}"
-        )
-    bad = np.flatnonzero(~np.all((labels == 0.0) | (labels == 1.0), axis=1))
-    if bad.size:
-        raise ValueError(
-            f"labels {labels_path}: line {bad[0] + 1} contains a non-binary entry"
-        )
-    empty = np.flatnonzero(labels.sum(axis=1) == 0)
-    if empty.size:
-        raise ValueError(
-            f"labels {labels_path}: line {empty[0] + 1} has no positive label"
-        )
-    extents = None
-    if extents_path is not None:
-        extents = _read_numeric_csv(extents_path, "extents")
-        if extents.shape != labels.shape:
-            raise ValueError(
-                f"extents {extents_path} has shape {extents.shape}, "
-                f"labels have {labels.shape}"
-            )
-        if np.any(extents < 0.0):
-            i, j = np.argwhere(extents < 0.0)[0]
-            raise ValueError(
-                f"extents {extents_path}: line {i + 1}, column {j + 1}: negative extent"
-            )
-        conflict = (extents > 0.0) & (labels == 0.0)
-        if np.any(conflict):
-            i, j = np.argwhere(conflict)[0]
-            raise ValueError(
-                f"extents {extents_path}: line {i + 1}, column {j + 1}: "
-                f"nonzero extent where the label is 0"
-            )
-        missing = (extents == 0.0) & (labels == 1.0)
-        if np.any(missing):
-            i, j = np.argwhere(missing)[0]
-            raise ValueError(
-                f"extents {extents_path}: line {i + 1}, column {j + 1}: "
-                f"zero extent on a positive label"
-            )
-    return MultiLabelDataset(features, labels, extents=extents)
+def ingest_csv(features_path, labels_path, extents_path=None,
+               observed_path=None) -> MultiLabelDataset:
+    """Build a dataset from CSV files, checked once by ``MultiLabelDataset``.
+
+    A rejection reads ``<kind> <path>: line L, column C: <rule>``, the cell's
+    1-based line and column; a row rule gives the line only, a shape rule neither.
+    """
+    sources = {"features": ("features", features_path), "y_true": ("labels", labels_path),
+               "extents": ("extents", extents_path),
+               "y_observed": ("observed labels", observed_path)}
+    arrays, lines = {}, {}
+    for arg, (kind, path) in sources.items():
+        if path is not None:
+            arrays[arg], lines[arg] = _read_numeric_csv(path, kind)
+    try:
+        return MultiLabelDataset(**arrays)
+    except ValueError as exc:
+        arg = getattr(exc, "name", None)
+        if arg not in lines:
+            raise
+        kind, path = sources[arg]
+        where = f"{kind} {path}"
+        if exc.position:
+            where += f": line {lines[arg][exc.position[0]]}"
+            if len(exc.position) > 1:
+                where += f", column {exc.position[1] + 1}"
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_split_csv(datadir, prefix: str) -> MultiLabelDataset:
-    """Load a split written by ``write_split_csv`` (observed file optional)."""
-    datadir = Path(datadir)
-    features = datadir / f"{prefix}_features.csv"
-    labels = datadir / f"{prefix}_labels.csv"
-    for path in (features, labels):
+    """Load a split written by ``write_split_csv``; its extents and observed files are optional."""
+    paths = [Path(datadir) / f"{prefix}_{kind}.csv"
+             for kind in ("features", "labels", "extents", "observed")]
+    for path in paths[:2]:
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
-    extents = datadir / f"{prefix}_extents.csv"
-    ds = ingest_csv(features, labels, extents if extents.exists() else None)
-    observed = datadir / f"{prefix}_observed.csv"
-    if observed.exists():
-        obs = _read_numeric_csv(observed, "observed labels")
-        ds = ds.with_observed(obs)
-    return ds
+    return ingest_csv(*paths[:2], *(path if path.exists() else None for path in paths[2:]))
 
 
 def write_spec_json(spec: SyntheticSpec, path) -> None:
@@ -299,6 +259,26 @@ def write_spec_json(spec: SyntheticSpec, path) -> None:
         fh.write("\n")
 
 
-def read_spec_json(path) -> SyntheticSpec:
+def read_json(path):
+    """The JSON value in the file ``path``; a parse error names the file."""
     with open(path) as fh:
-        return SyntheticSpec(**json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_spec_json(path) -> SyntheticSpec:
+    """The checked ``SyntheticSpec`` in a spec.json; a rejection names the file."""
+    payload = read_json(path)
+    try:
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        unknown = [key for key in payload if key not in SyntheticSpec.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown spec field {unknown[0]!r}")
+        spec = SyntheticSpec(**payload)
+        spec.validate()
+    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
+        raise ValueError(f"{path}: {exc}") from None
+    return spec

@@ -26,13 +26,12 @@ make the same draws as a loop of one trial after another.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .net import _check_binary, _check_param, as_matrix
+from .net import _check_binary, _check_int, _check_int_fields, _check_param, as_matrix
 
 __all__ = [
     "MetricReport",
@@ -468,6 +467,7 @@ class MonteCarloConfig:
                      "at least margin_low")
         _check_param("dominant_sharpness", self.dominant_sharpness,
                      self.dominant_sharpness > 0, "positive")
+        _check_int_fields(self)
 
 
 @dataclass
@@ -534,10 +534,7 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     dominant regime one uniform per positive of each class with flips, in
     class order and, within a class, in sample order.
     """
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    trials = _check_int("trials", trials)
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if regime not in ("random", "dominant"):

@@ -20,14 +20,16 @@ positive label in every row (``_check_rows_positive``), extents
 supported on the true labels (``_check_extents``) and sample indices in
 range (``_check_indices``). Each raises ValueError through ``_reject``,
 naming the argument, the rule and the first offending value with its
-0-based position. Only CSV ingestion keeps its own checks, whose
-messages name the file, line and column. Scalar hyperparameters go
-through ``_check_param``, the rule ``TrainConfig.validate`` applies.
+0-based position, also kept as attributes for CSV ingestion to map to a
+file, line and column. Scalar hyperparameters go through ``_check_param``,
+the rule ``TrainConfig.validate`` applies, and integers through ``_check_int``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,40 +51,40 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _reject(name: str, rule: str, found: str) -> ValueError:
-    """The error every input rule raises: argument, rule, and what was found."""
-    return ValueError(f"{name} must {rule}, found {found}")
+def _reject(name: str, rule: str, found: str, position: tuple | None = None) -> ValueError:
+    """The error every input rule raises: argument, rule, and what was found.
+
+    It keeps ``name`` and the 0-based ``position`` (row, or row and column) as attributes.
+    """
+    exc = ValueError(f"{name} must {rule}, found {found}")
+    exc.name, exc.position = name, position
+    return exc
 
 
 def _check_cells(a: np.ndarray, bad: np.ndarray, name: str, rule: str) -> np.ndarray:
     """Return ``a`` unless the mask ``bad`` flags an entry; name the first one."""
     if bad.any():
-        at = np.argwhere(bad)[0]
-        position = ", ".join(str(int(i)) for i in at)
-        raise _reject(name, rule, f"{float(a[tuple(at)])!r} at [{position}]")
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise _reject(name, rule, f"{float(a[at])!r} at [{', '.join(map(str, at))}]", at)
     return a
 
 
-def _check_shape(a: np.ndarray, shape: tuple, name: str, ref: str) -> np.ndarray:
-    """Return the array ``a`` if it has ``shape``, the shape ``ref`` gives it."""
-    if a.shape != shape:
+def _check_shape(a: np.ndarray, shape: tuple | None, name: str, ref: str) -> np.ndarray:
+    """Return the array ``a`` if it has ``shape`` (if not None), the shape ``ref`` gives it."""
+    if shape is not None and a.shape != shape:
         raise _reject(name, f"have shape {shape} to match {ref}", f"shape {a.shape}")
     return a
 
 
 def _check_binary(a, name: str, shape=None, ref: str = "") -> np.ndarray:
     """``as_matrix(a, name)``, with only 0/1 entries (and ``shape``, if given)."""
-    y = as_matrix(a, name)
-    if shape is not None:
-        _check_shape(y, shape, name, ref)
+    y = _check_shape(as_matrix(a, name), shape, name, ref)
     return _check_cells(y, (y != 0.0) & (y != 1.0), name, "be binary (0/1)")
 
 
 def _check_unit(a, name: str, shape=None, ref: str = "") -> np.ndarray:
     """``as_matrix(a, name)``, with entries in [0, 1] (and ``shape``, if given)."""
-    p = as_matrix(a, name)
-    if shape is not None:
-        _check_shape(p, shape, name, ref)
+    p = _check_shape(as_matrix(a, name), shape, name, ref)
     return _check_cells(p, (p < 0.0) | (p > 1.0), name, "lie in [0, 1]")
 
 
@@ -92,7 +94,7 @@ def _check_rows_positive(y: np.ndarray, name: str) -> np.ndarray:
     if empty.any():
         row = int(np.flatnonzero(empty)[0])
         raise _reject(name, "have a positive label in every row",
-                      f"no positive label in row {row}")
+                      f"no positive label in row {row}", (row,))
     return y
 
 
@@ -102,7 +104,7 @@ def _check_indices(sample_indices, n_samples: int, name: str) -> np.ndarray:
     bad = np.flatnonzero((idx < 0) | (idx >= n_samples))
     if bad.size:
         raise _reject(name, f"index the {n_samples} samples",
-                      f"{idx.flat[bad[0]]} out of range at [{bad[0]}]")
+                      f"{idx.flat[bad[0]]} out of range at [{bad[0]}]", (int(bad[0]),))
     return idx
 
 
@@ -113,6 +115,21 @@ def _check_param(name: str, value, ok: bool, requirement: str):
     if not ok:
         raise ValueError(f"{name} must be {requirement}, got {value!r}")
     return value
+
+
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; NumPy integers pass, floats and strings do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_int_fields(config) -> None:
+    """``_check_int`` on every field of the dataclass ``config`` hinted ``int``."""
+    for f in fields(config):
+        if f.type in (int, "int"):
+            _check_int(f.name, getattr(config, f.name))
 
 
 def _check_extents(extents, y_true: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import losses
-from .data import MultiLabelDataset, atomic_open
+from .data import MultiLabelDataset, atomic_open, read_json
 from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
 from .metrics import (
     MetricReport,
@@ -25,7 +25,8 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import Mlp, _check_param, _check_shape, _check_unit, _sigmoid, make_rng, sigmoid
+from .net import (Mlp, _check_int_fields, _check_param, _check_shape, _check_unit, _sigmoid,
+                  make_rng, sigmoid)
 
 __all__ = [
     "METHODS",
@@ -95,6 +96,7 @@ class TrainConfig:
         for f in fields(self):
             ok, requirement = rules.get(f.name, (True, ""))
             _check_param(f.name, getattr(self, f.name), ok, requirement)
+        _check_int_fields(self)
 
     @property
     def reports_teacher(self) -> bool:
@@ -309,8 +311,8 @@ class Trainer:
 
     def _val_map(self, model: Mlp, *label_sets) -> list:
         """Validation mAP of ``model`` against each label set, from one sort."""
-        order = _class_order(sigmoid(model.forward(self.val_ds.features)))
-        # the validation labels were checked when the dataset was built
+        # the validation set was checked when the dataset was built
+        order = _class_order(_sigmoid(model._forward_cached(self.val_ds.features)[0]))
         return [_macro_mean(_average_precisions(order, y)) for y in label_sets]
 
     def run_epoch(self) -> EpochLog:
@@ -479,9 +481,4 @@ def _check_checkpoint(ckpt, source: str) -> dict:
 
 
 def load_checkpoint(path) -> dict:
-    with open(path) as fh:
-        try:
-            ckpt = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    return _check_checkpoint(ckpt, str(path))
+    return _check_checkpoint(read_json(path), str(path))

@@ -72,6 +72,23 @@ class TestGenCorrupt:
         main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "dominant"])
         assert (tmp_path / "d" / "train_observed.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("content, error", [
+        ('{"seed": 1, "bogus": 2}', "unknown spec field 'bogus'"),
+        ("[1, 2]", "not a JSON object"),
+        ("not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        ('{"n_samples": "many"}', "'>=' not supported between instances of 'str' and 'int'"),
+    ], ids=["unknown-field", "not-an-object", "not-json", "bad-value", "wrong-type"])
+    def test_corrupt_names_a_bad_spec_json(self, tmp_path, capsys, content, error):
+        main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "100",
+              "--n-classes", "4", "--n-features", "5", "--data-seed", "4"])
+        path = tmp_path / "d" / "spec.json"
+        path.write_text(content)
+        capsys.readouterr()
+        assert main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "random"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"{path}: {error}"}
+
 
 class TestRunExperiment:
     def test_tiny_run_writes_all_artifacts_quickly(self, tmp_path):
@@ -420,6 +437,22 @@ class TestRunDirectory:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"{path}: not valid JSON "
                        "(Expecting value: line 1 column 1 (char 0))"}
+
+    def test_eval_names_the_true_line_of_a_bad_label_row(self, csv_data, tmp_path, capsys):
+        # a blank line, then an all-zero row in place of the last one
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name in ("test_features.csv", "test_labels.csv"):
+            (bad / name).write_bytes((csv_data / name).read_bytes())
+        lines = (bad / "test_labels.csv").read_text().splitlines()
+        (bad / "test_labels.csv").write_text("\n".join(lines[:-1] + ["", "0,0,0,0", ""]))
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data-dir", str(bad), "--split", "test"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"].startswith(
+            f"labels {bad / 'test_labels.csv'}: line {len(lines) + 1}: "
+            "y_true must have a positive label in every row")
 
     def test_eval_rejects_an_unknown_config_field(self, csv_data, tmp_path, capsys):
         assert train_on_csv(csv_data, tmp_path / "run", "an") == 0

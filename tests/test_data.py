@@ -46,6 +46,14 @@ class TestGenerator:
         assert np.array_equal(a.y_true, b.y_true)
         assert np.array_equal(a.extents, b.extents)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n_samples", 300.5),
+                                              ("n_classes", 4.0)])
+    def test_integer_field_rejects_a_non_integer(self, field, value):
+        SyntheticSpec(**{field: np.int64(value)}).validate()  # NumPy integers pass
+        with pytest.raises(ValueError) as exc:
+            generate_synthetic(SyntheticSpec(**{field: value}))
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
     def test_infeasible_cardinality_rejected(self):
         with pytest.raises(ValueError, match="mean_positives"):
             generate_synthetic(SyntheticSpec(n_classes=4, mean_positives=9.0))
@@ -95,12 +103,14 @@ class TestIngestValidation:
 
     def test_all_zero_label_row_rejected_with_line(self, tmp_path):
         paths = self.write(tmp_path, "1.0\n2.0\n", "1\n0\n")
-        with pytest.raises(ValueError, match="line 2 has no positive"):
+        with pytest.raises(ValueError,
+                           match=r"l\.csv: line 2: y_true must have a positive label in every row"):
             ingest_csv(*paths)
 
     def test_non_binary_label_rejected(self, tmp_path):
         paths = self.write(tmp_path, "1.0\n", "0.5\n")
-        with pytest.raises(ValueError, match="non-binary"):
+        with pytest.raises(ValueError,
+                           match=r"l\.csv: line 1, column 1: y_true must be binary \(0/1\)"):
             ingest_csv(*paths)
 
     def test_row_count_mismatch(self, tmp_path):
@@ -117,13 +127,74 @@ class TestIngestValidation:
 
     def test_negative_extent_rejected(self, tmp_path):
         paths = self.write(tmp_path, "1.0,0.0\n", "1,1\n", "1.5,-0.5\n")
-        with pytest.raises(ValueError, match="negative extent"):
+        with pytest.raises(ValueError,
+                           match=r"e\.csv: line 1, column 2: extents must be non-negative"):
             ingest_csv(*paths)
 
     def test_malformed_cell_names_position(self, tmp_path):
         paths = self.write(tmp_path, "1.0,oops\n", "1,0\n")
         with pytest.raises(ValueError, match="line 1, column 2"):
             ingest_csv(*paths)
+
+    def test_blank_line_before_a_bad_row_gives_its_true_line(self, tmp_path):
+        paths = self.write(tmp_path, "1.0\n2.0\n3.0\n", "1\n\n1\n0\n")
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(*paths)
+        assert str(exc.value) == (
+            f"labels {paths[1]}: line 4: y_true must have a positive label in every row, "
+            "found no positive label in row 2")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
+        paths = self.write(tmp_path, f"1.0,2.0\n\n3.0,{cell}\n", "1,0\n0,1\n")
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(*paths)
+        assert str(exc.value) == (
+            f"features {paths[0]}: line 3, column 2: not a finite number: {float(cell)!r}")
+
+    def test_row_count_mismatch_names_the_labels_file(self, tmp_path):
+        paths = self.write(tmp_path, "1.0\n2.0\n", "1\n")
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(*paths)
+        assert str(exc.value) == (f"labels {paths[1]}: y_true must have shape (2, 1) "
+                                  "to match the feature rows, found shape (1, 1)")
+
+
+def write_split(tmp_path, observed):
+    (tmp_path / "s_features.csv").write_text("1.0\n2.0\n")
+    (tmp_path / "s_labels.csv").write_text("1,0\n1,1\n")
+    (tmp_path / "s_observed.csv").write_text(observed)
+    return tmp_path / "s_observed.csv"
+
+
+class TestLoadSplitObserved:
+    def test_non_binary_observed_cell_names_file_line_and_column(self, tmp_path):
+        path = write_split(tmp_path, "1,0\n\n0,2\n")
+        with pytest.raises(ValueError) as exc:
+            load_split_csv(tmp_path, "s")
+        assert str(exc.value) == (f"observed labels {path}: line 3, column 2: "
+                                  "y_observed must be binary (0/1), found 2.0 at [1, 1]")
+
+    def test_observed_shape_mismatch_names_file(self, tmp_path):
+        path = write_split(tmp_path, "1,0\n0,1\n1,0\n")
+        with pytest.raises(ValueError) as exc:
+            load_split_csv(tmp_path, "s")
+        assert str(exc.value) == (f"observed labels {path}: y_observed must have shape (2, 2) "
+                                  "to match y_true, found shape (3, 2)")
+
+    def test_split_is_checked_once(self, tmp_path, monkeypatch):
+        write_split(tmp_path, "1,0\n0,1\n")
+        calls = []
+        original = MultiLabelDataset.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(MultiLabelDataset, "__post_init__", counted)
+        ds = load_split_csv(tmp_path, "s")
+        assert calls == [ds]
+        assert np.array_equal(ds.y_observed, [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestDatasetInvariants:
@@ -134,6 +205,11 @@ class TestDatasetInvariants:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             MultiLabelDataset(np.zeros((2, 2)), np.ones((3, 2)))
+
+    def test_shape_mismatch_is_a_y_true_rejection(self):
+        with pytest.raises(ValueError) as exc:
+            MultiLabelDataset(np.zeros((2, 2)), np.ones((3, 2)))
+        assert (exc.value.name, exc.value.position) == ("y_true", None)
 
     def test_with_observed_keeps_arrays(self):
         ds = MultiLabelDataset(np.zeros((2, 2)), np.ones((2, 2)))

@@ -245,6 +245,15 @@ class TestLabelsMustBeBinary:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("call, message", BOUNDARY_CASES)
+    def test_every_boundary_carries_argument_and_position(self, call, message):
+        # the attributes say what the message says, for callers that re-map positions
+        with pytest.raises(ValueError) as exc:
+            call()
+        at = re.search(r"(?:at \[([\d, ]+)\]|in row (\d+))$", message)
+        position = None if at is None else tuple(int(i) for i in (at[1] or at[2]).split(", "))
+        assert (exc.value.name, exc.value.position) == (message.split()[0], position)
+
 
 class TestCoverage:
     def test_hand_ranked_row(self):
@@ -548,6 +557,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError) as exc:
             MonteCarloConfig(**changes)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value", [("n_samples", 300.5), ("n_classes", 4.5),
+                                              ("seed", 1.0), ("seed", "3")])
+    def test_integer_field_rejects_a_non_integer(self, field, value):
+        MonteCarloConfig(**{field: np.int64(value)})  # NumPy integers pass
+        with pytest.raises(ValueError) as exc:
+            MonteCarloConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize("changes", [
         {"beta_low": 0.0, "beta_high": 1.0},

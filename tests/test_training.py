@@ -213,6 +213,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value!r}$"):
             TrainConfig(method="an", **{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", 32.0),
+                                              ("patience", 1.5), ("hidden", 8.5),
+                                              ("seed", 0.5)])
+    def test_integer_field_rejects_a_non_integer(self, field, value):
+        TrainConfig(method="an", **{field: np.int64(value)}).validate()  # NumPy integers pass
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(method="an", **{field: value}).validate()
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
     @pytest.mark.parametrize("k_expected", [6.5, 100.0])
     def test_resolved_k_expected_checked_against_class_count(self, k_expected):
         tr, va, te = small_data()  # 6 classes
