@@ -25,8 +25,11 @@ import numpy as np
 from .data import (
     MultiLabelDataset,
     SyntheticSpec,
+    _split_files,
+    _write_observed_csv,
     atomic_open,
     generate_synthetic,
+    ingest_csv,
     load_split_csv,
     read_json,
     read_spec_json,
@@ -306,16 +309,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
+    """Draw train and val observed labels from their clean files, never the old observed ones."""
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
     outdir.mkdir(parents=True, exist_ok=True)
-    splits = {name: load_split_csv(datadir, name) for name in ("train", "val")}
+    splits = {name: ingest_csv(*_split_files(datadir, name)[:3]) for name in ("train", "val")}
     noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
     observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
+    in_place = outdir.samefile(datadir)
     for name, ds in observed.items():
-        write_split_csv(ds, outdir, name)
+        (_write_observed_csv if in_place else write_split_csv)(ds, outdir, name)
     flips.to_csv(outdir / "fliprates.csv")
-    if outdir != datadir:
+    if not in_place:
         # a complete data directory: the clean test split, and the spec whose
         # seed lets train --data-dir <outdir> redraw exactly these labels
         write_split_csv(load_split_csv(datadir, "test"), outdir, "test")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -125,9 +126,22 @@ class SyntheticSpec:
                      1.0 <= self.mean_positives <= self.n_classes, f"in [1, {self.n_classes}]")
         _check_param("extent_concentration", self.extent_concentration,
                      self.extent_concentration > 0, "positive")
-        if len(self.split_ratio) != 3 or any(r <= 0 for r in self.split_ratio):
-            raise ValueError("split_ratio must be three positive numbers")
         _check_int_fields(self)
+        ratio = self.split_ratio
+        if len(ratio) != 3 or not all(math.isfinite(r) and r > 0 for r in ratio):
+            raise ValueError(f"split_ratio must be three finite, positive numbers, got {ratio!r}")
+        sizes = _split_sizes(self.n_samples, ratio)
+        if min(sizes) < 1:
+            raise ValueError(f"split_ratio must give every split at least one row, got {ratio!r} "
+                             f"(train/val/test rows {sizes} of {self.n_samples})")
+
+
+def _split_sizes(n: int, ratio) -> tuple:
+    """Train, val and test rows of ``n`` samples split by ``ratio``."""
+    ratio = np.asarray(ratio, dtype=np.float64)
+    n_train = int(round(n * ratio[0] / ratio.sum()))
+    n_val = int(round(n * ratio[1] / ratio.sum()))
+    return n_train, n_val, n - n_train - n_val
 
 
 def generate_synthetic(spec: SyntheticSpec) -> dict:
@@ -158,18 +172,24 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
 
     features = extents @ prototypes + rng.standard_normal((n, d))
 
-    ratio = np.asarray(spec.split_ratio, dtype=np.float64)
-    n_train = int(round(n * ratio[0] / ratio.sum()))
-    n_val = int(round(n * ratio[1] / ratio.sum()))
+    n_train, n_val, _ = _split_sizes(n, spec.split_ratio)
     bounds = [0, n_train, n_train + n_val, n]
     return {name: MultiLabelDataset(features[a:b], y[a:b], extents=extents[a:b])
             for name, a, b in zip(("train", "val", "test"), bounds[:-1], bounds[1:])}
 
 
+def _write_csv(path, array, dtype) -> None:
+    """Write ``array.astype(dtype)`` as CSV, one streamed row at a time (see ``write_split_csv``)."""
+    with atomic_open(path, newline="") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in array.astype(dtype).tolist())
+
+
 def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
     """Write one split as prefix_{features,labels[,extents][,observed]}.csv.
 
-    Floats are written as their shortest repr (``str`` of a float), labels as integers.
+    Each cell is the ``repr`` of its value, a float for features and extents
+    and an int for labels; cells are joined by commas and every row ends in
+    CRLF. These are the bytes ``csv.writer`` gives.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -178,10 +198,14 @@ def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
                                ("extents", ds.extents, float), ("observed", ds.y_observed, int)):
         if array is not None:
             path = outdir / f"{prefix}_{kind}.csv"
-            with atomic_open(path, newline="") as fh:
-                csv.writer(fh).writerows(array.astype(dtype).tolist())
+            _write_csv(path, array, dtype)
             written.append(path)
     return written
+
+
+def _write_observed_csv(ds: MultiLabelDataset, datadir, prefix: str) -> None:
+    """Write only the observed-labels file of a split, as ``write_split_csv`` does."""
+    _write_csv(Path(datadir) / f"{prefix}_observed.csv", ds.y_observed, int)
 
 
 def _read_numeric_csv(path, name):
@@ -243,14 +267,19 @@ def ingest_csv(features_path, labels_path, extents_path=None,
         raise ValueError(f"{where}: {exc}") from None
 
 
-def load_split_csv(datadir, prefix: str) -> MultiLabelDataset:
-    """Load a split written by ``write_split_csv``; its extents and observed files are optional."""
+def _split_files(datadir, prefix: str) -> list:
+    """A split's features, labels, extents and observed files; a missing optional one is None."""
     paths = [Path(datadir) / f"{prefix}_{kind}.csv"
              for kind in ("features", "labels", "extents", "observed")]
     for path in paths[:2]:
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
-    return ingest_csv(*paths[:2], *(path if path.exists() else None for path in paths[2:]))
+    return paths[:2] + [path if path.exists() else None for path in paths[2:]]
+
+
+def load_split_csv(datadir, prefix: str) -> MultiLabelDataset:
+    """Load a split written by ``write_split_csv``; its extents and observed files are optional."""
+    return ingest_csv(*_split_files(datadir, prefix))
 
 
 def write_spec_json(spec: SyntheticSpec, path) -> None:

@@ -12,8 +12,11 @@ their rewrites can be held to bit-equal results:
   before the two-pass order.
 * ``reference_mixup``: the Mixup body as it stood before it gathered each
   partner row once.
+* ``reference_write_csv``: the ``csv.writer`` call that wrote each dataset
+  CSV before ``write_split_csv`` formatted its rows itself.
 """
 
+import csv
 import itertools
 import math
 
@@ -160,6 +163,12 @@ def brute_best_flip_ap(scores, labels, k):
 def reference_class_order(s):
     """Per class (row), the samples by descending score, ties by ascending index."""
     return np.argsort(-s.T, axis=1, kind="stable")
+
+
+def reference_write_csv(path, array, dtype):
+    """Write ``array.astype(dtype)`` to ``path`` through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(array.astype(dtype).tolist())
 
 
 def reference_mixup(x, y, t, rng, alpha):

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from spmlab import cli
+from spmlab import cli, data
 from spmlab.cli import (
     ExperimentSpec,
     main,
@@ -71,6 +71,52 @@ class TestGenCorrupt:
         first = (tmp_path / "d" / "train_observed.csv").read_bytes()
         main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "dominant"])
         assert (tmp_path / "d" / "train_observed.csv").read_bytes() == first
+
+    def test_corrupt_in_place_replaces_a_bad_observed_file(self, tmp_path):
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "2"])
+        main(["corrupt", "--data-dir", str(d), "--regime", "random"])
+        path = d / "train_observed.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "2" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "random"]) == 0
+        observed = np.loadtxt(path, delimiter=",")
+        assert np.array_equal(observed.sum(axis=1), np.ones(len(lines)))
+
+    def test_corrupt_in_place_rewrites_only_the_observed_files(self, tmp_path, monkeypatch):
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "2"])
+        main(["corrupt", "--data-dir", str(d), "--regime", "random"])
+        clean = [d / f"{split}_{kind}.csv" for split in ("train", "val")
+                 for kind in ("features", "labels", "extents")]
+        before = {path: (path.stat().st_ino, path.read_bytes()) for path in clean}
+        read = []
+        original = data._read_numeric_csv
+
+        def recorded(path, name):
+            read.append(path.name)
+            return original(path, name)
+
+        monkeypatch.setattr(data, "_read_numeric_csv", recorded)
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "dominant"]) == 0
+        assert {path: (path.stat().st_ino, path.read_bytes()) for path in clean} == before
+        assert sorted(read) == sorted(path.name for path in clean)
+
+    def test_corrupt_in_place_leaves_hand_written_labels(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        labels = "1.0,0.0\n1.0,1.0\n0.0,1.0\n"
+        for split in ("train", "val"):
+            (d / f"{split}_features.csv").write_text("0.5,1.5\n2.5,3.5\n-1.0,0.0\n")
+            (d / f"{split}_labels.csv").write_text(labels)
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "random"]) == 0
+        assert (d / "train_labels.csv").read_text() == labels
+        ds = load_split_csv(d, "train")
+        assert np.array_equal(ds.y_observed.sum(axis=1), np.ones(3))
+        assert np.all(ds.y_observed <= ds.y_true)
 
     @pytest.mark.parametrize("content, error", [
         ('{"seed": 1, "bogus": 2}', "unknown spec field 'bogus'"),

@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_write_csv
 from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
+    _write_csv,
     generate_synthetic,
     ingest_csv,
     load_split_csv,
@@ -58,6 +64,29 @@ class TestGenerator:
         with pytest.raises(ValueError, match="mean_positives"):
             generate_synthetic(SyntheticSpec(n_classes=4, mean_positives=9.0))
 
+    @pytest.mark.parametrize("ratio, rule", [
+        ((float("nan"), 1, 1), "be three finite, positive numbers, got (nan, 1, 1)"),
+        ((1, 1, float("inf")), "be three finite, positive numbers, got (1, 1, inf)"),
+        ((1, 1), "be three finite, positive numbers, got (1, 1)"),
+        ((2, 0, 1), "be three finite, positive numbers, got (2, 0, 1)"),
+        ((1, 1, 1e9), "give every split at least one row, got (1, 1, 1000000000.0) "
+                      "(train/val/test rows (0, 0, 40) of 40)"),
+        ((98, 1, 1), "give every split at least one row, got (98, 1, 1) "
+                     "(train/val/test rows (39, 0, 1) of 40)"),
+    ], ids=["nan", "inf", "two", "zero", "huge", "empty-val"])
+    def test_split_ratio_rejection_names_field_and_value(self, ratio, rule):
+        with pytest.raises(ValueError) as exc:
+            generate_synthetic(SyntheticSpec(n_samples=40, split_ratio=ratio))
+        assert str(exc.value) == f"split_ratio must {rule}"
+
+    @pytest.mark.parametrize("n, ratio, sizes", [
+        (4000, (2, 1, 1), (2000, 1000, 1000)), (8000, (98, 1, 1), (7840, 80, 80)),
+        (800, (98, 1, 1), (784, 8, 8)), (4, (2, 1, 1), (2, 1, 1)),
+    ])
+    def test_split_sizes_of_the_suites(self, n, ratio, sizes):
+        splits = generate_synthetic(SyntheticSpec(n_samples=n, n_classes=4, split_ratio=ratio))
+        assert tuple(ds.n_samples for ds in splits.values()) == sizes
+
 
 class TestCsvRoundTrip:
     def test_byte_identical_regeneration(self, tmp_path):
@@ -89,6 +118,62 @@ class TestCsvRoundTrip:
         write_split_csv(ds, tmp_path, "copy")
         back = load_split_csv(tmp_path, "copy")
         assert np.array_equal(back.features, ds.features)
+
+
+# -0.0, subnormals, extremes and integer-valued floats, whose reprs differ most
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, 1e300,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1 / 3]
+
+
+class TestCsvFormat:
+    """``_write_csv`` writes the bytes of ``csv.writer``, kept as ``reference_write_csv``."""
+
+    def assert_same_bytes(self, tmp_path, array, dtype):
+        _write_csv(tmp_path / "fast.csv", array, dtype)
+        reference_write_csv(tmp_path / "reference.csv", array, dtype)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_float_matrices(self, tmp_path, data):
+        rows, cols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 6))
+        cells = data.draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+                                   min_size=rows * cols, max_size=rows * cols))
+        self.assert_same_bytes(tmp_path, np.array(cells, dtype=np.float64).reshape(rows, cols),
+                               float)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_binary_matrices(self, tmp_path, data):
+        rows, cols = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 6))
+        cells = data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                   min_size=rows * cols, max_size=rows * cols))
+        self.assert_same_bytes(tmp_path, np.array(cells).reshape(rows, cols), int)
+
+    @pytest.mark.parametrize("shape", [(len(EDGE_FLOATS), 1), (1, len(EDGE_FLOATS))])
+    def test_edge_values_in_one_column_and_one_row(self, tmp_path, shape):
+        self.assert_same_bytes(tmp_path, np.array(EDGE_FLOATS).reshape(shape), float)
+
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(n_samples=120, n_classes=4, n_features=5,
+                                              seed=8))["val"]
+        write_split_csv(ds, tmp_path, "val")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        cells = itertools.count()
+
+        def repr_then_fail(value):
+            if next(cells) == 100:
+                raise RuntimeError("killed mid-write")
+            return repr(value)
+
+        # the features are written first, and cell 100 is one of theirs
+        monkeypatch.setattr("spmlab.data.repr", repr_then_fail, raising=False)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_split_csv(MultiLabelDataset(ds.features + 1.0, ds.y_true, ds.y_true, ds.extents),
+                            tmp_path, "val")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestIngestValidation:
