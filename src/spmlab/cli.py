@@ -172,14 +172,14 @@ def read_curves(path) -> list:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment and write its five artifacts; returns their paths by stem."""
     spec.validate()
+    # the data is read before the run directory exists, so bad input leaves none
+    splits = _load_splits(spec)
+    noise_seed = _resolve_noise_seed(spec.noise_seed, spec.synthetic, spec.data_dir)
+    observed, flips = _corrupt_splits(splits, spec.regime, noise_seed)
     outdir = Path(spec.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {Path(name).stem: outdir / name for name in
              ("config.json", "metrics.json", "curves.csv", "fliprates.csv", "checkpoint.json")}
-
-    splits = _load_splits(spec)
-    noise_seed = _resolve_noise_seed(spec.noise_seed, spec.synthetic, spec.data_dir)
-    observed, flips = _corrupt_splits(splits, spec.regime, noise_seed)
     flips.to_csv(paths["fliprates"])
 
     result = train(spec.train_config, observed["train"], observed["val"], splits["test"])
@@ -312,10 +312,10 @@ def _cmd_corrupt(args) -> int:
     """Draw train and val observed labels from their clean files, never the old observed ones."""
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
-    outdir.mkdir(parents=True, exist_ok=True)
     splits = {name: ingest_csv(*_split_files(datadir, name)[:3]) for name in ("train", "val")}
     noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
     observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
+    outdir.mkdir(parents=True, exist_ok=True)  # only once the input has loaded
     in_place = outdir.samefile(datadir)
     for name, ds in observed.items():
         (_write_observed_csv if in_place else write_split_csv)(ds, outdir, name)

@@ -84,12 +84,15 @@ def ema_update_predictions(state: DualEmaState, sample_indices, p_batch) -> Dual
     return state
 
 
-def _update_predictions(state: DualEmaState, idx: np.ndarray, p: np.ndarray) -> None:
-    seen = state.visited[idx]
-    old = state.smoothed_preds[idx]
-    mixed = state.beta_s * old + (1.0 - state.beta_s) * p
-    state.smoothed_preds[idx] = np.where(seen[:, None], mixed, p)
-    state.visited[idx] = True
+def _update_predictions(state: DualEmaState, idx: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Smooth the rows ``idx`` in place and return them (as stored, if ``idx`` has no repeats)."""
+    seen = state.visited.take(idx)
+    rows = state.beta_s * state.smoothed_preds.take(idx, axis=0) + (1.0 - state.beta_s) * p
+    if not seen.all():  # a first visit copies the prediction
+        rows = np.where(seen[:, None], rows, p)
+        state.visited[idx] = True
+    state.smoothed_preds[idx] = rows
+    return rows
 
 
 def make_pseudo_labels(state: DualEmaState, teacher_probs, sample_indices,

@@ -69,9 +69,10 @@ def _clip(p: np.ndarray) -> np.ndarray:
 
 def _bce_terms(p, targets, w_neg=1.0):
     """Cell-wise BCE with down-weighted negative terms; returns (sum, dlogits)."""
-    val = -(targets * np.log(p) + w_neg * ((1.0 - targets) * np.log1p(-p)))
-    grad = targets * (p - 1.0) + w_neg * ((1.0 - targets) * p)
-    return float(val.sum()), grad
+    neg = 1.0 - targets
+    val = targets * np.log(p) + w_neg * (neg * np.log1p(-p))
+    grad = targets * (p - 1.0) + w_neg * (neg * p)
+    return -float(val.sum()), grad  # negating the sum, not each cell, is exact
 
 
 def loss_an(p, y_observed) -> LossValue:

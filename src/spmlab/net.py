@@ -11,7 +11,8 @@ The public API checks its inputs and never changes an ``Mlp``:
 input checks; the trainer calls them on student and teacher models whose
 parameter buffers it owns and updates in place, and hands out copies as
 snapshots. A model builds its (W, b) views into ``params`` once, so
-``params`` is only ever updated in place, never rebound.
+``params`` is only ever updated in place, never rebound. ``Mlp._over`` views
+the trainer's (2, P) student-teacher buffer, to forward both in one pass.
 
 Every module checks its array inputs with the helpers beside
 ``as_matrix``, one per rule: binary labels (``_check_binary``), values
@@ -193,13 +194,24 @@ class Mlp:
             )
         if not np.isfinite(theta).all():
             raise ValueError("parameters contain non-finite entries")
-        self.layer_sizes = sizes
-        self.params = theta.copy()
-        self._layers, off = [], 0
+        self._bind(sizes, theta.copy())
+
+    @classmethod
+    def _over(cls, layer_sizes, params: np.ndarray) -> "Mlp":
+        """An unchecked model on the buffer ``params`` itself; a 2-D one stacks a model per row."""
+        model = cls.__new__(cls)
+        model._bind(tuple(layer_sizes), params)
+        return model
+
+    def _bind(self, sizes: tuple, params: np.ndarray) -> None:
+        """Keep ``params`` and its per-layer views, W as (..., fi, fo) and b as (..., 1, fo)."""
+        self.layer_sizes, self.params, self._layers = sizes, params, []
+        lead, off = params.shape[:-1], 0
         for fi, fo in zip(sizes[:-1], sizes[1:]):
-            self._layers.append((self.params[off:off + fi * fo].reshape(fi, fo),
-                                 self.params[off + fi * fo:off + (fi + 1) * fo]))
-            off += (fi + 1) * fo
+            mid, end = off + fi * fo, off + (fi + 1) * fo
+            self._layers.append((params[..., off:mid].reshape(lead + (fi, fo)),
+                                 params[..., mid:end].reshape(lead + (1, fo))))
+            off = end
 
     @staticmethod
     def param_count(layer_sizes) -> int:
@@ -245,13 +257,13 @@ class Mlp:
         return logits
 
     def _forward_cached(self, x: np.ndarray):
-        """(logits, per-layer inputs) of a checked batch; raises on non-finite logits."""
+        """(logits, per-layer inputs) of a checked batch, a stack per row of a stacked model."""
         acts = [x]
         for w, b in self._layers[:-1]:
             acts.append(np.tanh(acts[-1] @ w + b))
         w, b = self._layers[-1]
         logits = acts[-1] @ w + b
-        if not np.isfinite(logits).all():
+        if not np.isfinite(logits).all():  # one check: a bad logit in any row raises
             raise ValueError("forward pass produced non-finite logits")
         return logits, acts
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -165,22 +166,24 @@ def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
         raise ValueError("x, y, t must share the batch dimension")
     partner = rng.integers(0, n, size=n)
     phi = rng.beta(alpha, alpha, size=n)
-    rest = 1.0 - phi
-    mixed = []
-    for a in arrays:
-        shape, b = (n,) + (1,) * (a.ndim - 1), a[partner]
-        mixed.append(np.where(a == b, a, phi.reshape(shape) * a + rest.reshape(shape) * b))
-    return mixed[0], mixed[1], mixed[2], phi
+    # the arrays side by side, split back into copies: a matmul on a slice can round apart
+    a = np.concatenate([v.reshape(n, -1) for v in arrays], axis=1)
+    b, w = a.take(partner, axis=0), phi[:, None]
+    mixed = np.where(a == b, a, w * a + (1.0 - w) * b)
+    ends = list(accumulate((v.size // n for v in arrays), initial=0))
+    x_mix, y_mix, t_mix = (mixed[:, lo:hi].copy().reshape(v.shape)
+                           for lo, hi, v in zip(ends, ends[1:], arrays))
+    return x_mix, y_mix, t_mix, phi
 
 
 class Trainer:
     """Owns all mutable training state; one instance drives one run.
 
-    Each step updates the student parameters and the teacher EMA in place
-    (``ema.teacher_params`` is the teacher model's own buffer). ``model``
-    and ``teacher`` hand out copies, so a model taken from a trainer never
-    changes afterwards. Inputs are checked here, once; the steps call the
-    unchecked kernels of ``net``, ``losses`` and ``ema``.
+    Each step updates the student and the teacher EMA in place: ``_student`` views
+    row 0 of one (2, P) buffer, ``_teacher`` and ``ema.teacher_params`` row 1, and
+    ``_pair`` the whole, to forward both in one pass. ``model`` and ``teacher`` hand out
+    copies, so a model taken from a trainer never changes afterwards. Inputs are checked
+    here, once; the steps call the unchecked kernels of ``net``, ``losses`` and ``ema``.
     """
 
     def __init__(self, config: TrainConfig, train_ds: MultiLabelDataset,
@@ -240,9 +243,10 @@ class Trainer:
                      f"in (0, {train_ds.n_classes}]")
 
     def _adopt(self, student: Mlp) -> None:
-        """Make ``student`` and the teacher EMA the buffers the steps update."""
-        self._student = student
-        self._teacher = student.with_params(self.ema.teacher_params)
+        """Stack ``student`` and the teacher EMA as the rows of the buffer the steps update."""
+        pair = np.stack([student.params, student.with_params(self.ema.teacher_params).params])
+        self._pair, self._student, self._teacher = (Mlp._over(student.layer_sizes, buffer)
+                                                    for buffer in (pair, *pair))
         self.ema.teacher_params = self._teacher.params
 
     @property
@@ -293,15 +297,13 @@ class Trainer:
 
     def _gc_iteration(self, idx) -> float:
         cfg = self.config
-        xb = self.train_ds.features[idx]
-        yb = self.train_ds.y_observed[idx]
-        # pseudo-labels come from the un-mixed batch: two forward-only
-        # passes feed the prediction EMA and the teacher-student fusion
-        p_student = _sigmoid(self._student._forward_cached(xb)[0])
-        _update_predictions(self.ema, idx, p_student)
-        p_teacher = _sigmoid(self._teacher._forward_cached(xb)[0])
+        xb, yb = (a.take(idx, axis=0) for a in (self.train_ds.features, self.train_ds.y_observed))
+        # pseudo-labels come from the un-mixed batch: one stacked student-teacher
+        # pass feeds the prediction EMA and the teacher-student fusion
+        p_student, p_teacher = _sigmoid(self._pair._forward_cached(xb)[0])
+        smoothed = _update_predictions(self.ema, idx, p_student)  # idx holds no repeats
         t = _pseudo_labels(self.ema, p_teacher, idx,
-                           p_student if cfg.raw_student_pseudo else None)
+                           p_student if cfg.raw_student_pseudo else smoothed)
         x_mix, y_mix, t_mix, _ = mixup_batch(xb, yb, t, self.rng, cfg.mixup_alpha)
         logits, acts = self._student._forward_cached(x_mix)
         p_mix = losses._clip(_sigmoid(logits))

@@ -135,6 +135,19 @@ class TestGenCorrupt:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"{path}: {error}"}
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--data-dir", "{data}", "--outdir", "{out}", "--epochs", "1"],
+        ["corrupt", "--data-dir", "{data}", "--regime", "random"],
+        ["corrupt", "--data-dir", "{data}", "--regime", "random", "--outdir", "{out}"],
+    ], ids=["train", "corrupt-in-place", "corrupt-outdir"])
+    def test_missing_dataset_creates_no_directory(self, tmp_path, capsys, command):
+        data, out = tmp_path / "nodata", tmp_path / "run"
+        assert main([a.format(data=data, out=out) for a in command]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "FileNotFoundError",
+                       "message": f"missing dataset file: {data / 'train_features.csv'}"}
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunExperiment:
     def test_tiny_run_writes_all_artifacts_quickly(self, tmp_path):

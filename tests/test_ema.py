@@ -68,6 +68,15 @@ class TestPredictionEma:
         ema_update_predictions(st, [0], np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(st.smoothed_preds[0], 0.6)
 
+    def test_batch_of_seen_and_unseen_samples(self):
+        # the seen sample is smoothed and the unseen one copied, in one batch
+        st = fresh_state(beta_s=0.8)
+        ema_update_predictions(st, [0], np.array([[0.5, 0.5]]))
+        ema_update_predictions(st, [0, 3], np.array([[1.0, 1.0], [0.3, 0.7]]))
+        smoothed = 0.8 * 0.5 + (1.0 - 0.8) * 1.0
+        assert np.array_equal(st.smoothed_preds[[0, 3]], [[smoothed, smoothed], [0.3, 0.7]])
+        assert st.visited[[0, 3]].all()
+
     def test_converges_geometrically(self):
         st = fresh_state(beta_s=0.8)
         ema_update_predictions(st, [0], np.array([[0.0, 0.0]]))

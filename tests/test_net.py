@@ -180,6 +180,51 @@ class TestCachedViews:
         assert not np.array_equal(m.forward(x), before)
 
 
+class TestStackedPass:
+    """A model over a (2, P) buffer forwards both rows in one pass."""
+
+    @staticmethod
+    def _pair(sizes, seed):
+        rng = make_rng(seed)
+        rows = [Mlp.init(sizes, rng) for _ in range(2)]
+        buffer = np.stack([m.params for m in rows])
+        return rows, buffer, Mlp._over(sizes, buffer), rng
+
+    @pytest.mark.parametrize("sizes", [(8, 6), (8, 8, 6), (32, 19), (32, 8, 19)],
+                             ids=["hidden0", "hidden8", "hidden0-suite", "hidden8-suite"])
+    def test_equals_two_separate_passes_bit_for_bit(self, sizes):
+        rows, buffer, pair, rng = self._pair(sizes, len(sizes))
+        for n in (1, 7, 32):
+            x = rng.standard_normal((n, sizes[0]))
+            logits, acts = pair._forward_cached(x)
+            assert logits.shape == (2, n, sizes[-1])
+            for r, m in enumerate(rows):
+                row_logits, row_acts = m._forward_cached(x)
+                assert np.array_equal(logits[r], row_logits)
+                assert all(np.array_equal(a if a.ndim == 2 else a[r], b)
+                           for a, b in zip(acts, row_acts))
+
+    @pytest.mark.parametrize("sizes", [(8, 6), (8, 8, 6)], ids=["hidden0", "hidden8"])
+    def test_rows_view_the_buffer(self, sizes):
+        rows, buffer, pair, rng = self._pair(sizes, 3)
+        x = rng.standard_normal((5, sizes[0]))
+        student = Mlp._over(sizes, buffer[0])
+        assert all(np.shares_memory(v, buffer) for layer in pair._layers for v in layer)
+        assert all(np.shares_memory(v, buffer[0]) for layer in student._layers for v in layer)
+        buffer[1] *= 0.5
+        assert np.array_equal(pair._forward_cached(x)[0][1],
+                              Mlp(sizes, buffer[1])._forward_cached(x)[0])
+        assert np.array_equal(pair._forward_cached(x)[0][0], student._forward_cached(x)[0])
+
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("sizes", [(8, 6), (8, 8, 6)], ids=["hidden0", "hidden8"])
+    def test_non_finite_logit_in_either_row_raises(self, sizes, row):
+        rows, buffer, pair, rng = self._pair(sizes, 4)
+        buffer[row, -1] = np.inf  # the last output's bias
+        with pytest.raises(ValueError, match="^forward pass produced non-finite logits$"):
+            pair._forward_cached(rng.standard_normal((4, sizes[0])))
+
+
 def test_softmax_rows_sum_to_one():
     z = make_rng(4).standard_normal((6, 5)) * 30
     s = softmax(z)

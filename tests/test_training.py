@@ -23,6 +23,7 @@ from spmlab.training import (
     DetectorState,
     TrainConfig,
     Trainer,
+    TrainResult,
     detect_early_learning,
     evaluate,
     mixup_batch,
@@ -146,6 +147,23 @@ class TestMixup:
         expected = reference_mixup(x, y, t, rng, 1.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         assert np.array_equal(got[0][:2], x[:2]) and np.array_equal(got[1][:2], y[:2])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_reference_at_trainer_shapes(self, seed):
+        # the suite's batch: 32 features, 19 labels and 19 pseudo-labels; a
+        # repeated half, sparse labels and rounded values make ties common
+        rng = make_rng(seed)
+        x = np.round(rng.standard_normal((32, 32)), 1)
+        x[16:] = x[:16]
+        y = (rng.random((32, 19)) < 0.1).astype(float)
+        t = np.round(rng.random((32, 19)), 1)
+        rng_ref, rng_new = make_rng([seed, 2]), make_rng([seed, 2])
+        for _ in range(20):
+            expected = reference_mixup(x, y, t, rng_ref, 1.0)
+            got = mixup_batch(x, y, t, rng_new, 1.0)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b) and a.flags.c_contiguous
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -312,11 +330,8 @@ class TestTrainerMechanics:
             ckpt = json.loads(json.dumps(part.checkpoint()))
             resumed = Trainer.from_checkpoint(ckpt, tr, va)
             resumed.run()
-            assert np.array_equal(full.model.params, resumed.model.params)
-            assert np.array_equal(full.ema.teacher_params, resumed.ema.teacher_params)
-            assert [l.noisy_val_map for l in full.logs] == [
-                l.noisy_val_map for l in resumed.logs
-            ]
+            # everything: parameters, prediction EMA, visited, RNG state, logs
+            assert resumed.checkpoint() == full.checkpoint()
 
     def test_checkpoint_with_epoch_wall_time_loads(self):
         # checkpoints from before per-epoch timing left the logs carry wall_time
@@ -424,9 +439,15 @@ class TestTrainerMechanics:
         tr, va, te = small_data()
         trainer = Trainer(small_config(method=method, epochs=24, learning_rate=0.4), tr, va)
         trainer.run(max_epochs=2)
-        taken = [trainer.model, trainer.teacher]
+        result = TrainResult(trainer)
+        taken = [trainer.model, trainer.teacher, result.teacher]
         params = [m.params.copy() for m in taken]
         outputs = [m.forward(va.features) for m in taken]
+        ema = copy.deepcopy(trainer.ema)
+        ema_copy = copy.deepcopy(ema)
+        pair = trainer._pair.params  # the student and the teacher, as rows 0 and 1
+        assert not any(np.shares_memory(a, pair) for a in
+                       (*(m.params for m in taken), ema.teacher_params, ema.smoothed_preds))
         trainer.run()
         assert trainer.stage == "gc" or method == "an"
         for m, p, out in zip(taken, params, outputs):
@@ -434,12 +455,16 @@ class TestTrainerMechanics:
             assert np.array_equal(m.forward(va.features), out)
         assert not np.array_equal(trainer.model.params, params[0])
         assert not np.array_equal(trainer.teacher.params, params[1])
+        for name in ("teacher_params", "smoothed_preds", "visited"):
+            assert np.array_equal(getattr(ema, name), getattr(ema_copy, name))
+        assert not np.array_equal(trainer.ema.teacher_params, ema.teacher_params)
 
     def test_work_per_step(self, monkeypatch):
-        # a warm-up step forwards once, a calibrated step three times
-        # (student, teacher, mixed batch), and each epoch validates the
-        # teacher and the student; models are built per run, not per step
-        counts = {"_forward_cached": 0, "__init__": 0}
+        # a warm-up step forwards once, a calibrated step twice (one stacked
+        # student-teacher pass, then the mixed batch), and each epoch
+        # validates the teacher and the student; models are built per run,
+        # not per step: one stacked pair and its two rows over the buffer
+        counts = {"_forward_cached": 0, "__init__": 0, "_over": 0}
         for name in counts:
             original = getattr(Mlp, name)
 
@@ -455,10 +480,11 @@ class TestTrainerMechanics:
         stages = [log.stage for log in trainer.logs]
         assert stages.count("warmup") > 0 and stages.count("gc") > 0
         steps = math.ceil(tr.n_samples / cfg.batch_size)
-        expected = (stages.count("warmup") * steps + 3 * stages.count("gc") * steps
+        expected = (stages.count("warmup") * steps + 2 * stages.count("gc") * steps
                     + 2 * len(stages))
         assert counts["_forward_cached"] == expected
         assert counts["__init__"] <= len(stages)
+        assert counts["_over"] == 3
 
     @pytest.mark.parametrize("method", ["an", "adagc"])
     @pytest.mark.parametrize("hidden, step, error", [
