@@ -30,17 +30,17 @@ from .data import (
     atomic_open,
     generate_synthetic,
     ingest_csv,
-    load_split_csv,
     read_json,
     read_spec_json,
     write_spec_json,
     write_split_csv,
 )
-from .net import Mlp, make_rng
+from .net import make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .training import (
     EpochLog,
     TrainConfig,
+    _checkpoint_model,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -79,11 +79,15 @@ class ExperimentSpec:
             )
 
 
+def _load_clean(datadir, name: str) -> MultiLabelDataset:
+    """A split's features, labels and extents; its ``*_observed.csv`` is never read."""
+    return ingest_csv(*_split_files(datadir, name)[:3])
+
+
 def _load_splits(spec: ExperimentSpec) -> dict:
     if spec.synthetic is not None:
         return generate_synthetic(spec.synthetic)
-    datadir = Path(spec.data_dir)
-    return {name: load_split_csv(datadir, name) for name in ("train", "val", "test")}
+    return {name: _load_clean(spec.data_dir, name) for name in ("train", "val", "test")}
 
 
 def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
@@ -172,17 +176,17 @@ def read_curves(path) -> list:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment and write its five artifacts; returns their paths by stem."""
     spec.validate()
-    # the data is read before the run directory exists, so bad input leaves none
     splits = _load_splits(spec)
     noise_seed = _resolve_noise_seed(spec.noise_seed, spec.synthetic, spec.data_dir)
     observed, flips = _corrupt_splits(splits, spec.regime, noise_seed)
+    result = train(spec.train_config, observed["train"], observed["val"], splits["test"])
+    # the run directory exists only once the run has succeeded, so a file
+    # failing its checks, or splits that disagree, leave none
     outdir = Path(spec.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {Path(name).stem: outdir / name for name in
              ("config.json", "metrics.json", "curves.csv", "fliprates.csv", "checkpoint.json")}
     flips.to_csv(paths["fliprates"])
-
-    result = train(spec.train_config, observed["train"], observed["val"], splits["test"])
     trainer = result.trainer
     resolved = replace(spec, noise_seed=noise_seed, train_config=replace(
         spec.train_config, w_neg=trainer.w_neg, k_expected=trainer.k_expected))
@@ -312,7 +316,7 @@ def _cmd_corrupt(args) -> int:
     """Draw train and val observed labels from their clean files, never the old observed ones."""
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
-    splits = {name: ingest_csv(*_split_files(datadir, name)[:3]) for name in ("train", "val")}
+    splits = {name: _load_clean(datadir, name) for name in ("train", "val")}
     noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
     observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
     outdir.mkdir(parents=True, exist_ok=True)  # only once the input has loaded
@@ -323,7 +327,7 @@ def _cmd_corrupt(args) -> int:
     if not in_place:
         # a complete data directory: the clean test split, and the spec whose
         # seed lets train --data-dir <outdir> redraw exactly these labels
-        write_split_csv(load_split_csv(datadir, "test"), outdir, "test")
+        write_split_csv(_load_clean(datadir, "test"), outdir, "test")
         if (datadir / "spec.json").exists():
             write_spec_json(read_spec_json(datadir / "spec.json"), outdir / "spec.json")
     print(outdir)
@@ -349,13 +353,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    """Score the model the run reports at the run's threshold, unless overridden."""
+    """Score the model the run reports at the run's threshold, unless overridden, on y_true."""
     ckpt = load_checkpoint(args.checkpoint)
     config = TrainConfig(**ckpt["config"])
     teacher = config.reports_teacher and not args.use_student
-    model = Mlp(ckpt["layer_sizes"], ckpt["teacher_params" if teacher else "student_params"])
+    model = _checkpoint_model(ckpt, "teacher_params" if teacher else "student_params",
+                              args.checkpoint)
     threshold = config.threshold if args.threshold is None else args.threshold
-    report = evaluate(model, load_split_csv(args.data_dir, args.split), threshold)
+    report = evaluate(model, _load_clean(args.data_dir, args.split), threshold)
     payload = report.to_json_dict()
     if args.out:
         _json_dump(payload, args.out)

@@ -96,24 +96,23 @@ def _kept_average_precisions(bounds: np.ndarray, depth: np.ndarray,
     ``bounds`` and ``depth`` come from ``_ranked_positives``; row t of the
     boolean ``keep`` (T x m) says which of those m positives are still
     positive in matrix t. A kept positive's precision is its 1-based rank
-    among its class's kept positives over (depth + 1). Classes with nothing
-    kept get NaN. Each (matrix, class) segment of precisions is summed as
-    one contiguous vector, as a one-class call would sum it, so the result
-    does not depend on how many classes or matrices share a call.
+    among its class's kept positives over (depth + 1), formed only at the
+    kept positions. Classes with nothing kept get NaN. Each (matrix, class)
+    segment of precisions is summed as one contiguous vector, as a one-class
+    call would sum it, so the result does not depend on how many classes or
+    matrices share a call.
     """
     n_trials, m = keep.shape
-    # kept positives before each flat position; the leading 0 serves the
-    # segments that start at position 0, empty classes included
-    seen = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=seen[1:])
-    at = seen[np.arange(n_trials)[:, None] * m + bounds]
-    # the rank among the class's kept positives, read only where kept
-    rank = seen[1:].reshape(n_trials, m) - np.repeat(at[:, :-1], np.diff(bounds), axis=1)
-    prec = (rank / (depth + 1))[keep]
+    kept = np.flatnonzero(keep)
+    # where each (matrix, class) segment starts among the kept flat positions
+    at = np.searchsorted(kept, np.arange(n_trials)[:, None] * m + bounds)
+    starts = at[:, :-1].ravel()
     counts = np.diff(at, axis=1).ravel()
-    ends = np.cumsum(counts)
+    rank = np.arange(1, kept.size + 1) - np.repeat(starts, counts)
+    # a flat position wraps to its positive's index in the class-major list
+    prec = rank / np.take(depth + 1, kept, mode="wrap")
     filled = np.flatnonzero(counts)
-    starts, stops = (ends - counts)[filled].tolist(), ends[filled].tolist()
+    starts, stops = starts[filled].tolist(), (starts + counts)[filled].tolist()
     per_class = np.full(counts.size, np.nan)
     per_class[filled] = np.array(
         [prec[a:b].sum() for a, b in zip(starts, stops)]) / counts[filled]
@@ -574,15 +573,18 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     flat = sample * n_classes + cls
 
     chunk = max(1, _CHUNK_CELLS // (n * n_classes))
+    # each chunk's uniforms overwrite the last chunk's
+    draws = np.empty((chunk, n * n_classes if regime == "random" else n_pos[flipping].sum()))
+    thresholds = betas[cls]
     measured = np.empty(trials)
     for first in range(0, trials, chunk):
         t = min(chunk, trials - first)
+        u = rng.random(out=draws[:t])
         if regime == "random":
-            u = rng.random((t, n, n_classes))
-            keep = ~(np.take(u.reshape(t, -1), flat, axis=1) < betas[cls])
+            keep = np.take(u, flat, axis=1) >= thresholds
         else:
             keep = np.ones((t, depth.size), dtype=bool)
-            gumbel = np.log(-np.log(rng.random((t, n_pos[flipping].sum()))))
+            gumbel = np.log(np.negative(np.log(u, out=u), out=u), out=u)
             offset = 0
             for c, rows, base in zip(flipping, by_sample, base_keys):
                 # Gumbel top-k = weighted sampling without replacement

@@ -26,13 +26,19 @@ __all__ = [
 
 
 def simulate_random_spml(y_true, rng: np.random.Generator) -> np.ndarray:
-    """Keep one positive per row, chosen uniformly among the row's positives."""
+    """Keep one positive per row, chosen uniformly among the row's positives.
+
+    Row i draws ``rng.integers(0, k_i)`` for its k_i positives, in row order,
+    and keeps the positive of that 0-based rank; a row with one positive
+    draws nothing. One bulk call makes exactly these draws.
+    """
     y = _check_rows_positive(_check_binary(y_true, "y_true"), "y_true")
+    counts = np.count_nonzero(y, axis=1)
+    pick = rng.integers(0, counts)
+    # the flat indices of all positives, row by row; row i's begin at its offset
+    positives = np.flatnonzero(y)
     out = np.zeros_like(y)
-    for i, row in enumerate(y):
-        positives = np.flatnonzero(row == 1.0)
-        keep = positives[rng.integers(0, positives.size)]
-        out[i, keep] = 1.0
+    out.reshape(-1)[positives[np.cumsum(counts) - counts + pick]] = 1.0
     return out
 
 

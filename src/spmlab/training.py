@@ -387,7 +387,7 @@ class Trainer:
         _check_checkpoint(ckpt, "checkpoint")
         config = TrainConfig(**ckpt["config"])
         trainer = cls(config, train_ds, val_ds)
-        student = Mlp(tuple(ckpt["layer_sizes"]), np.array(ckpt["student_params"]))
+        student = _checkpoint_model(ckpt, "student_params", "checkpoint")
         ema = trainer.ema
         if student.layer_sizes != trainer._student.layer_sizes:
             raise ValueError(f"checkpoint model has layers {student.layer_sizes}, "
@@ -398,7 +398,7 @@ class Trainer:
                                "visited", "the prediction EMA of the training set")
         if ckpt["stage"] == "gc" and not config.raw_student_pseudo and not visited.all():
             raise ValueError("checkpoint in the calibrated stage has unvisited samples")
-        ema.teacher_params = np.array(ckpt["teacher_params"], dtype=np.float64)
+        ema.teacher_params = _checkpoint_model(ckpt, "teacher_params", "checkpoint").params
         ema.smoothed_preds, ema.visited = smoothed, visited
         trainer._adopt(student)
         trainer.detector = DetectorState(**ckpt["detector"])
@@ -480,6 +480,17 @@ def _check_checkpoint(ckpt, source: str) -> dict:
     if unknown is not None:
         raise ValueError(f"{source}: unknown config field {unknown!r}")
     return ckpt
+
+
+def _checkpoint_model(ckpt: dict, field: str, source: str) -> Mlp:
+    """The model of ``ckpt[field]``; a wrong parameter count names the field and ``source``."""
+    sizes = tuple(int(s) for s in ckpt["layer_sizes"])
+    params = np.asarray(ckpt[field], dtype=np.float64)
+    expected = Mlp.param_count(sizes)
+    if params.ndim == 1 and params.size != expected:
+        raise ValueError(f"{source}: {field} has {params.size} entries, "
+                         f"model with layers {sizes} expects {expected}")
+    return Mlp(sizes, params)
 
 
 def load_checkpoint(path) -> dict:

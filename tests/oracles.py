@@ -14,6 +14,8 @@ their rewrites can be held to bit-equal results:
   partner row once.
 * ``reference_write_csv``: the ``csv.writer`` call that wrote each dataset
   CSV before ``write_split_csv`` formatted its rows itself.
+* ``reference_random_spml``: the per-row loop of ``simulate_random_spml``
+  before it drew every row's pick in one call.
 """
 
 import csv
@@ -169,6 +171,17 @@ def reference_write_csv(path, array, dtype):
     """Write ``array.astype(dtype)`` to ``path`` through ``csv.writer``."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(array.astype(dtype).tolist())
+
+
+def reference_random_spml(y_true, rng):
+    """One positive per row, drawn with one ``rng.integers`` call per row."""
+    y = np.asarray(y_true, dtype=np.float64)
+    out = np.zeros_like(y)
+    for i, row in enumerate(y):
+        positives = np.flatnonzero(row == 1.0)
+        keep = positives[rng.integers(0, positives.size)]
+        out[i, keep] = 1.0
+    return out
 
 
 def reference_mixup(x, y, t, rng, alpha):

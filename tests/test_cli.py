@@ -148,6 +148,45 @@ class TestGenCorrupt:
                        "message": f"missing dataset file: {data / 'train_features.csv'}"}
         assert list(tmp_path.iterdir()) == []
 
+    def test_splits_that_disagree_create_no_run_directory(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "2"])
+        path = d / "val_features.csv"
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in path.read_text().splitlines()))
+        capsys.readouterr()
+        assert main(["train", "--data-dir", str(d), "--epochs", "1",
+                     "--outdir", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError",
+                       "message": "validation features have 4 columns, training has 5"}
+        assert not (tmp_path / "run").exists()
+
+    def test_train_and_eval_read_no_observed_file(self, tmp_path):
+        # train redraws the observed labels and eval scores y_true, so observed
+        # files that fail every check change no byte
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "200", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "5"])
+        run = ["train", "--data-dir", str(d), "--regime", "dominant", "--method", "adagc",
+               "--epochs", "3", "--hidden", "4"]
+        assert main([*run, "--outdir", str(tmp_path / "clean")]) == 0
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "dominant"]) == 0
+        path = d / "train_observed.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "2" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        for split in ("val", "test"):
+            (d / f"{split}_observed.csv").write_text("2\n")
+        assert main([*run, "--outdir", str(tmp_path / "dirty")]) == 0
+        for name in ("config.json", "metrics.json", "curves.csv", "fliprates.csv",
+                     "checkpoint.json"):
+            assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        assert main(["eval", "--checkpoint", str(tmp_path / "dirty" / "checkpoint.json"),
+                     "--data-dir", str(d), "--out", str(tmp_path / "e.json")]) == 0
+        assert (tmp_path / "e.json").read_bytes() == (tmp_path / "clean" / "metrics.json").read_bytes()
+
 
 class TestRunExperiment:
     def test_tiny_run_writes_all_artifacts_quickly(self, tmp_path):
@@ -488,6 +527,24 @@ class TestRunDirectory:
         assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"{path}: {error}"}
+
+    @pytest.mark.parametrize("field, flags", [
+        ("teacher_params", []),
+        ("student_params", ["--use-student"]),
+    ], ids=["teacher", "student"])
+    def test_eval_names_a_parameter_list_of_the_wrong_length(self, csv_data, tmp_path, capsys,
+                                                             field, flags):
+        assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        ckpt = json.loads(path.read_text())
+        ckpt[field].pop()
+        path.write_text(json.dumps(ckpt))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data),
+                     *flags]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"{path}: {field} has 43 entries, "
+                       "model with layers (5, 4, 4) expects 44"}
 
     def test_eval_names_a_file_that_is_not_json(self, csv_data, tmp_path, capsys):
         path = tmp_path / "bad.json"

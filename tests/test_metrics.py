@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spmlab import losses as L
+from spmlab import metrics
 from spmlab.data import MultiLabelDataset
 from spmlab.ema import (
     ema_update_predictions,
@@ -601,6 +602,16 @@ class TestMonteCarlo:
         assert np.array_equal(rep.measured, measured)
         assert rep.clean_map == clean_map
         assert rep.predicted_map == predicted_map
+
+    @pytest.mark.parametrize("regime", ["random", "dominant"])
+    def test_trials_bit_equal_whatever_the_chunk_size(self, regime, monkeypatch):
+        # 2000 x 19 cells give chunks of 8 trials, so the last chunk has 4
+        config = MonteCarloConfig(n_samples=2000, seed=5)
+        chunked = monte_carlo_proposition_check(config, regime, 100).measured
+        for cells in (1, 2000 * 19 * 100):  # one trial per chunk, all trials in one
+            monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
+            rep = monte_carlo_proposition_check(config, regime, 100)
+            assert np.array_equal(rep.measured, chunked)
 
     @pytest.mark.parametrize("regime", ["random", "dominant"])
     @pytest.mark.parametrize("config, error", [

@@ -11,6 +11,8 @@ from spmlab.noise import (
     simulate_random_spml,
 )
 
+from oracles import reference_random_spml
+
 
 class TestRandomSimulator:
     def test_single_candidate_is_forced(self):
@@ -48,6 +50,22 @@ class TestRandomSimulator:
         out = simulate_random_spml(y, rng)
         assert np.all(out.sum(axis=1) == 1.0)
         assert np.all(out <= y)
+
+    @pytest.mark.parametrize("n, n_classes, density", [
+        pytest.param(300, 6, 0.4, id="mixed"),
+        pytest.param(200, 5, 0.0, id="one-positive-rows"),
+        pytest.param(50, 1, 0.0, id="one-column"),
+        pytest.param(1, 7, 0.5, id="one-row"),
+        pytest.param(120, 90, 0.6, id="wide-rows"),
+    ])
+    def test_bulk_draw_equals_per_row_reference(self, n, n_classes, density):
+        # same picks from the same draws: the generators end in one state
+        rng = make_rng(11)
+        y = (rng.random((n, n_classes)) < density).astype(float)
+        y[np.arange(n), rng.integers(0, n_classes, n)] = 1.0
+        bulk, loop = make_rng(12), make_rng(12)
+        assert np.array_equal(simulate_random_spml(y, bulk), reference_random_spml(y, loop))
+        assert bulk.random() == loop.random()
 
 
 class TestDominantSimulator:

@@ -373,6 +373,16 @@ class TestTrainerMechanics:
             Trainer.from_checkpoint(ckpt, tr, va)
         assert str(exc.value) == error
 
+    @pytest.mark.parametrize("field", ["student_params", "teacher_params"])
+    def test_checkpoint_names_a_parameter_list_of_the_wrong_length(self, field):
+        tr, va, te = small_data()
+        ckpt = Trainer(small_config(method="adagc", epochs=1), tr, va).checkpoint()
+        ckpt[field].pop()
+        with pytest.raises(ValueError) as exc:
+            Trainer.from_checkpoint(ckpt, tr, va)
+        assert str(exc.value) == (f"checkpoint: {field} has 125 entries, "
+                                  "model with layers (8, 8, 6) expects 126")
+
     @pytest.mark.parametrize("edit, load_data, error", [
         pytest.param(lambda c: None, dict(d=5), "layers", id="other-features"),
         pytest.param(lambda c: None, dict(n=400), "prediction EMA", id="other-train-size"),
