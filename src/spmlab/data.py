@@ -7,7 +7,8 @@ dominant corruption protocol.
 
 Synthetic features are extent-weighted mixtures of per-class Gaussian
 prototypes plus unit noise, so dominant classes are the most visible and
-minor classes carry proportionally weaker signal.
+minor classes carry proportionally weaker signal. A row's classes are
+``rng.choice``'s draws, made without its per-call checks.
 
 CSV files are only parsed here: a cell must be a finite number and every
 row as wide as the first. The rules on the arrays are those of
@@ -21,8 +22,10 @@ import csv
 import json
 import math
 import os
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +147,19 @@ def _split_sizes(n: int, ratio) -> tuple:
     return n_train, n_val, n - n_train - n_val
 
 
+def _draw_classes(rng, weights, k) -> list:
+    """The rounds and draws of ``rng.choice(len(weights), k, replace=False, p=weights)``."""
+    weights, found = weights.tolist(), {}  # ordered: a class keeps its first draw's place
+    while len(found) < k:
+        cdf = list(accumulate(weights))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        for x in rng.random(k - len(found)).tolist():
+            c = bisect_right(cdf, x)
+            found[c] = weights[c] = 0.0  # found, and out of the next round's CDF
+    return list(found)
+
+
 def generate_synthetic(spec: SyntheticSpec) -> dict:
     """Generate seeded train/val/test splits of a synthetic dataset."""
     spec.validate()
@@ -163,7 +179,7 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     extents = np.zeros((n, n_classes))
     alpha_full = spec.extent_concentration * n_classes * weights
     for i in range(n):
-        classes = rng.choice(n_classes, size=cardinality[i], replace=False, p=weights)
+        classes = _draw_classes(rng, weights, cardinality[i])
         share = rng.dirichlet(alpha_full[classes])
         share = np.maximum(share, 1e-9)
         share = share / share.sum()

@@ -16,6 +16,8 @@ their rewrites can be held to bit-equal results:
   CSV before ``write_split_csv`` formatted its rows itself.
 * ``reference_random_spml``: the per-row loop of ``simulate_random_spml``
   before it drew every row's pick in one call.
+* ``reference_generate_synthetic``: the body of ``generate_synthetic``
+  when each row drew its classes with ``rng.choice``.
 """
 
 import csv
@@ -182,6 +184,33 @@ def reference_random_spml(y_true, rng):
         keep = positives[rng.integers(0, positives.size)]
         out[i, keep] = 1.0
     return out
+
+
+def reference_generate_synthetic(spec):
+    """(features, y, extents) of all ``spec.n_samples`` rows, one ``rng.choice`` per row."""
+    rng = np.random.default_rng(spec.seed)
+    n, n_classes, d = spec.n_samples, spec.n_classes, spec.n_features
+
+    weights = np.linspace(1.0, 0.35, n_classes)
+    weights = weights / weights.sum()
+    prototypes = spec.separation * rng.standard_normal((n_classes, d)) / np.sqrt(d)
+
+    p_extra = (spec.mean_positives - 1.0) / (n_classes - 1.0)
+    cardinality = 1 + rng.binomial(n_classes - 1, p_extra, size=n)
+
+    y = np.zeros((n, n_classes))
+    extents = np.zeros((n, n_classes))
+    alpha_full = spec.extent_concentration * n_classes * weights
+    for i in range(n):
+        classes = rng.choice(n_classes, size=cardinality[i], replace=False, p=weights)
+        share = rng.dirichlet(alpha_full[classes])
+        share = np.maximum(share, 1e-9)
+        share = share / share.sum()
+        y[i, classes] = 1.0
+        extents[i, classes] = share
+
+    features = extents @ prototypes + rng.standard_normal((n, d))
+    return features, y, extents
 
 
 def reference_mixup(x, y, t, rng, alpha):

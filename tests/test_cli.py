@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -249,11 +251,29 @@ class TestRunExperiment:
         write(old, path)
         before = path.read_bytes()
 
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('{"partial": ')
-            raise RuntimeError("killed mid-write")
+        class KilledMidWrite:
+            """A file whose first write puts its text down, then raises."""
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text)
+                raise RuntimeError("killed mid-write")
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        # every writer opens its file through data.atomic_open
+        monkeypatch.setattr(data, "open", lambda *a, **kw: KilledMidWrite(open(*a, **kw)),
+                            raising=False)
         with pytest.raises(RuntimeError, match="mid-write"):
             write(new, path)
         assert path.read_bytes() == before
@@ -318,6 +338,18 @@ class TestCliSurface:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": "lam must be finite, got nan"}
         assert not (tmp_path / "x").exists()
+
+    def test_diverging_run_prints_one_json_error(self, tmp_path):
+        # a process of its own, so NumPy's warnings would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "spmlab.cli", "train", "--n-samples", "200", "--epochs", "2",
+             "--learning-rate", "1e308", "--outdir", str(tmp_path / "div")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {
+            "error": "ValueError",
+            "message": "method 'adagc', epoch 0, step 1: forward pass produced non-finite logits"}
+        assert not (tmp_path / "div").exists()
 
     def test_grid_emits_one_directory_per_value(self, tmp_path):
         rc = main([

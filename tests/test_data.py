@@ -5,10 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_write_csv
+from oracles import reference_generate_synthetic, reference_write_csv
 from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
+    _draw_classes,
     _write_csv,
     generate_synthetic,
     ingest_csv,
@@ -86,6 +87,41 @@ class TestGenerator:
     def test_split_sizes_of_the_suites(self, n, ratio, sizes):
         splits = generate_synthetic(SyntheticSpec(n_samples=n, n_classes=4, split_ratio=ratio))
         assert tuple(ds.n_samples for ds in splits.values()) == sizes
+
+
+class TestClassDraws:
+    @pytest.mark.parametrize("n_classes", [2, 5, 19, 80])
+    @pytest.mark.parametrize("skewed", [False, True], ids=["linear", "skewed"])
+    def test_same_draws_as_rng_choice(self, n_classes, skewed):
+        # one class 100x the rest: later rounds and repeated draws within a round
+        weights = np.linspace(1.0, 0.35, n_classes)
+        if skewed:
+            weights = np.ones(n_classes)
+            weights[n_classes // 2] = 100.0
+        weights = weights / weights.sum()
+        for k in range(1, n_classes + 1):
+            for seed in range(3):
+                expected_rng = np.random.default_rng([seed, k, n_classes])
+                rng = np.random.default_rng([seed, k, n_classes])
+                expected = expected_rng.choice(n_classes, k, replace=False, p=weights)
+                assert _draw_classes(rng, weights, k) == expected.tolist()
+                assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [
+        {},
+        {"n_classes": 2, "mean_positives": 1.5},
+        {"n_classes": 80, "mean_positives": 40.0},
+        {"n_classes": 6, "mean_positives": 6.0},
+        {"mean_positives": 1.0},
+        {"extent_concentration": 0.01},
+    ], ids=["default", "c2", "c80", "all-positive", "one-positive", "peaked-extents"])
+    def test_generator_equals_the_rng_choice_loop(self, shape):
+        for seed in range(3):
+            spec = SyntheticSpec(n_samples=300, n_features=8, seed=seed, **shape)
+            splits = generate_synthetic(spec).values()
+            expected = reference_generate_synthetic(spec)
+            for got, want in zip(("features", "y_true", "extents"), expected):
+                assert np.array_equal(np.concatenate([getattr(ds, got) for ds in splits]), want)
 
 
 class TestCsvRoundTrip:

@@ -27,6 +27,7 @@ from spmlab.training import (
     detect_early_learning,
     evaluate,
     mixup_batch,
+    save_checkpoint,
     train,
 )
 
@@ -332,6 +333,29 @@ class TestTrainerMechanics:
             resumed.run()
             # everything: parameters, prediction EMA, visited, RNG state, logs
             assert resumed.checkpoint() == full.checkpoint()
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_saved_checkpoint_has_the_bytes_of_json_dump(self, tmp_path, hidden):
+        # at epoch 0 (best_map is -inf), after warm-up, and in the calibrated stage
+        tr, va, te = small_data()
+        cfg = small_config(method="adagc", hidden=hidden, epochs=40, learning_rate=0.4,
+                           beta_t=0.9, patience=1)
+        trainer = Trainer(cfg, tr, va)
+        path = tmp_path / "checkpoint.json"
+
+        def assert_saved_as_json_dump():
+            ckpt = trainer.checkpoint()
+            save_checkpoint(ckpt, path)
+            assert path.read_bytes() == (json.dumps(ckpt) + "\n").encode()
+
+        assert trainer.detector.best_map == -math.inf
+        assert_saved_as_json_dump()
+        trainer.run(max_epochs=2)
+        assert trainer.stage == "warmup"
+        assert_saved_as_json_dump()
+        while trainer.logs[-1].stage != "gc":
+            trainer.run_epoch()
+        assert_saved_as_json_dump()
 
     def test_checkpoint_with_epoch_wall_time_loads(self):
         # checkpoints from before per-epoch timing left the logs carry wall_time
