@@ -79,24 +79,38 @@ class ExperimentSpec:
             )
 
 
-def _load_clean(datadir, name: str) -> MultiLabelDataset:
-    """A split's features, labels and extents; its ``*_observed.csv`` is never read."""
-    return ingest_csv(*_split_files(datadir, name)[:3])
+def _load_clean(datadir, name: str, regime="none") -> MultiLabelDataset:
+    """A split's features, labels and extents; its ``*_observed.csv`` is never read.
+    Under the dominant ``regime``, a missing extents file is an error that names it."""
+    paths = _split_files(datadir, name)[:3]
+    if regime == "dominant" and paths[2] is None:
+        raise ValueError("dominant regime requires extent scores: missing dataset file "
+                         f"{Path(datadir) / f'{name}_extents.csv'}")
+    return ingest_csv(*paths)
 
 
 def _load_splits(spec: ExperimentSpec) -> dict:
     if spec.synthetic is not None:
         return generate_synthetic(spec.synthetic)
-    return {name: _load_clean(spec.data_dir, name) for name in ("train", "val", "test")}
+    splits = {name: _load_clean(spec.data_dir, name, spec.regime) for name in ("train", "val")}
+    return dict(splits, test=_load_clean(spec.data_dir, "test"))
 
 
 def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
-    """The explicit seed, else the synthetic seed, else the data's spec.json seed, else 0."""
+    """The explicit seed, else the synthetic seed, else the seed of the data's noise.json
+    (written by ``corrupt``), else its spec.json seed, else 0."""
     if noise_seed is not None:
         return noise_seed
     if synthetic is not None:
         return synthetic.seed
     if data_dir is not None:
+        path = Path(data_dir, "noise.json")
+        if path.exists():
+            payload = read_json(path)
+            seed = payload.get("noise_seed") if isinstance(payload, dict) else None
+            if type(seed) is not int:
+                raise ValueError(f"{path}: noise_seed must be an integer, got {seed!r}")
+            return seed
         spec_path = Path(data_dir, "spec.json")
         if spec_path.exists():
             return read_spec_json(spec_path).seed
@@ -308,6 +322,7 @@ def _cmd_gen(args) -> int:
     for name, ds in splits.items():
         write_split_csv(ds, outdir, name)
     write_spec_json(spec, outdir / "spec.json")
+    (outdir / "noise.json").unlink(missing_ok=True)  # it recorded the noise of older data
     print(outdir)
     return 0
 
@@ -316,7 +331,7 @@ def _cmd_corrupt(args) -> int:
     """Draw train and val observed labels from their clean files, never the old observed ones."""
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
-    splits = {name: _load_clean(datadir, name) for name in ("train", "val")}
+    splits = {name: _load_clean(datadir, name, args.regime) for name in ("train", "val")}
     noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
     observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
     outdir.mkdir(parents=True, exist_ok=True)  # only once the input has loaded
@@ -325,11 +340,12 @@ def _cmd_corrupt(args) -> int:
         (_write_observed_csv if in_place else write_split_csv)(ds, outdir, name)
     flips.to_csv(outdir / "fliprates.csv")
     if not in_place:
-        # a complete data directory: the clean test split, and the spec whose
-        # seed lets train --data-dir <outdir> redraw exactly these labels
+        # a complete data directory: the clean test split and the spec
         write_split_csv(_load_clean(datadir, "test"), outdir, "test")
         if (datadir / "spec.json").exists():
             write_spec_json(read_spec_json(datadir / "spec.json"), outdir / "spec.json")
+    # last, so train --data-dir <outdir> redraws exactly these labels
+    _json_dump({"noise_seed": noise_seed, "regime": args.regime}, outdir / "noise.json")
     print(outdir)
     return 0
 

@@ -8,7 +8,9 @@ dominant corruption protocol.
 Synthetic features are extent-weighted mixtures of per-class Gaussian
 prototypes plus unit noise, so dominant classes are the most visible and
 minor classes carry proportionally weaker signal. A row's classes are
-``rng.choice``'s draws, made without its per-call checks.
+``rng.choice``'s draws and its extent shares ``rng.dirichlet``'s, both made
+without the per-call checks; the shares are clamped and normalised after
+the row loop, once per row cardinality.
 
 CSV files are only parsed here: a cell must be a finite number and every
 row as wide as the first. The rules on the arrays are those of
@@ -22,6 +24,7 @@ import csv
 import json
 import math
 import os
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -160,6 +163,16 @@ def _draw_classes(rng, weights, k) -> list:
     return list(found)
 
 
+def _dirichlet(rng, alpha) -> list:
+    """The draws and values of ``rng.dirichlet(alpha)``, without its per-call array checks."""
+    if max(alpha) < 0.1:  # NumPy breaks a stick instead
+        return rng.dirichlet(alpha).tolist()
+    draws = [rng.standard_gamma(a) for a in alpha]
+    # summed left to right, as NumPy does; sum() compensates on Python 3.12+
+    inv = 1.0 / list(accumulate(draws))[-1]
+    return [g * inv for g in draws]
+
+
 def generate_synthetic(spec: SyntheticSpec) -> dict:
     """Generate seeded train/val/test splits of a synthetic dataset."""
     spec.validate()
@@ -175,16 +188,27 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     p_extra = (spec.mean_positives - 1.0) / (n_classes - 1.0)  # validate: n_classes >= 2
     cardinality = 1 + rng.binomial(n_classes - 1, p_extra, size=n)
 
+    # the loop only draws; the arithmetic runs after it, once per row cardinality
     y = np.zeros((n, n_classes))
     extents = np.zeros((n, n_classes))
-    alpha_full = spec.extent_concentration * n_classes * weights
-    for i in range(n):
-        classes = _draw_classes(rng, weights, cardinality[i])
-        share = rng.dirichlet(alpha_full[classes])
-        share = np.maximum(share, 1e-9)
-        share = share / share.sum()
-        y[i, classes] = 1.0
-        extents[i, classes] = share
+    alpha = (spec.extent_concentration * n_classes * weights).tolist()
+    drawn, raw = array("q"), array("d")
+    for k in cardinality.tolist():
+        classes = _draw_classes(rng, weights, k)
+        drawn.extend(classes)
+        raw.extend(_dirichlet(rng, [alpha[c] for c in classes]))
+    drawn, raw = np.frombuffer(drawn, dtype=np.int64), np.frombuffer(raw)
+
+    starts = np.cumsum(cardinality) - cardinality
+    for k in np.flatnonzero(np.bincount(cardinality)):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(cardinality == k)
+        at = starts[rows, None] + np.arange(k)
+        # a C-contiguous row sums exactly as the row's own 1-D sum
+        share = np.maximum(raw[at], 1e-9)
+        share = share / share.sum(axis=1, keepdims=True)
+        y[rows[:, None], drawn[at]] = 1.0
+        extents[rows[:, None], drawn[at]] = share
+    del drawn, raw  # freed before the features are made, which sets peak memory
 
     features = extents @ prototypes + rng.standard_normal((n, d))
 

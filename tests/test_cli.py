@@ -322,6 +322,73 @@ class TestCliSurface:
         with open(tmp_path / "out" / "config.json") as fh:
             assert json.load(fh)["noise_seed"] == 3
 
+    @pytest.mark.parametrize("outdir", [None, "c"], ids=["in-place", "outdir"])
+    def test_train_on_data_dir_uses_the_noise_seed_given_to_corrupt(self, tmp_path, outdir):
+        # corrupt records --noise-seed in noise.json, which train reads before spec.json
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "200", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "1"])
+        c = tmp_path / outdir if outdir else d
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "random",
+                     "--noise-seed", "5", *(["--outdir", str(c)] if outdir else [])]) == 0
+        assert json.loads((c / "noise.json").read_text()) == {"noise_seed": 5,
+                                                              "regime": "random"}
+        assert main(["train", "--data-dir", str(c), "--regime", "random", "--method", "an",
+                     "--epochs", "1", "--hidden", "4", "--outdir", str(tmp_path / "out")]) == 0
+        written = (c / "fliprates.csv").read_bytes()
+        assert (tmp_path / "out" / "fliprates.csv").read_bytes() == written
+        with open(tmp_path / "out" / "config.json") as fh:
+            assert json.load(fh)["noise_seed"] == 5
+
+    def test_gen_deletes_a_stale_noise_json(self, tmp_path):
+        d = tmp_path / "d"
+        gen = ["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+               "--n-features", "5", "--data-seed", "1"]
+        main(gen)
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "random",
+                     "--noise-seed", "5"]) == 0
+        assert main(gen) == 0
+        assert not (d / "noise.json").exists()
+
+    @pytest.mark.parametrize("content, value", [
+        ('{"noise_seed": "5"}', "'5'"), ('{"noise_seed": true}', "True"), ("[5]", "None"),
+        ("{}", "None"),
+    ], ids=["string", "bool", "not-an-object", "no-seed"])
+    def test_train_names_a_bad_noise_json(self, tmp_path, capsys, content, value):
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "1"])
+        (d / "noise.json").write_text(content)
+        capsys.readouterr()
+        assert main(["train", "--data-dir", str(d), "--epochs", "1",
+                     "--outdir", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"{d / 'noise.json'}: noise_seed "
+                       f"must be an integer, got {value}"}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, split", [
+        ["corrupt --data-dir {d} --regime dominant", "train"],
+        ["corrupt --data-dir {d} --regime dominant --outdir {out}", "val"],
+        ["train --data-dir {d} --regime dominant --epochs 1 --outdir {out}", "train"],
+        ["train --data-dir {d} --regime dominant --epochs 1 --outdir {out}", "val"],
+    ], ids=["corrupt-in-place", "corrupt-outdir", "train", "train-val"])
+    def test_dominant_regime_names_a_missing_extents_file(self, tmp_path, capsys, command,
+                                                           split):
+        d, out = tmp_path / "d", tmp_path / "out"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "1"])
+        path = d / f"{split}_extents.csv"
+        path.unlink()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(command.format(d=d, out=out).split()) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "dominant regime requires extent "
+                       f"scores: missing dataset file {path}"}
+        # no directory, and no noise.json from the failed corrupt
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bad_arguments_emit_error_json(self, tmp_path, capsys):
         rc = main([
             "train", "--method", "nope", "--outdir", str(tmp_path / "x"),

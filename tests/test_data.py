@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from oracles import reference_generate_synthetic, reference_write_csv
 from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
+    _dirichlet,
     _draw_classes,
     _write_csv,
     generate_synthetic,
@@ -114,14 +117,42 @@ class TestClassDraws:
         {"n_classes": 6, "mean_positives": 6.0},
         {"mean_positives": 1.0},
         {"extent_concentration": 0.01},
-    ], ids=["default", "c2", "c80", "all-positive", "one-positive", "peaked-extents"])
+        # alpha from 0.051 to 0.148: some rows take NumPy's stick-breaking
+        # path, others its gamma path
+        {"extent_concentration": 0.1},
+        # rows of up to 19 shares, so sums with k >= 9 are pairwise
+        {"mean_positives": 12.0},
+    ], ids=["default", "c2", "c80", "all-positive", "one-positive", "peaked-extents",
+            "straddling-extents", "long-rows"])
     def test_generator_equals_the_rng_choice_loop(self, shape):
         for seed in range(3):
             spec = SyntheticSpec(n_samples=300, n_features=8, seed=seed, **shape)
             splits = generate_synthetic(spec).values()
             expected = reference_generate_synthetic(spec)
             for got, want in zip(("features", "y_true", "extents"), expected):
-                assert np.array_equal(np.concatenate([getattr(ds, got) for ds in splits]), want)
+                # bytes, so that -0.0 in place of 0.0 would fail
+                assert np.concatenate([getattr(ds, got) for ds in splits]).tobytes() == \
+                    want.tobytes()
+
+    @pytest.mark.parametrize("scale", [3.0, 0.05, 0.148], ids=["gamma", "stick", "straddling"])
+    def test_same_draws_as_rng_dirichlet(self, scale):
+        # alpha decays to 0.35 * scale: all >= 0.1, all < 0.1, or straddling 0.1 from k = 2
+        for k in range(1, 20):
+            alpha = (scale * np.linspace(1.0, 0.35, k)).tolist()
+            for seed in range(3):
+                expected_rng = np.random.default_rng([seed, k])
+                rng = np.random.default_rng([seed, k])
+                for _ in range(20):
+                    expected = expected_rng.dirichlet(np.array(alpha))
+                    assert np.array(_dirichlet(rng, alpha)).tobytes() == expected.tobytes()
+                assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_generator_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma, about 1 MB of peak memory on every benchmark workload
+        code = ("import sys; from spmlab.data import SyntheticSpec, generate_synthetic; "
+                "generate_synthetic(SyntheticSpec(n_samples=300)); "
+                "sys.exit('numpy.ma' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
 class TestCsvRoundTrip:
