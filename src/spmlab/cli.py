@@ -25,9 +25,11 @@ import numpy as np
 from .data import (
     MultiLabelDataset,
     SyntheticSpec,
+    _check_known,
+    _json_dump,
     _split_files,
+    _write_csv,
     _write_observed_csv,
-    atomic_open,
     generate_synthetic,
     ingest_csv,
     read_json,
@@ -35,7 +37,7 @@ from .data import (
     write_spec_json,
     write_split_csv,
 )
-from .net import make_rng
+from .net import _check_fields, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .training import (
     EpochLog,
@@ -68,8 +70,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         self.train_config.validate()
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        _check_fields(self, {"regime": (self.regime in REGIMES, f"one of {REGIMES}")})
         if (self.synthetic is None) == (self.data_dir is None):
             raise ValueError("exactly one of synthetic spec or data_dir is required")
         if self.regime == "none" and self.train_config.method not in ("gt", "iun"):
@@ -138,12 +139,6 @@ def _corrupt_splits(splits: dict, regime: str, noise_seed: int):
     return observed, compute_flip_rates(observed["train"].y_true, observed["train"].y_observed)
 
 
-def _json_dump(obj, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _field_type(hint):
     """(type, optional) of a field hinted ``T`` or ``T | None``."""
     args = set(get_args(hint)) - {type(None)}
@@ -170,11 +165,10 @@ _CURVE_COLUMNS = [(f.name, "loss" if f.name == "train_loss" else f.name) for f i
 
 
 def _write_curves(path, logs) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header for _, header in _CURVE_COLUMNS])
-        # csv writes None as an empty cell and a float as its repr
-        writer.writerows([getattr(log, name) for name, _ in _CURVE_COLUMNS] for log in logs)
+    """A header row, then a row per epoch: a None cell is left empty, any other is its ``str``."""
+    rows = ([getattr(log, name) for name, _ in _CURVE_COLUMNS] for log in logs)
+    _write_csv(path, [[header for _, header in _CURVE_COLUMNS],
+                      *(["" if value is None else str(value) for value in row] for row in rows)])
 
 
 def read_curves(path) -> list:
@@ -319,10 +313,12 @@ def _cmd_gen(args) -> int:
     splits = generate_synthetic(spec)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # the observed labels, flip rates and noise of older data would pair with the new labels
+    for stale in [f"{name}_observed.csv" for name in splits] + ["fliprates.csv", "noise.json"]:
+        (outdir / stale).unlink(missing_ok=True)
     for name, ds in splits.items():
         write_split_csv(ds, outdir, name)
     write_spec_json(spec, outdir / "spec.json")
-    (outdir / "noise.json").unlink(missing_ok=True)  # it recorded the noise of older data
     print(outdir)
     return 0
 
@@ -387,14 +383,12 @@ def _cmd_eval(args) -> int:
 def _parse_grid(items) -> list:
     """(field, raw values) per grid entry; a field or a value may appear only once."""
     axes = {}
-    valid = {f.name for f in fields(TrainConfig)}
     for item in items:
         if "=" not in item:
             raise ValueError(f"grid entry {item!r} is not FIELD=V1,V2,...")
         key, values = item.split("=", 1)
         key = key.replace("-", "_")
-        if key not in valid:
-            raise ValueError(f"unknown config field {key!r} in grid")
+        _check_known(TrainConfig, [key], "grid")
         if key in axes:
             raise ValueError(f"grid field {key!r} is given twice")
         values = values.split(",")

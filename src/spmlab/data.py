@@ -1,4 +1,4 @@
-"""Datasets: synthetic multi-label generation and CSV ingestion.
+"""Datasets: synthetic multi-label generation, CSV ingestion, and the file formats.
 
 A sample is a feature vector plus a full multi-label ground truth, an
 optional single-positive observed labeling, and per-class extent scores
@@ -16,6 +16,10 @@ CSV files are only parsed here: a cell must be a finite number and every
 row as wide as the first. The rules on the arrays are those of
 ``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
 prefixes a rejection with the file, line and column it points at.
+
+Artifacts are written atomically: CSV rows by ``_write_csv`` (commas, CRLF: the bytes
+of the ``csv`` module), JSON by ``_json_dump``. ``_read_config`` reads a JSON config;
+an unknown field, a wrong type or a broken rule is rejected with the file named.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ import numpy as np
 from .net import (
     _check_binary,
     _check_extents,
-    _check_int_fields,
-    _check_param,
+    _check_fields,
     _check_rows_positive,
     _check_shape,
     as_matrix,
@@ -124,18 +127,18 @@ class SyntheticSpec:
         self.split_ratio = tuple(self.split_ratio)  # JSON stores it as a list
 
     def validate(self) -> None:
-        _check_param("n_samples", self.n_samples, self.n_samples >= 4, "at least 4")
-        _check_param("n_classes", self.n_classes, self.n_classes >= 2, "at least 2")
-        _check_param("n_features", self.n_features, self.n_features >= 1, "at least 1")
-        _check_param("separation", self.separation, self.separation > 0, "positive")
-        _check_param("mean_positives", self.mean_positives,
-                     1.0 <= self.mean_positives <= self.n_classes, f"in [1, {self.n_classes}]")
-        _check_param("extent_concentration", self.extent_concentration,
-                     self.extent_concentration > 0, "positive")
-        _check_int_fields(self)
         ratio = self.split_ratio
-        if len(ratio) != 3 or not all(math.isfinite(r) and r > 0 for r in ratio):
-            raise ValueError(f"split_ratio must be three finite, positive numbers, got {ratio!r}")
+        _check_fields(self, {
+            "n_samples": (self.n_samples >= 4, "at least 4"),
+            "n_classes": (self.n_classes >= 2, "at least 2"),
+            "n_features": (self.n_features >= 1, "at least 1"),
+            "separation": (self.separation > 0, "positive"),
+            "mean_positives": (1.0 <= self.mean_positives <= self.n_classes,
+                               f"in [1, {self.n_classes}]"),
+            "extent_concentration": (self.extent_concentration > 0, "positive"),
+            "split_ratio": (len(ratio) == 3 and all(math.isfinite(r) and r > 0 for r in ratio),
+                            "three finite, positive numbers"),
+        })
         sizes = _split_sizes(self.n_samples, ratio)
         if min(sizes) < 1:
             raise ValueError(f"split_ratio must give every split at least one row, got {ratio!r} "
@@ -218,19 +221,16 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
             for name, a, b in zip(("train", "val", "test"), bounds[:-1], bounds[1:])}
 
 
-def _write_csv(path, array, dtype) -> None:
-    """Write ``array.astype(dtype)`` as CSV, one streamed row at a time (see ``write_split_csv``)."""
+def _write_csv(path, rows, dtype=None) -> None:
+    """Stream ``rows`` of text cells, or with a ``dtype`` a matrix's ``repr`` cells, to ``path``."""
+    if dtype is not None:
+        rows = (map(repr, row) for row in rows.astype(dtype).tolist())
     with atomic_open(path, newline="") as fh:
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in array.astype(dtype).tolist())
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
-    """Write one split as prefix_{features,labels[,extents][,observed]}.csv.
-
-    Each cell is the ``repr`` of its value, a float for features and extents
-    and an int for labels; cells are joined by commas and every row ends in
-    CRLF. These are the bytes ``csv.writer`` gives.
-    """
+    """Write one split as prefix_{features,labels[,extents][,observed]}.csv of ``repr`` cells."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -322,10 +322,15 @@ def load_split_csv(datadir, prefix: str) -> MultiLabelDataset:
     return ingest_csv(*_split_files(datadir, prefix))
 
 
-def write_spec_json(spec: SyntheticSpec, path) -> None:
+def _json_dump(obj, path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline, atomically."""
     with atomic_open(path) as fh:
-        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_spec_json(spec: SyntheticSpec, path) -> None:
+    _json_dump(asdict(spec), path)
 
 
 def read_json(path):
@@ -337,17 +342,27 @@ def read_json(path):
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _check_known(cls, keys, kind: str) -> None:
+    """Reject the first of ``keys`` that is no field of ``cls``, naming it a ``kind`` field."""
+    unknown = next((key for key in keys if key not in cls.__dataclass_fields__), None)
+    if unknown is not None:
+        raise ValueError(f"unknown {kind} field {unknown!r}")
+
+
+def _read_config(cls, payload: dict, source, kind: str):
+    """The validated ``cls(**payload)``; a rejection, a TypeError too, names ``source``."""
+    try:
+        _check_known(cls, payload, kind)
+        config = cls(**payload)
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return config
+
+
 def read_spec_json(path) -> SyntheticSpec:
     """The checked ``SyntheticSpec`` in a spec.json; a rejection names the file."""
     payload = read_json(path)
-    try:
-        if not isinstance(payload, dict):
-            raise ValueError("not a JSON object")
-        unknown = [key for key in payload if key not in SyntheticSpec.__dataclass_fields__]
-        if unknown:
-            raise ValueError(f"unknown spec field {unknown[0]!r}")
-        spec = SyntheticSpec(**payload)
-        spec.validate()
-    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
-        raise ValueError(f"{path}: {exc}") from None
-    return spec
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return _read_config(SyntheticSpec, payload, path, "spec")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import _check_indices, _check_param, _check_shape, _check_unit
+from .net import _check_fields, _check_indices, _check_shape, _check_unit
 
 __all__ = [
     "DualEmaState",
@@ -41,9 +41,8 @@ class DualEmaState:
     gamma: float = 0.5
 
     def __post_init__(self):
-        for name in ("beta_t", "beta_s", "gamma"):
-            v = getattr(self, name)
-            _check_param(name, v, 0.0 <= v <= 1.0, "in [0, 1]")
+        _check_fields(self, {name: (0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
+                             for name in ("beta_t", "beta_s", "gamma")})
 
 
 def init_dual_ema(student_params, n_train: int, n_classes: int,

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .net import _check_binary, _check_int, _check_int_fields, _check_param, as_matrix
+from .net import _check_binary, _check_fields, _check_int, _check_param, as_matrix
 
 __all__ = [
     "MetricReport",
@@ -455,18 +455,16 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_param("n_samples", self.n_samples, self.n_samples >= 1, "at least 1")
-        _check_param("n_classes", self.n_classes, self.n_classes >= 1, "at least 1")
-        _check_param("mean_positives", self.mean_positives, self.mean_positives > 0, "positive")
-        _check_param("beta_low", self.beta_low, 0.0 <= self.beta_low < 1.0, "in [0, 1)")
-        _check_param("beta_high", self.beta_high, self.beta_low <= self.beta_high <= 1.0
-                     and self.beta_high > 0.0, "in [beta_low, 1] and positive")
-        _check_param("margin_low", self.margin_low, True, "")
-        _check_param("margin_high", self.margin_high, self.margin_high >= self.margin_low,
-                     "at least margin_low")
-        _check_param("dominant_sharpness", self.dominant_sharpness,
-                     self.dominant_sharpness > 0, "positive")
-        _check_int_fields(self)
+        _check_fields(self, {
+            "n_samples": (self.n_samples >= 1, "at least 1"),
+            "n_classes": (self.n_classes >= 1, "at least 1"),
+            "mean_positives": (self.mean_positives > 0, "positive"),
+            "beta_low": (0.0 <= self.beta_low < 1.0, "in [0, 1)"),
+            "beta_high": (self.beta_low <= self.beta_high <= 1.0 and self.beta_high > 0.0,
+                          "in [beta_low, 1] and positive"),
+            "margin_high": (self.margin_high >= self.margin_low, "at least margin_low"),
+            "dominant_sharpness": (self.dominant_sharpness > 0, "positive"),
+        })
 
 
 @dataclass

@@ -22,8 +22,8 @@ supported on the true labels (``_check_extents``) and sample indices in
 range (``_check_indices``). Each raises ValueError through ``_reject``,
 naming the argument, the rule and the first offending value with its
 0-based position, also kept as attributes for CSV ingestion to map to a
-file, line and column. Scalar hyperparameters go through ``_check_param``,
-the rule ``TrainConfig.validate`` applies, and integers through ``_check_int``.
+file, line and column. A config's ``{field: (ok, requirement)}`` table goes to
+``_check_fields``: ``_check_param`` on each field, then ``_check_int`` on each integer.
 """
 
 from __future__ import annotations
@@ -126,8 +126,11 @@ def _check_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_int_fields(config) -> None:
-    """``_check_int`` on every field of the dataclass ``config`` hinted ``int``."""
+def _check_fields(config, rules: dict) -> None:
+    """``_check_param`` on each field with its ``rules`` entry, then ``_check_int`` on each int."""
+    for f in fields(config):
+        ok, requirement = rules.get(f.name, (True, ""))
+        _check_param(f.name, getattr(config, f.name), ok, requirement)
     for f in fields(config):
         if f.type in (int, "int"):
             _check_int(f.name, getattr(config, f.name))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_open
+from .data import _write_csv
 from .net import _check_binary, _check_extents, _check_rows_positive
 
 __all__ = [
@@ -66,13 +66,11 @@ class FlipRateTable:
     macro: float           # unweighted mean of beta over supported classes
 
     def to_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "beta", "support"])
-            for c, (b, s) in enumerate(zip(self.beta, self.support)):
-                writer.writerow([c, "" if np.isnan(b) else repr(float(b)), int(s)])
-            writer.writerow(["micro_average", repr(float(self.micro)), ""])
-            writer.writerow(["macro_average", repr(float(self.macro)), ""])
+        _write_csv(path, [["class", "beta", "support"], *(
+            [str(c), "" if np.isnan(b) else repr(float(b)), str(int(s))]
+            for c, (b, s) in enumerate(zip(self.beta, self.support))),
+            ["micro_average", repr(float(self.micro)), ""],
+            ["macro_average", repr(float(self.macro)), ""]])
 
     @classmethod
     def from_csv(cls, path) -> "FlipRateTable":

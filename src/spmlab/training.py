@@ -11,13 +11,13 @@ single-stage runs of the corresponding loss.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from . import losses
-from .data import MultiLabelDataset, atomic_open, read_json
+from .data import MultiLabelDataset, _read_config, atomic_open, read_json
 from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
 from .metrics import (
     MetricReport,
@@ -26,7 +26,7 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import (Mlp, _check_int_fields, _check_param, _check_shape, _check_unit, _sigmoid,
+from .net import (Mlp, _check_fields, _check_param, _check_shape, _check_unit, _sigmoid,
                   make_rng, sigmoid)
 
 __all__ = [
@@ -73,10 +73,9 @@ class TrainConfig:
     log_clean_val: bool = False       # diagnostic only, never used for decisions
 
     def validate(self) -> None:
-        """Reject a bad field through ``net._check_param``, naming it and its value."""
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        rules = {
+        """Reject a bad field through ``net._check_fields``, naming it and its value."""
+        _check_fields(self, {
+            "method": (self.method in METHODS, f"one of {METHODS}"),
             "lam": (self.lam >= 0, "non-negative"),
             "beta_t": (0.0 <= self.beta_t <= 1.0, "in [0, 1]"),
             "beta_s": (0.0 <= self.beta_s <= 1.0, "in [0, 1]"),
@@ -93,11 +92,7 @@ class TrainConfig:
             "learning_rate": (self.learning_rate > 0, "positive"),
             "threshold": (0.0 < self.threshold < 1.0, "in (0, 1)"),
             "hidden": (self.hidden >= 0, "non-negative"),
-        }
-        for f in fields(self):
-            ok, requirement = rules.get(f.name, (True, ""))
-            _check_param(f.name, getattr(self, f.name), ok, requirement)
-        _check_int_fields(self)
+        })
 
     @property
     def reports_teacher(self) -> bool:
@@ -475,7 +470,7 @@ def save_checkpoint(ckpt: dict, path) -> None:
 
 
 def _check_checkpoint(ckpt, source: str) -> dict:
-    """Return ``ckpt`` if it is a trainer checkpoint of this format version."""
+    """Return ``ckpt`` if it is a trainer checkpoint of this format version with a valid config."""
     if not isinstance(ckpt, dict) or ckpt.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{source}: not a trainer checkpoint")
     if ckpt.get("version") != CHECKPOINT_VERSION:
@@ -484,10 +479,7 @@ def _check_checkpoint(ckpt, source: str) -> dict:
     config = ckpt.get("config")
     if not isinstance(config, dict):
         raise ValueError(f"{source}: config is not a JSON object")
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = next((key for key in config if key not in known), None)
-    if unknown is not None:
-        raise ValueError(f"{source}: unknown config field {unknown!r}")
+    _read_config(TrainConfig, config, source, "config")
     return ckpt
 
 

@@ -14,6 +14,9 @@ their rewrites can be held to bit-equal results:
   partner row once.
 * ``reference_write_csv``: the ``csv.writer`` call that wrote each dataset
   CSV before ``write_split_csv`` formatted its rows itself.
+* ``reference_write_curves`` and ``reference_write_fliprates``: the
+  ``csv.writer`` bodies that wrote curves.csv and fliprates.csv before both
+  formatted their own cells for ``data._write_csv``.
 * ``reference_random_spml``: the per-row loop of ``simulate_random_spml``
   before it drew every row's pick in one call.
 * ``reference_generate_synthetic``: the body of ``generate_synthetic``
@@ -173,6 +176,29 @@ def reference_write_csv(path, array, dtype):
     """Write ``array.astype(dtype)`` to ``path`` through ``csv.writer``."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(array.astype(dtype).tolist())
+
+
+CURVE_FIELDS = ("epoch", "stage", "train_loss", "noisy_val_map", "noisy_val_map_student",
+                "clean_val_map")
+
+
+def reference_write_curves(path, logs):
+    """curves.csv of ``EpochLog`` rows through ``csv.writer``; train_loss is headed loss."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["loss" if name == "train_loss" else name for name in CURVE_FIELDS])
+        writer.writerows([getattr(log, name) for name in CURVE_FIELDS] for log in logs)
+
+
+def reference_write_fliprates(path, table):
+    """fliprates.csv of a ``FlipRateTable`` through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class", "beta", "support"])
+        for c, (b, s) in enumerate(zip(table.beta, table.support)):
+            writer.writerow([c, "" if np.isnan(b) else repr(float(b)), int(s)])
+        writer.writerow(["micro_average", repr(float(table.micro)), ""])
+        writer.writerow(["macro_average", repr(float(table.macro)), ""])
 
 
 def reference_random_spml(y_true, rng):

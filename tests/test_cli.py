@@ -17,7 +17,23 @@ from spmlab.cli import (
 from spmlab.data import SyntheticSpec, load_split_csv, write_spec_json
 from spmlab.net import Mlp
 from spmlab.noise import FlipRateTable
-from spmlab.training import METHODS, TrainConfig, evaluate, load_checkpoint, save_checkpoint
+from spmlab.training import (
+    METHODS,
+    EpochLog,
+    TrainConfig,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+from oracles import reference_write_curves
+
+# a warmup row without a clean mAP, a gc row with one, and floats whose reprs differ most
+CURVE_LOGS = [EpochLog(0, "warmup", -0.0, 1e-300, 5e-324, None),
+              EpochLog(1, "gc", np.float64(1 / 3), 1.0, 0.0, np.float64(0.1))]
+FLIP_TABLES = [FlipRateTable(np.array([np.nan, -0.0, 1e-300, 5e-324]), np.array([0, 3, 2, 1]),
+                             5e-324, 1e-300),
+               FlipRateTable(np.array([0.5, np.nan]), np.array([4, 0]), 0.5, 0.5)]
 
 
 def tiny_spec(outdir, method="an", **config_kw):
@@ -191,6 +207,11 @@ class TestGenCorrupt:
 
 
 class TestRunExperiment:
+    def test_curves_have_the_bytes_of_csv_writer(self, tmp_path):
+        cli._write_curves(tmp_path / "curves.csv", CURVE_LOGS)
+        reference_write_curves(tmp_path / "reference.csv", CURVE_LOGS)
+        assert (tmp_path / "curves.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_tiny_run_writes_all_artifacts_quickly(self, tmp_path):
         t0 = time.perf_counter()
         paths = run_experiment(tiny_spec(tmp_path / "run"))
@@ -245,7 +266,9 @@ class TestRunExperiment:
         (save_checkpoint, {"epoch": 1}, {"epoch": 2}),
         (cli._json_dump, {"map": 0.5}, {"map": 0.6}),
         (write_spec_json, SyntheticSpec(seed=1), SyntheticSpec(seed=2)),
-    ], ids=["checkpoint", "json_dump", "spec"])
+        (lambda logs, path: cli._write_curves(path, logs), CURVE_LOGS[:1], CURVE_LOGS),
+        (FlipRateTable.to_csv, *FLIP_TABLES),
+    ], ids=["checkpoint", "json_dump", "spec", "curves", "fliprates"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, old, new):
         path = tmp_path / "artifact.json"
         write(old, path)
@@ -349,6 +372,17 @@ class TestCliSurface:
                      "--noise-seed", "5"]) == 0
         assert main(gen) == 0
         assert not (d / "noise.json").exists()
+
+    def test_gen_deletes_stale_observed_and_flip_rate_files(self, tmp_path):
+        # observed labels of older data would pair with the new labels
+        d = tmp_path / "d"
+        gen = ["gen", "--outdir", str(d), "--n-samples", "200", "--n-classes", "4"]
+        assert main(gen + ["--data-seed", "1"]) == 0
+        assert main(["corrupt", "--data-dir", str(d), "--regime", "random"]) == 0
+        assert main(gen + ["--data-seed", "2"]) == 0
+        for name in ("train_observed.csv", "val_observed.csv", "fliprates.csv", "noise.json"):
+            assert not (d / name).exists()
+        assert load_split_csv(d, "train").y_observed is None
 
     @pytest.mark.parametrize("content, value", [
         ('{"noise_seed": "5"}', "'5'"), ('{"noise_seed": true}', "True"), ("[5]", "None"),
@@ -679,6 +713,24 @@ class TestRunDirectory:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError",
                        "message": f"{path}: unknown config field 'bogus'"}
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("method", 3, f"method must be one of {METHODS}, got 3"),
+        ("threshold", "0.5", "'<' not supported between instances of 'float' and 'str'"),
+        ("threshold", 2.0, "threshold must be in (0, 1), got 2.0"),
+    ], ids=["method", "threshold-string", "threshold-range"])
+    def test_eval_names_a_bad_checkpoint_config(self, csv_data, tmp_path, capsys, field, value,
+                                                rule):
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        ckpt = json.loads(path.read_text())
+        ckpt["config"][field] = value
+        path.write_text(json.dumps(ckpt))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": f"{path}: {rule}"}
 
     def test_run_experiment_returns_its_five_artifacts(self, tmp_path):
         paths = run_experiment(tiny_spec(tmp_path / "run", epochs=1))

@@ -64,6 +64,36 @@ class TestGenerator:
             generate_synthetic(SyntheticSpec(**{field: value}))
         assert str(exc.value) == f"{field} must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_samples": 3}, "n_samples must be at least 4, got 3"),
+        ({"n_samples": float("nan")}, "n_samples must be finite, got nan"),
+        ({"n_samples": 300.5}, "n_samples must be an integer, got 300.5"),
+        ({"n_classes": 1}, "n_classes must be at least 2, got 1"),
+        ({"n_classes": float("inf")}, "n_classes must be finite, got inf"),
+        ({"n_features": 0}, "n_features must be at least 1, got 0"),
+        ({"n_features": float("-inf")}, "n_features must be finite, got -inf"),
+        ({"separation": 0.0}, "separation must be positive, got 0.0"),
+        ({"separation": float("nan")}, "separation must be finite, got nan"),
+        ({"mean_positives": 0.5}, "mean_positives must be in [1, 19], got 0.5"),
+        ({"n_classes": 4, "mean_positives": 4.5}, "mean_positives must be in [1, 4], got 4.5"),
+        ({"mean_positives": float("inf")}, "mean_positives must be finite, got inf"),
+        ({"extent_concentration": -1.0}, "extent_concentration must be positive, got -1.0"),
+        ({"extent_concentration": float("nan")}, "extent_concentration must be finite, got nan"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"split_ratio": (1, 1)}, "split_ratio must be three finite, positive numbers, got (1, 1)"),
+        ({"split_ratio": (1, float("inf"), 1)},
+         "split_ratio must be three finite, positive numbers, got (1, inf, 1)"),
+        ({"n_samples": 4, "split_ratio": (1, 1, 10)}, "split_ratio must give every split at "
+         "least one row, got (1, 1, 10) (train/val/test rows (0, 0, 4) of 4)"),
+        # two bad fields: the first declared is named
+        ({"n_samples": 3, "separation": 0.0}, "n_samples must be at least 4, got 3"),
+    ])
+    def test_config_rule_names_field_and_value(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            SyntheticSpec(**changes).validate()
+        assert str(exc.value) == message
+
     def test_infeasible_cardinality_rejected(self):
         with pytest.raises(ValueError, match="mean_positives"):
             generate_synthetic(SyntheticSpec(n_classes=4, mean_positives=9.0))

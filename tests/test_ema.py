@@ -154,3 +154,19 @@ def test_coefficients_validated():
         fresh_state(beta_t=1.5)
     with pytest.raises(ValueError):
         fresh_state(gamma=-0.1)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"beta_t": 1.5}, "beta_t must be in [0, 1], got 1.5"),
+    ({"beta_t": float("nan")}, "beta_t must be finite, got nan"),
+    ({"beta_s": -0.1}, "beta_s must be in [0, 1], got -0.1"),
+    ({"beta_s": float("inf")}, "beta_s must be finite, got inf"),
+    ({"gamma": 2}, "gamma must be in [0, 1], got 2"),
+    ({"gamma": float("-inf")}, "gamma must be finite, got -inf"),
+    # two bad coefficients: the first declared is named
+    ({"beta_s": 2.0, "beta_t": float("nan")}, "beta_t must be finite, got nan"),
+])
+def test_coefficient_rule_names_field_and_value(changes, message):
+    with pytest.raises(ValueError) as exc:
+        fresh_state(**changes)
+    assert str(exc.value) == message

@@ -11,7 +11,7 @@ from spmlab.noise import (
     simulate_random_spml,
 )
 
-from oracles import reference_random_spml
+from oracles import reference_random_spml, reference_write_fliprates
 
 
 class TestRandomSimulator:
@@ -150,6 +150,19 @@ class TestFlipRates:
     def test_rejects_invented_positive(self):
         with pytest.raises(ValueError, match="ground truth"):
             compute_flip_rates(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("table", [
+        # an unsupported class, and floats whose reprs differ most
+        FlipRateTable(np.array([np.nan, -0.0, 1e-300, 5e-324]), np.array([0, 3, 2, 1]),
+                      5e-324, 1e-300),
+        compute_flip_rates(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                           np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+    ], ids=["edge-values", "computed"])
+    def test_csv_has_the_bytes_of_csv_writer(self, tmp_path, table):
+        table.to_csv(tmp_path / "fliprates.csv")
+        reference_write_fliprates(tmp_path / "reference.csv", table)
+        assert ((tmp_path / "fliprates.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     def test_csv_round_trip(self, tmp_path):
         y = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -388,7 +388,11 @@ class TestTrainerMechanics:
         (lambda c: c["config"].update(bogus=1), "checkpoint: unknown config field 'bogus'"),
         (lambda c: c.update(config=5), "checkpoint: config is not a JSON object"),
         (lambda c: c.pop("config"), "checkpoint: config is not a JSON object"),
-    ], ids=["unknown-field", "not-an-object", "missing"])
+        (lambda c: c["config"].update(lam="3"),
+         "checkpoint: '>=' not supported between instances of 'str' and 'int'"),
+        (lambda c: c["config"].update(threshold=2.0),
+         "checkpoint: threshold must be in (0, 1), got 2.0"),
+    ], ids=["unknown-field", "not-an-object", "missing", "wrong-type", "bad-value"])
     def test_checkpoint_config_checked(self, edit, error):
         tr, va, te = small_data()
         ckpt = Trainer(small_config(method="an", epochs=1), tr, va).checkpoint()
