@@ -10,9 +10,12 @@ labels are binary, probabilities and pseudo-labels lie in [0, 1], and
 every array has the shape of ``p``; an error names the argument and the
 first offending value with its position. A scalar weight must be finite
 and meet the rule ``TrainConfig.validate`` gives its field. It then
-clamps and calls one private kernel (``_bce_terms``, ``_an_ls_terms``,
-``_epr_terms``, ``_iun_terms``, ``_adagc_terms``, ``_gc_core``) that
-takes clamped probabilities and returns ``(value, dlogits)``. The trainer
+clamps and calls one private kernel (``_an_terms``, ``_bce_terms``,
+``_an_ls_terms``, ``_epr_terms``, ``_iun_terms``, ``_adagc_terms``,
+``_gc_core``) that takes clamped probabilities and returns
+``(value, dlogits)``. ``_an_terms`` is BCE on binary targets, cell for
+cell the value and gradient of ``_bce_terms``, in fewer operations;
+``_bce_terms`` serves soft targets and a negative-term weight. The trainer
 checks its inputs once, at construction, and calls the same kernels in
 each step, so every formula lives in one place and the tests of the
 public functions cover it.
@@ -70,16 +73,30 @@ def _clip(p: np.ndarray) -> np.ndarray:
 def _bce_terms(p, targets, w_neg=1.0):
     """Cell-wise BCE with down-weighted negative terms; returns (sum, dlogits)."""
     neg = 1.0 - targets
-    val = targets * np.log(p) + w_neg * (neg * np.log1p(-p))
-    grad = targets * (p - 1.0) + w_neg * (neg * p)
+    val_neg, grad_neg = neg * np.log1p(-p), neg * p
+    if w_neg != 1.0:  # a weight of 1.0 multiplies exactly
+        val_neg *= w_neg
+        grad_neg *= w_neg
+    val = targets * np.log(p) + val_neg
+    grad = targets * (p - 1.0) + grad_neg
     return -float(val.sum()), grad  # negating the sum, not each cell, is exact
+
+
+def _an_terms(p, y):
+    """``_bce_terms(p, y)`` of binary ``y``: each cell takes its one nonzero term.
+
+    In ``_bce_terms`` the other term is 0 times a finite log, a signed zero,
+    and adding it leaves the nonzero term as it is.
+    """
+    val = np.where(y == 1.0, np.log(p), np.log1p(-p))
+    return -float(val.sum()), p - y
 
 
 def loss_an(p, y_observed) -> LossValue:
     """Assume-negative BCE: every unobserved label is treated as a negative."""
     p = _clamp(p)
     y = _check_binary(y_observed, "y_observed", p.shape, "p")
-    return LossValue(*_bce_terms(p, y))
+    return LossValue(*_an_terms(p, y))
 
 
 def loss_an_ls(p, y_observed, eps_smooth: float) -> LossValue:

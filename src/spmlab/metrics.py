@@ -61,13 +61,18 @@ def _class_order(s: np.ndarray) -> np.ndarray:
 
     An unstable sort of ``-s``, faster than a stable one, groups equal scores
     into runs; sorting the unique key ``run * n + sample`` then orders each
-    run by index: the stable order, whatever algorithm either sort uses.
+    run by index: the stable order, whatever algorithm either sort uses. With
+    no two equal scores in a row, every run is one sample and the unstable
+    order is already the stable one, so the second sort is skipped.
     """
     neg = np.negative(s.T, order="C")
     n_classes, n = neg.shape
     order = np.argsort(neg, axis=1)
-    ranked = np.take(neg, order + n * np.arange(n_classes)[:, None]).ravel()
+    ranked = np.take(neg, order + n * np.arange(n_classes)[:, None])
+    if not (ranked[:, 1:] == ranked[:, :-1]).any():
+        return order
     # run numbers carry across rows; a row only needs them non-decreasing
+    ranked = ranked.ravel()
     run = np.zeros(neg.shape, dtype=np.int64)
     np.cumsum(ranked[1:] != ranked[:-1], out=run.reshape(-1)[1:])
     run *= n

@@ -12,7 +12,10 @@ input checks; the trainer calls them on student and teacher models whose
 parameter buffers it owns and updates in place, and hands out copies as
 snapshots. A model builds its (W, b) views into ``params`` once, so
 ``params`` is only ever updated in place, never rebound. ``Mlp._over`` views
-the trainer's (2, P) student-teacher buffer, to forward both in one pass.
+the trainer's (2, P) student-teacher buffer, to forward both in one pass:
+on a (2, 1, n, d) stack of two batches, the broadcast matmuls give the
+(2, 2, n, out) products of each batch (first index) with each model
+(second index), each slice with the bytes of its own 2-D pass.
 
 Every module checks its array inputs with the helpers beside
 ``as_matrix``, one per rule: binary labels (``_check_binary``), values
@@ -159,12 +162,17 @@ def sigmoid(logits) -> np.ndarray:
     return _sigmoid(z)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """``sigmoid`` of finite float64 logits, unchecked."""
-    neg = np.exp(-np.abs(z))  # in (0, 1], never overflows
-    out = neg / (1.0 + neg)   # sigmoid(-|z|)
-    out = np.where(z >= 0.0, 1.0 - out, out)
-    return np.minimum(np.maximum(out, _SIG_LO, out=out), _SIG_HI, out=out)
+def _sigmoid(z: np.ndarray, clamped: bool = True) -> np.ndarray:
+    """``sigmoid`` of finite float64 logits, unchecked.
+
+    ``clamped=False`` skips the clamp into (0, 1), for a caller that clips tighter.
+    """
+    out = np.exp(-np.abs(z))     # in (0, 1], never overflows
+    out /= 1.0 + out             # sigmoid(-|z|)
+    np.subtract(1.0, out, out=out, where=z >= 0.0)
+    if clamped:
+        np.minimum(np.maximum(out, _SIG_LO, out=out), _SIG_HI, out=out)
+    return out
 
 
 def softmax(logits) -> np.ndarray:
@@ -259,14 +267,21 @@ class Mlp:
         logits, _ = self._forward_cached(self._check_batch(batch))
         return logits
 
-    def _forward_cached(self, x: np.ndarray):
-        """(logits, per-layer inputs) of a checked batch, a stack per row of a stacked model."""
+    def _forward_cached(self, x: np.ndarray, n_checked: int | None = None):
+        """(logits, per-layer inputs) of a checked batch, a stack per row of a stacked model.
+
+        One check covers every (n, out) product of the pass, or only the first
+        ``n_checked`` of them in row-major order, when the caller leaves the rest unused.
+        """
         acts = [x]
         for w, b in self._layers[:-1]:
             acts.append(np.tanh(acts[-1] @ w + b))
         w, b = self._layers[-1]
         logits = acts[-1] @ w + b
-        if not np.isfinite(logits).all():  # one check: a bad logit in any row raises
+        checked = logits
+        if n_checked is not None:
+            checked = logits.reshape(-1, *logits.shape[-2:])[:n_checked]
+        if not np.isfinite(checked).all():
             raise ValueError("forward pass produced non-finite logits")
         return logits, acts
 

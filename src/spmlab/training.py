@@ -11,8 +11,8 @@ single-stage runs of the corresponding loss.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import (Mlp, _check_fields, _check_param, _check_shape, _check_unit, _sigmoid,
-                  make_rng, sigmoid)
+from .net import (Mlp, _check_cells, _check_fields, _check_param, _check_shape, _check_unit,
+                  _sigmoid, make_rng, sigmoid)
 
 __all__ = [
     "METHODS",
@@ -159,16 +159,22 @@ def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
         raise ValueError("cannot mix an empty batch")
     if any(a.shape[0] != n for a in arrays):
         raise ValueError("x, y, t must share the batch dimension")
-    partner = rng.integers(0, n, size=n)
-    phi = rng.beta(alpha, alpha, size=n)
-    # the arrays side by side, split back into copies: a matmul on a slice can round apart
-    a = np.concatenate([v.reshape(n, -1) for v in arrays], axis=1)
-    b, w = a.take(partner, axis=0), phi[:, None]
-    mixed = np.where(a == b, a, w * a + (1.0 - w) * b)
-    ends = list(accumulate((v.size // n for v in arrays), initial=0))
-    x_mix, y_mix, t_mix = (mixed[:, lo:hi].copy().reshape(v.shape)
-                           for lo, hi, v in zip(ends, ends[1:], arrays))
+    partner, phi = _mixup_draws(rng, n, alpha)
+    x_mix, y_mix, t_mix = (_blend(v.reshape(n, -1), partner, phi).reshape(v.shape)
+                           for v in arrays)
     return x_mix, y_mix, t_mix, phi
+
+
+def _mixup_draws(rng: np.random.Generator, n: int, alpha: float):
+    """Mixup's draws for a batch of ``n``: each sample's partner, then its phi."""
+    partner = rng.integers(0, n, size=n)
+    return partner, rng.beta(alpha, alpha, size=n)
+
+
+def _blend(a: np.ndarray, partner: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Each sample (axis -2 of ``a``) mixed with its partner, unchanged where they agree."""
+    b, w = a.take(partner, axis=-2), phi[:, None]
+    return np.where(a == b, a, w * a + (1.0 - w) * b)
 
 
 class Trainer:
@@ -176,8 +182,10 @@ class Trainer:
 
     Each step updates the student and the teacher EMA in place: ``_student`` views
     row 0 of one (2, P) buffer, ``_teacher`` and ``ema.teacher_params`` row 1, and
-    ``_pair`` the whole, to forward both in one pass. ``model`` and ``teacher`` hand out
-    copies, so a model taken from a trainer never changes afterwards. Inputs are checked
+    ``_pair`` the whole, to forward both in one pass. Every step makes one forward
+    pass: a warm-up step forwards the student, a calibrated step forwards the pair on
+    the batch stacked over its Mixup blend. ``model`` and ``teacher`` hand out copies,
+    so a model taken from a trainer never changes afterwards. Inputs are checked
     here, once; the steps call the unchecked kernels of ``net``, ``losses`` and ``ema``.
     """
 
@@ -259,7 +267,7 @@ class Trainer:
         cfg = self.config
         y_obs = self.train_ds.y_observed[idx]
         if cfg.method in ("an", "adagc"):
-            return losses._bce_terms(p, y_obs)
+            return losses._an_terms(p, y_obs)
         if cfg.method == "an_ls":
             return losses._an_ls_terms(p, y_obs, cfg.eps_smooth)
         if cfg.method == "wan":
@@ -269,7 +277,7 @@ class Trainer:
         if cfg.method == "iun":
             return losses._iun_terms(p, y_obs, self._true_neg_mask[idx])
         if cfg.method == "gt":
-            return losses._bce_terms(p, self.train_ds.y_true[idx])
+            return losses._an_terms(p, self.train_ds.y_true[idx])
         raise AssertionError(cfg.method)
 
     def _step(self, acts, dlogits) -> None:
@@ -282,8 +290,9 @@ class Trainer:
 
     def _warmup_iteration(self, idx) -> float:
         logits, acts = self._student._forward_cached(self.train_ds.features[idx])
-        p = _sigmoid(logits)
-        if self.config.method == "adagc":
+        smoothing = self.config.method == "adagc"
+        p = _sigmoid(logits, clamped=smoothing)  # otherwise only _clip reads it
+        if smoothing:
             _update_predictions(self.ema, idx, p)
         value, dlogits = self._baseline_loss(losses._clip(p), idx)
         nb = idx.size
@@ -293,17 +302,20 @@ class Trainer:
     def _gc_iteration(self, idx) -> float:
         cfg = self.config
         xb, yb = (a.take(idx, axis=0) for a in (self.train_ds.features, self.train_ds.y_observed))
-        # pseudo-labels come from the un-mixed batch: one stacked student-teacher
-        # pass feeds the prediction EMA and the teacher-student fusion
-        p_student, p_teacher = _sigmoid(self._pair._forward_cached(xb)[0])
+        # Mixup draws first, so one pass of the pair over the batch stacked on its
+        # blend gives products [batch, model]: [0, 0] and [0, 1] feed the prediction
+        # EMA and the pseudo-labels, [1, 0] the loss; [1, 1] goes unused and unchecked
+        partner, phi = _mixup_draws(self.rng, idx.size, cfg.mixup_alpha)
+        x = np.concatenate([xb, _blend(xb, partner, phi)]).reshape(2, 1, *xb.shape)
+        logits, acts = self._pair._forward_cached(x, n_checked=3)
+        p_student, p_teacher = _sigmoid(logits[0])
         smoothed = _update_predictions(self.ema, idx, p_student)  # idx holds no repeats
         t = _pseudo_labels(self.ema, p_teacher, idx,
                            p_student if cfg.raw_student_pseudo else smoothed)
-        x_mix, y_mix, t_mix, _ = mixup_batch(xb, yb, t, self.rng, cfg.mixup_alpha)
-        logits, acts = self._student._forward_cached(x_mix)
-        p_mix = losses._clip(_sigmoid(logits))
+        y_mix, t_mix = _blend(np.concatenate([yb, t]).reshape(2, *t.shape), partner, phi)
+        p_mix = losses._clip(_sigmoid(logits[1, 0], clamped=False))
         value, dlogits = losses._adagc_terms(p_mix, y_mix, t_mix, cfg.lam)
-        self._step(acts, dlogits)
+        self._step([a[1, 0] for a in acts], dlogits)
         return value
 
     def _val_map(self, model: Mlp, *label_sets) -> list:
@@ -484,14 +496,24 @@ def _check_checkpoint(ckpt, source: str) -> dict:
 
 
 def _checkpoint_model(ckpt: dict, field: str, source: str) -> Mlp:
-    """The model of ``ckpt[field]``; a wrong parameter count names the field and ``source``."""
-    sizes = tuple(int(s) for s in ckpt["layer_sizes"])
-    params = np.asarray(ckpt[field], dtype=np.float64)
+    """The model of ``ckpt[field]``; a bad ``layer_sizes`` or ``field`` is named with ``source``."""
+    sizes, raw = ckpt.get("layer_sizes"), ckpt.get(field)
+    if (not isinstance(sizes, list) or len(sizes) not in (2, 3)
+            or not all(type(s) is int and s >= 1 for s in sizes)):
+        raise ValueError(f"{source}: layer_sizes must be 2 or 3 positive integers, "
+                         f"found {reprlib.repr(sizes)}")
+    try:
+        params = np.array(raw) if isinstance(raw, list) else None
+    except ValueError:  # lists nested unevenly
+        params = None
+    if params is None or params.ndim != 1 or params.dtype.kind not in "iuf":
+        raise ValueError(f"{source}: {field} must be a list of numbers, found {reprlib.repr(raw)}")
+    sizes, params = tuple(sizes), np.asarray(params, dtype=np.float64)
     expected = Mlp.param_count(sizes)
-    if params.ndim == 1 and params.size != expected:
+    if params.size != expected:
         raise ValueError(f"{source}: {field} has {params.size} entries, "
                          f"model with layers {sizes} expects {expected}")
-    return Mlp(sizes, params)
+    return Mlp(sizes, _check_cells(params, ~np.isfinite(params), f"{source}: {field}", "be finite"))
 
 
 def load_checkpoint(path) -> dict:

@@ -10,6 +10,7 @@ their rewrites can be held to bit-equal results:
   form, which the rewrite did not touch, from the package.
 * ``reference_class_order``: the one stable argsort that ranked each class
   before the two-pass order.
+* ``reference_sigmoid``: ``net._sigmoid`` before it computed in place.
 * ``reference_mixup``: the Mixup body as it stood before it gathered each
   partner row once.
 * ``reference_write_csv``: the ``csv.writer`` call that wrote each dataset
@@ -237,6 +238,15 @@ def reference_generate_synthetic(spec):
 
     features = extents @ prototypes + rng.standard_normal((n, d))
     return features, y, extents
+
+
+def reference_sigmoid(z):
+    """The clamped logistic of finite logits, through ``np.where``."""
+    neg = np.exp(-np.abs(z))
+    out = neg / (1.0 + neg)
+    out = np.where(z >= 0.0, 1.0 - out, out)
+    lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    return np.minimum(np.maximum(out, lo), hi)
 
 
 def reference_mixup(x, y, t, rng, alpha):

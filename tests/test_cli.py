@@ -679,6 +679,27 @@ class TestRunDirectory:
         assert err == {"error": "ValueError", "message": f"{path}: {field} has 43 entries, "
                        "model with layers (5, 4, 4) expects 44"}
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("layer_sizes", None, "layer_sizes must be 2 or 3 positive integers, found None"),
+        ("layer_sizes", [5, "x"], "layer_sizes must be 2 or 3 positive integers, found [5, 'x']"),
+        ("layer_sizes", [5, -1, 4],
+         "layer_sizes must be 2 or 3 positive integers, found [5, -1, 4]"),
+        ("student_params", "abc", "student_params must be a list of numbers, found 'abc'"),
+        ("student_params", [[1.0]], "student_params must be a list of numbers, found [[1.0]]"),
+    ], ids=["sizes-null", "sizes-string", "sizes-negative", "params-string", "params-nested"])
+    def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
+        assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        ckpt = json.loads(path.read_text())
+        ckpt[field] = value
+        path.write_text(json.dumps(ckpt))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data),
+                     "--use-student"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": f"{path}: {rule}"}
+
     def test_eval_names_a_file_that_is_not_json(self, csv_data, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json")

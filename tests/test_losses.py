@@ -37,6 +37,21 @@ class TestLossAn:
         with pytest.raises(ValueError, match="shape"):
             L.loss_an(np.full((2, 3), 0.5), np.zeros((3, 2)))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_kernel_equals_bce_kernel_on_binary_targets(self, data):
+        # the binary-target kernel drops terms that are 0 * a finite log: bit for bit
+        n, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        cells = st.one_of(st.sampled_from([L.EPS_CLIP, 1.0 - L.EPS_CLIP, 0.5]),
+                          st.floats(L.EPS_CLIP, 1.0 - L.EPS_CLIP))
+        p = np.array(data.draw(st.lists(cells, min_size=n * c, max_size=n * c))).reshape(n, c)
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * c,
+                                        max_size=n * c))).reshape(n, c)
+        value, grad = L._an_terms(p, y)
+        ref_value, ref_grad = L._bce_terms(p, y)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
 
 class TestLossAnLs:
     def test_zero_smoothing_equals_an_bitwise(self):

@@ -411,6 +411,14 @@ class TestClassOrder:
         scores[:, flat] = scores[0, flat]
         assert np.array_equal(_class_order(scores), reference_class_order(scores))
 
+    @pytest.mark.parametrize("first, second", [(20, 150), (0, 1), (0, 199), (198, 199)])
+    def test_a_single_tie_in_one_class(self, first, second):
+        # one tie makes the second sort run; without it, the first sort's order stands
+        scores = make_rng(54).random((200, 5))
+        scores[second, 3] = scores[first, 3]
+        assert sum(np.unique(col).size < col.size for col in scores.T) == 1
+        assert np.array_equal(_class_order(scores), reference_class_order(scores))
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (0, 3), (3, 0)])
     def test_degenerate_shapes(self, shape):
         scores = np.round(make_rng(51).standard_normal(shape), 0)
@@ -425,6 +433,8 @@ class TestClassOrder:
         scores = make_rng(52).random(shape)
         if levels is not None:
             scores = np.round(scores * levels) / levels
+        else:  # tie-free: the order of the first, unstable sort is returned as is
+            assert all(np.unique(col).size == col.size for col in scores.T)
         assert np.array_equal(_class_order(scores), reference_class_order(scores))
 
 

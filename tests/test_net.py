@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from spmlab.net import Mlp, make_rng, sigmoid, softmax
+from spmlab.losses import _clip
+from spmlab.net import Mlp, _sigmoid, make_rng, sigmoid, softmax
 
-from oracles import fd_gradient, relative_error, straight_line_mlp
+from oracles import fd_gradient, relative_error, reference_sigmoid, straight_line_mlp
+
+EXTREME_LOGITS = np.array([[-800.0, -745.0, -40.0, -28.0, -1e-300, -0.0],
+                           [0.0, 5e-324, 1e-8, 27.6, 37.0, 800.0]])
 
 
 class TestSigmoid:
@@ -33,6 +37,17 @@ class TestSigmoid:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             sigmoid(np.array([[np.nan]]))
+
+    def test_in_place_kernel_equals_reference_bit_for_bit(self):
+        z = np.concatenate([EXTREME_LOGITS, make_rng(14).standard_normal((4, 6)) * 30])
+        assert sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+
+    def test_unclamped_kernel_clips_to_the_same_probabilities(self):
+        # the clamp into (0, 1) lies outside _clip's bounds, so skipping it changes nothing
+        z = np.concatenate([EXTREME_LOGITS, make_rng(15).standard_normal((4, 6)) * 30])
+        unclamped = _sigmoid(z, clamped=False)
+        assert unclamped[0, 0] == 0.0 and unclamped[1, -1] == 1.0
+        assert _clip(unclamped).tobytes() == _clip(_sigmoid(z)).tobytes()
 
 
 class TestForward:
@@ -215,6 +230,54 @@ class TestStackedPass:
         assert np.array_equal(pair._forward_cached(x)[0][1],
                               Mlp(sizes, buffer[1])._forward_cached(x)[0])
         assert np.array_equal(pair._forward_cached(x)[0][0], student._forward_cached(x)[0])
+
+    @pytest.mark.parametrize("sizes", [(8, 6), (8, 8, 6), (32, 19), (32, 8, 19)],
+                             ids=["hidden0", "hidden8", "hidden0-suite", "hidden8-suite"])
+    def test_two_stacked_batches_equal_four_separate_passes(self, sizes):
+        # the calibrated step's (2, 1, n, d) pass: product [i, r] is row r on batch i,
+        # and backprop through row 0's slices equals backprop after a separate pass
+        rows, buffer, pair, rng = self._pair(sizes, len(sizes) + 10)
+        for n in (1, 7, 32):
+            x = rng.standard_normal((2, 1, n, sizes[0]))
+            logits, acts = pair._forward_cached(x, n_checked=3)
+            assert logits.shape == (2, 2, n, sizes[-1])
+            g = rng.standard_normal((n, sizes[-1]))
+            for i in range(2):
+                for r, m in enumerate(rows):
+                    row_logits, row_acts = m._forward_cached(x[i, 0].copy())
+                    sliced = [a[i, min(r, a.shape[1] - 1)] for a in acts]
+                    assert logits[i, r].tobytes() == row_logits.tobytes()
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(sliced, row_acts))
+                    if r == 0:
+                        grad = m._backprop(sliced, g)
+                        assert grad.tobytes() == m._backprop(row_acts, g).tobytes()
+
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("sizes", [(8, 6), (8, 8, 6)], ids=["hidden0", "hidden8"])
+    def test_only_the_checked_products_raise(self, sizes, row):
+        # the last layer's first two inputs carry weights of 1e308 in model ``row``;
+        # they are 0 on batch 0 and 1 on batch 1, so only product [1, row] overflows,
+        # and n_checked=3 leaves out [1, 1]
+        rows, buffer, pair, rng = self._pair(sizes, 6)
+        pair._layers[-1][0][row, :2] = 1e308
+        x = rng.standard_normal((2, 1, 4, sizes[0]))
+        x[0, 0, :, :2], x[1, 0, :, :2] = 0.0, 1.0
+        if len(sizes) == 3:  # hidden units 0 and 1 read feature 0 alone: tanh(0), tanh(100)
+            w, b = pair._layers[0]
+            w[row, :, :2], b[row, :, :2] = 0.0, 0.0
+            w[row, 0, :2] = 100.0
+        with np.errstate(over="ignore"):
+            logits, _ = pair._forward_cached(x[:1])
+            assert np.isfinite(logits).all()
+            with pytest.raises(ValueError, match="^forward pass produced non-finite logits$"):
+                pair._forward_cached(x)
+            if row == 0:
+                with pytest.raises(ValueError, match="^forward pass produced non-finite logits$"):
+                    pair._forward_cached(x, n_checked=3)
+            else:
+                logits, _ = pair._forward_cached(x, n_checked=3)
+                assert np.isfinite(logits.reshape(4, -1)[:3]).all()
+                assert not np.isfinite(logits[1, 1]).all()
 
     @pytest.mark.parametrize("row", [0, 1])
     @pytest.mark.parametrize("sizes", [(8, 6), (8, 8, 6)], ids=["hidden0", "hidden8"])
