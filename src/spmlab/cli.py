@@ -365,14 +365,25 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    """Score the model the run reports at the run's threshold, unless overridden, on y_true."""
+    """Score the model the run reports at the run's threshold, unless overridden, on y_true.
+
+    A split whose feature or class count is not the model's is named with the checkpoint."""
     ckpt = load_checkpoint(args.checkpoint)
     config = TrainConfig(**ckpt["config"])
     teacher = config.reports_teacher and not args.use_student
     model = _checkpoint_model(ckpt, "teacher_params" if teacher else "student_params",
                               args.checkpoint)
     threshold = config.threshold if args.threshold is None else args.threshold
-    report = evaluate(model, _load_clean(args.data_dir, args.split), threshold)
+    ds = _load_clean(args.data_dir, args.split)
+    features, labels = _split_files(args.data_dir, args.split)[:2]
+    sizes = model.layer_sizes
+    if ds.n_features != sizes[0]:
+        raise ValueError(f"{args.checkpoint}: model with layers {sizes} expects {sizes[0]} "
+                         f"feature columns, features {features} has {ds.n_features}")
+    if ds.n_classes != sizes[-1]:
+        raise ValueError(f"{args.checkpoint}: model with layers {sizes} scores {sizes[-1]} "
+                         f"classes, labels {labels} has {ds.n_classes}")
+    report = evaluate(model, ds, threshold)
     payload = report.to_json_dict()
     if args.out:
         _json_dump(payload, args.out)

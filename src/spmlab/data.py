@@ -13,7 +13,11 @@ without the per-call checks; the shares are clamped and normalised after
 the row loop, once per row cardinality.
 
 CSV files are only parsed here: a cell must be a finite number and every
-row as wide as the first. The rules on the arrays are those of
+row as wide as the first. Lines are split on commas until the first that
+holds a quote or a NUL or is longer than the field size limit; ``csv.reader``
+reads from that line on, so the cells and line numbers are its own for the
+whole file, and its errors (an oversize cell) are named like the rest. Each
+row is one ``map(float)``. The rules on the arrays are those of
 ``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
 prefixes a rejection with the file, line and column it points at.
 
@@ -32,7 +36,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -248,28 +252,51 @@ def _write_observed_csv(ds: MultiLabelDataset, datadir, prefix: str) -> None:
     _write_csv(Path(datadir) / f"{prefix}_observed.csv", ds.y_observed, int)
 
 
+def _csv_records(fh):
+    """``enumerate(csv.reader(fh), start=1)``, with quote-free lines split on commas.
+
+    ``csv.reader`` reads from the first line that holds a quote, a NUL (which it rejects
+    before Python 3.11) or more characters than its field size limit, so its errors
+    stay its own. ``fh`` is opened with ``newline=""``, so a line ends at
+    its only ``\\r``, ``\\n`` or ``\\r\\n``, and a blank one is no cells, as in ``csv.reader``.
+    """
+    limit = csv.field_size_limit()
+    for line_no, line in enumerate(fh, start=1):
+        if '"' in line or "\0" in line or len(line) > limit:
+            yield from enumerate(csv.reader(chain([line], fh)), start=line_no)
+            return
+        line = line.rstrip("\r\n")
+        yield line_no, line.split(",") if line else []
+
+
 def _read_numeric_csv(path, name):
     """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped."""
-    rows, lines = [], []
+    values, lines, width, line_no = array("d"), [], None, 0
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{name} {path}: line {line_no} has {len(row)} columns, "
-                                 f"expected {len(rows[0])}")
-            parsed = []
-            for col, cell in enumerate(row, start=1):
+        try:
+            for line_no, row in _csv_records(fh):
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise ValueError(f"{name} {path}: line {line_no} has {len(row)} columns, "
+                                     f"expected {width}")
                 try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{name} {path}: line {line_no}, column {col}: "
-                                     f"not a number: {cell!r}") from None
-            rows.append(parsed)
-            lines.append(line_no)
-    if not rows:
+                    values.extend(map(float, row))
+                except ValueError:  # find the cell again, to name its column
+                    for col, cell in enumerate(row, start=1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ValueError(f"{name} {path}: line {line_no}, column {col}: "
+                                             f"not a number: {cell!r}") from None
+                lines.append(line_no)
+        except csv.Error as exc:  # the record after the last one read
+            raise ValueError(f"{name} {path}: line {line_no + 1}: {exc}") from None
+    if not lines:
         raise ValueError(f"{name} {path}: file is empty")
-    matrix = np.array(rows, dtype=np.float64)
+    matrix = np.frombuffer(values).reshape(len(lines), width)
     bad = ~np.isfinite(matrix)
     if bad.any():
         i, j = np.argwhere(bad)[0]

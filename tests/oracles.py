@@ -22,6 +22,8 @@ their rewrites can be held to bit-equal results:
   before it drew every row's pick in one call.
 * ``reference_generate_synthetic``: the body of ``generate_synthetic``
   when each row drew its classes with ``rng.choice``.
+* ``reference_read_numeric_csv``: ``data._read_numeric_csv`` when every line
+  went through ``csv.reader`` and every cell through its own ``float`` call.
 """
 
 import csv
@@ -238,6 +240,36 @@ def reference_generate_synthetic(spec):
 
     features = extents @ prototypes + rng.standard_normal((n, d))
     return features, y, extents
+
+
+def reference_read_numeric_csv(path, name):
+    """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped."""
+    rows, lines = [], []
+    with open(path, newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{name} {path}: line {line_no} has {len(row)} columns, "
+                                 f"expected {len(rows[0])}")
+            parsed = []
+            for col, cell in enumerate(row, start=1):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{name} {path}: line {line_no}, column {col}: "
+                                     f"not a number: {cell!r}") from None
+            rows.append(parsed)
+            lines.append(line_no)
+    if not rows:
+        raise ValueError(f"{name} {path}: file is empty")
+    matrix = np.array(rows, dtype=np.float64)
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{name} {path}: line {lines[i]}, column {j + 1}: "
+                         f"not a finite number: {float(matrix[i, j])!r}")
+    return matrix, lines
 
 
 def reference_sigmoid(z):

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -723,6 +724,54 @@ class TestRunDirectory:
         assert err["message"].startswith(
             f"labels {bad / 'test_labels.csv'}: line {len(lines) + 1}: "
             "y_true must have a positive label in every row")
+
+    @pytest.mark.parametrize("flag, rule", [
+        ("--n-features", "model with layers (5, 4, 4) expects 5 feature columns, "
+                         "features {data}/test_features.csv has 6"),
+        ("--n-classes", "model with layers (5, 4, 4) scores 4 classes, "
+                        "labels {data}/test_labels.csv has 6"),
+    ], ids=["features", "classes"])
+    def test_eval_names_both_files_of_a_split_that_does_not_fit_the_model(
+            self, csv_data, tmp_path, capsys, flag, rule):
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        data = tmp_path / "data"
+        sizes = {"--n-features": "5", "--n-classes": "4", flag: "6"}
+        main(["gen", "--outdir", str(data), "--n-samples", "200", "--data-seed", "7",
+              *(arg for item in sizes.items() for arg in item)])
+        path = tmp_path / "run" / "checkpoint.json"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(data),
+                     "--out", str(tmp_path / "e.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "e.json").exists()
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{path}: " + rule.format(data=data)}
+
+    @pytest.mark.parametrize("command, split", [
+        (["train", "--data-dir", "{data}", "--epochs", "1", "--outdir", "{out}"], "train"),
+        (["corrupt", "--data-dir", "{data}", "--regime", "random", "--outdir", "{out}"], "val"),
+        (["eval", "--checkpoint", "{run}/checkpoint.json", "--data-dir", "{data}",
+          "--out", "{out}"], "test"),
+    ], ids=["train", "corrupt", "eval"])
+    def test_an_oversize_cell_is_one_named_error(self, csv_data, tmp_path, capsys, command,
+                                                 split):
+        # csv.reader's own error, not a traceback, and nothing written
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in csv_data.iterdir():
+            (data / path.name).write_bytes(path.read_bytes())
+        path = data / f"{split}_features.csv"
+        text = path.read_text()
+        limit = csv.field_size_limit()
+        path.write_text("1" * (limit + 1) + text[text.index(","):])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([a.format(data=data, run=tmp_path / "run", out=out) for a in command]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not out.exists()
+        assert json.loads(err) == {"error": "ValueError", "message": f"features {path}: line 1: "
+                                   f"field larger than field limit ({limit})"}
 
     def test_eval_rejects_an_unknown_config_field(self, csv_data, tmp_path, capsys):
         assert train_on_csv(csv_data, tmp_path / "run", "an") == 0

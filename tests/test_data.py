@@ -1,3 +1,4 @@
+import csv
 import itertools
 import subprocess
 import sys
@@ -7,12 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_generate_synthetic, reference_write_csv
+from oracles import (
+    reference_generate_synthetic,
+    reference_read_numeric_csv,
+    reference_write_csv,
+)
 from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
     _dirichlet,
     _draw_classes,
+    _read_numeric_csv,
     _write_csv,
     generate_synthetic,
     ingest_csv,
@@ -340,6 +346,72 @@ class TestIngestValidation:
             ingest_csv(*paths)
         assert str(exc.value) == (f"labels {paths[1]}: y_true must have shape (2, 1) "
                                   "to match the feature rows, found shape (1, 1)")
+
+
+# cells float() takes, among them non-ASCII digits and cells that a field size
+# limit of 4 rejects; cells in quotes, some spanning lines; and cells that fail
+NUMBERS = ["1", "-2.5", "1e3", "0", " 7", "1_0", "\u0661\u0662", "\uff13", "123456"]
+QUOTED = ['"1"', '"-2.5"', '"6\n"', '"\r\n8"', '" 9 "', '"1""2"', '"12345"']
+ODD = ["nan", "inf", "-inf", "x", "", " ", "\t", '"', '""', '"4,5"', '"6\n7"', "\x00", "1\x00",
+       "\x85", "\u2028", '1"2']
+LINE_ENDS = ["\r\n", "\n", "\r"]
+
+
+@st.composite
+def csv_texts(draw):
+    """File text of rows of ``width`` cells, with blank, ragged and odd rows among them."""
+    width = draw(st.integers(1, 3))
+    cell = st.sampled_from(NUMBERS * 4 + QUOTED * 2 + ODD)
+    full = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    row = st.one_of(full, full, full, st.lists(cell, max_size=4).map(",".join),
+                    st.sampled_from(["", " ", ","]))
+    rows = draw(st.lists(st.tuples(row, st.sampled_from(LINE_ENDS)), max_size=6))
+    text = "".join(cells + end for cells, end in rows)
+    return text[:-1] if text and draw(st.booleans()) else text  # an unterminated last line
+
+
+def read_outcome(read, path):
+    """The matrix bytes, shape and lines ``read`` gives, or its exception's type and message."""
+    try:
+        matrix, lines = read(path, "features")
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return matrix.tobytes(), matrix.shape, lines
+
+
+def csv_error_record(path):
+    """The 1-based record at which ``csv.reader`` raises on ``path``."""
+    record = 1
+    with open(path, newline="") as fh:
+        try:
+            for _ in csv.reader(fh):
+                record += 1
+        except csv.Error:
+            return record
+    raise AssertionError(f"csv.reader read all of {path}")
+
+
+class TestNumericCsvReader:
+    """``_read_numeric_csv`` accepts, numbers and rejects what the all-``csv.reader``
+    ``reference_read_numeric_csv`` does, and names ``csv.reader``'s own errors."""
+
+    @given(csv_texts(), st.sampled_from([None, 4]))
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_csv_reader_reference(self, tmp_path, text, field_limit):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        default_limit = csv.field_size_limit()
+        try:
+            if field_limit is not None:  # 123456 is too long for it, the others pass
+                csv.field_size_limit(field_limit)
+            expected = read_outcome(reference_read_numeric_csv, path)
+            if expected[0] is csv.Error:
+                expected = (ValueError,
+                            f"features {path}: line {csv_error_record(path)}: {expected[1]}")
+            assert read_outcome(_read_numeric_csv, path) == expected
+        finally:
+            csv.field_size_limit(default_limit)
 
 
 def write_split(tmp_path, observed):
