@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,12 +37,11 @@ from .data import (
     write_spec_json,
     write_split_csv,
 )
-from .net import _check_fields, make_rng
+from .net import Mlp, _check_fields, _check_type, _field_type, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .training import (
     EpochLog,
     TrainConfig,
-    _checkpoint_model,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -70,7 +69,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         self.train_config.validate()
-        _check_fields(self, {"regime": (self.regime in REGIMES, f"one of {REGIMES}")})
+        _check_fields(self, lambda: {"regime": (self.regime in REGIMES, f"one of {REGIMES}")})
         if (self.synthetic is None) == (self.data_dir is None):
             raise ValueError("exactly one of synthetic spec or data_dir is required")
         if self.regime == "none" and self.train_config.method not in ("gt", "iun"):
@@ -109,9 +108,7 @@ def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
         if path.exists():
             payload = read_json(path)
             seed = payload.get("noise_seed") if isinstance(payload, dict) else None
-            if type(seed) is not int:
-                raise ValueError(f"{path}: noise_seed must be an integer, got {seed!r}")
-            return seed
+            return _check_type(f"{path}: noise_seed", seed, int)
         spec_path = Path(data_dir, "spec.json")
         if spec_path.exists():
             return read_spec_json(spec_path).seed
@@ -137,12 +134,6 @@ def _corrupt_splits(splits: dict, regime: str, noise_seed: int):
     rng = make_rng([noise_seed, NOISE_STREAM])
     observed = {name: apply_regime(splits[name], regime, rng) for name in ("train", "val")}
     return observed, compute_flip_rates(observed["train"].y_true, observed["train"].y_observed)
-
-
-def _field_type(hint):
-    """(type, optional) of a field hinted ``T`` or ``T | None``."""
-    args = set(get_args(hint)) - {type(None)}
-    return (args.pop(), True) if args else (hint, False)
 
 
 def _from_fields(cls, payload: dict):
@@ -367,16 +358,15 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     """Score the model the run reports at the run's threshold, unless overridden, on y_true.
 
-    A split whose feature or class count is not the model's is named with the checkpoint."""
-    ckpt = load_checkpoint(args.checkpoint)
-    config = TrainConfig(**ckpt["config"])
+    Every checkpoint field is checked first, also one only a resume reads. A split whose
+    feature or class count is not the model's is named with the checkpoint."""
+    config, state = load_checkpoint(args.checkpoint)
     teacher = config.reports_teacher and not args.use_student
-    model = _checkpoint_model(ckpt, "teacher_params" if teacher else "student_params",
-                              args.checkpoint)
+    sizes = state.layer_sizes
+    model = Mlp(sizes, state.teacher_params if teacher else state.student_params)
     threshold = config.threshold if args.threshold is None else args.threshold
     ds = _load_clean(args.data_dir, args.split)
     features, labels = _split_files(args.data_dir, args.split)[:2]
-    sizes = model.layer_sizes
     if ds.n_features != sizes[0]:
         raise ValueError(f"{args.checkpoint}: model with layers {sizes} expects {sizes[0]} "
                          f"feature columns, features {features} has {ds.n_features}")

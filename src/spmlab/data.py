@@ -23,7 +23,8 @@ prefixes a rejection with the file, line and column it points at.
 
 Artifacts are written atomically: CSV rows by ``_write_csv`` (commas, CRLF: the bytes
 of the ``csv`` module), JSON by ``_json_dump``. ``_read_config`` reads a JSON config;
-an unknown field, a wrong type or a broken rule is rejected with the file named.
+an unknown field, a wrong type or a broken rule is rejected with the file named, and
+``_read_record`` reads a record (a checkpoint's state) by its fields' rules and types.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import csv
 import json
 import math
 import os
+import reprlib
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from .net import (
     _check_fields,
     _check_rows_positive,
     _check_shape,
+    _check_types,
     as_matrix,
     make_rng,
 )
@@ -125,14 +128,15 @@ class SyntheticSpec:
     mean_positives: float = 2.9
     extent_concentration: float = 3.0
     seed: int = 0
-    split_ratio: tuple = (2, 1, 1)
+    split_ratio: tuple[float, ...] = (2, 1, 1)
 
     def __post_init__(self):
-        self.split_ratio = tuple(self.split_ratio)  # JSON stores it as a list
+        if isinstance(self.split_ratio, list):  # as JSON stores it
+            self.split_ratio = tuple(self.split_ratio)
 
     def validate(self) -> None:
         ratio = self.split_ratio
-        _check_fields(self, {
+        _check_fields(self, lambda: {
             "n_samples": (self.n_samples >= 4, "at least 4"),
             "n_classes": (self.n_classes >= 2, "at least 2"),
             "n_features": (self.n_features >= 1, "at least 1"),
@@ -376,13 +380,31 @@ def _check_known(cls, keys, kind: str) -> None:
         raise ValueError(f"unknown {kind} field {unknown!r}")
 
 
+def _read_record(cls, payload, prefix: str, kind: str, ignored=()):
+    """The dataclass ``cls`` from the JSON object ``payload`` (a ``kind``), less its keys
+    ``ignored``: each field, named with ``prefix``, passes its metadata's ``read(value, name,
+    fields read so far)`` rule, if any, then its type; an unknown or missing field is named."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} must be a JSON object, found {reprlib.repr(payload)}")
+    _check_known(cls, [key for key in payload if key not in ignored], kind)
+    read = {}
+    for f in fields(cls):
+        rule = f.metadata.get("read", lambda value, name, read: value)
+        if f.name in payload:
+            read[f.name] = rule(payload[f.name], prefix + f.name, read)
+        elif f.default is MISSING:
+            raise ValueError(f"{prefix}{f.name} is missing")
+    record = cls(**read)
+    _check_types(record, prefix)
+    return record
+
+
 def _read_config(cls, payload: dict, source, kind: str):
-    """The validated ``cls(**payload)``; a rejection, a TypeError too, names ``source``."""
+    """The validated ``cls`` of ``payload`` (``_read_record``); a rejection names ``source``."""
     try:
-        _check_known(cls, payload, kind)
-        config = cls(**payload)
+        config = _read_record(cls, payload, "", kind)
         config.validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     return config
 

@@ -41,8 +41,8 @@ class DualEmaState:
     gamma: float = 0.5
 
     def __post_init__(self):
-        _check_fields(self, {name: (0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
-                             for name in ("beta_t", "beta_s", "gamma")})
+        _check_fields(self, lambda: {name: (0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
+                                     for name in ("beta_t", "beta_s", "gamma")})
 
 
 def init_dual_ema(student_params, n_train: int, n_classes: int,

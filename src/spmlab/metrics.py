@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .net import _check_binary, _check_fields, _check_int, _check_param, as_matrix
+from .net import _check_binary, _check_fields, _check_param, _check_type, as_matrix
 
 __all__ = [
     "MetricReport",
@@ -460,7 +460,7 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, {
+        _check_fields(self, lambda: {
             "n_samples": (self.n_samples >= 1, "at least 1"),
             "n_classes": (self.n_classes >= 1, "at least 1"),
             "mean_positives": (self.mean_positives > 0, "positive"),
@@ -536,7 +536,7 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     dominant regime one uniform per positive of each class with flips, in
     class order and, within a class, in sample order.
     """
-    trials = _check_int("trials", trials)
+    trials = int(_check_type("trials", trials, int))
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if regime not in ("random", "dominant"):

@@ -25,15 +25,18 @@ supported on the true labels (``_check_extents``) and sample indices in
 range (``_check_indices``). Each raises ValueError through ``_reject``,
 naming the argument, the rule and the first offending value with its
 0-based position, also kept as attributes for CSV ingestion to map to a
-file, line and column. A config's ``{field: (ok, requirement)}`` table goes to
-``_check_fields``: ``_check_param`` on each field, then ``_check_int`` on each integer.
+file, line and column. ``_check_fields`` checks a config: each field finite and of its
+hinted type (``_check_types``), then ``_check_param`` on each with its ``{field: (ok,
+requirement)}`` entry of the table the config builds once the types hold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
+import numbers
 from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -121,22 +124,54 @@ def _check_param(name: str, value, ok: bool, requirement: str):
     return value
 
 
-def _check_int(name: str, value) -> int:
-    """``value`` as an int; NumPy integers pass, floats and strings do not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _field_type(hint):
+    """(type, optional) of a field hinted ``T`` or ``T | None``."""
+    args = [arg for arg in get_args(hint) if arg is not type(None)]
+    return (args[0], True) if len(args) < len(get_args(hint)) else (hint, False)
 
 
-def _check_fields(config, rules: dict) -> None:
-    """``_check_param`` on each field with its ``rules`` entry, then ``_check_int`` on each int."""
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (test, what it takes) of a field by its hint; NumPy numbers pass, a bool is no number
+_KINDS = {
+    bool: (lambda v: isinstance(v, bool), "a bool"),
+    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    tuple[float, ...]: (lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+                        "a list of numbers"),
+}
+
+
+def _check_type(name: str, value, hint):
+    """Return ``value`` if it is of the type ``hint`` (``| None`` also takes None), else name it
+    and its value. Only the hints of ``_KINDS`` are checked."""
+    kind, optional = _field_type(hint)
+    test, what = _KINDS.get(kind, (None, ""))
+    if test is None or (optional and value is None) or test(value):
+        return value
+    raise ValueError(f"{name} must be {what}{' or None' if optional else ''}, got {value!r}")
+
+
+_hints = functools.cache(get_type_hints)  # a class's hints, evaluated from their strings once
+
+
+def _check_types(record, prefix: str = "") -> None:
+    """``_check_type`` on each field of the dataclass ``record``, named with ``prefix``."""
+    for name, hint in _hints(type(record)).items():
+        _check_type(prefix + name, getattr(record, name), hint)
+
+
+def _check_fields(config, rules) -> None:
+    """Each field finite and of its hinted type, then ``_check_param`` by its ``rules()`` entry."""
     for f in fields(config):
-        ok, requirement = rules.get(f.name, (True, ""))
+        _check_param(f.name, getattr(config, f.name), True, "")  # finite
+    _check_types(config)
+    table = rules()
+    for f in fields(config):
+        ok, requirement = table.get(f.name, (True, ""))
         _check_param(f.name, getattr(config, f.name), ok, requirement)
-    for f in fields(config):
-        if f.type in (int, "int"):
-            _check_int(f.name, getattr(config, f.name))
 
 
 def _check_extents(extents, y_true: np.ndarray) -> np.ndarray:

@@ -5,19 +5,21 @@ teacher EMA and per-sample prediction EMA run alongside. A patience
 detector watches the teacher's mAP on the noisy (single-positive)
 validation labels; once it plateaus, training switches to the calibrated
 objective on Mixup batches with fused pseudo-labels. Baseline modes are
-single-stage runs of the corresponding loss.
+single-stage runs of the corresponding loss. A run's resumable state is one record,
+``TrainState``: ``Trainer.checkpoint`` writes it, ``load_checkpoint`` reads it back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import losses
-from .data import MultiLabelDataset, _read_config, atomic_open, read_json
+from .data import MultiLabelDataset, _read_config, _read_record, atomic_open, read_json
 from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
 from .metrics import (
     MetricReport,
@@ -35,6 +37,7 @@ __all__ = [
     "DetectorState",
     "detect_early_learning",
     "EpochLog",
+    "TrainState",
     "mixup_batch",
     "Trainer",
     "TrainResult",
@@ -45,6 +48,7 @@ __all__ = [
 ]
 
 METHODS = ("adagc", "an", "an_ls", "wan", "epr", "iun", "gt")
+STAGES = ("warmup", "gc")
 
 CHECKPOINT_FORMAT = "spmlab-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -74,7 +78,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         """Reject a bad field through ``net._check_fields``, naming it and its value."""
-        _check_fields(self, {
+        _check_fields(self, lambda: {
             "method": (self.method in METHODS, f"one of {METHODS}"),
             "lam": (self.lam >= 0, "non-negative"),
             "beta_t": (0.0 <= self.beta_t <= 1.0, "in [0, 1]"),
@@ -137,7 +141,7 @@ def detect_early_learning(state: DetectorState, noisy_val_map: float,
 @dataclass
 class EpochLog:
     epoch: int
-    stage: str                        # "warmup" or "gc"
+    stage: str                        # one of STAGES
     train_loss: float
     noisy_val_map: float              # teacher model vs single-positive labels
     noisy_val_map_student: float
@@ -177,8 +181,92 @@ def _blend(a: np.ndarray, partner: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.where(a == b, a, w * a + (1.0 - w) * b)
 
 
+def _read_stage(raw, name: str, read) -> str:
+    return _check_param(name, raw, raw in STAGES, f"one of {STAGES}")
+
+
+def _read_sizes(raw, name: str, read) -> tuple:
+    if (not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3)
+            or not all(type(s) is int and s >= 1 for s in raw)):
+        raise ValueError(f"{name} must be 2 or 3 positive integers, found {reprlib.repr(raw)}")
+    return tuple(raw)
+
+
+def _read_numbers(raw, name: str, ndim: int, what: str) -> np.ndarray:
+    """The JSON lists ``raw`` as a float64 array of ``ndim`` axes, else rejected as not ``what``."""
+    try:
+        a = np.array(raw) if isinstance(raw, list) else None
+    except ValueError:  # lists nested unevenly
+        a = None
+    if a is None or a.ndim != ndim or a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {what}, found {reprlib.repr(raw)}")
+    return np.asarray(a, dtype=np.float64)
+
+
+def _read_params(raw, name: str, read) -> np.ndarray:
+    params, sizes = _read_numbers(raw, name, 1, "a list of numbers"), read["layer_sizes"]
+    expected = Mlp.param_count(sizes)
+    if params.size != expected:
+        raise ValueError(f"{name} has {params.size} entries, "
+                         f"model with layers {sizes} expects {expected}")
+    return _check_cells(params, ~np.isfinite(params), name, "be finite")
+
+
+def _read_preds(raw, name: str, read) -> np.ndarray:
+    return _check_unit(_read_numbers(raw, name, 2, "a list of rows of numbers"), name)
+
+
+def _read_visited(raw, name: str, read) -> np.ndarray:
+    flags = _read_numbers(raw, name, 1, "a list of 0/1 flags")
+    _check_shape(flags, read["smoothed_preds"].shape[:1], name, "smoothed_preds")
+    return _check_cells(flags, (flags != 0.0) & (flags != 1.0), name, "be 0 or 1") == 1.0
+
+
+def _read_detector(raw, name: str, read) -> DetectorState:
+    detector = _read_record(DetectorState, raw, f"{name}.", name)
+    first = detector.n_seen == 0  # best_map is -inf until the first epoch
+    if not (detector.best_map == -math.inf if first else 0.0 <= detector.best_map <= 1.0):
+        rule = "-Infinity before the first epoch" if first else "in [0, 1]"
+        raise ValueError(f"{name}.best_map must be {rule}, got {detector.best_map!r}")
+    return detector
+
+
+def _read_rng_state(raw, name: str, read) -> dict:
+    try:
+        np.random.PCG64(0).state = raw
+    except (TypeError, ValueError, KeyError, OverflowError):
+        raise ValueError(f"{name} must be the state of a PCG64 generator, "
+                         f"found {reprlib.repr(raw)}") from None
+    return raw
+
+
+def _read_logs(raw, name: str, read) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"{name} must be a list, found {reprlib.repr(raw)}")
+    # logs of checkpoints from before per-epoch timing left also carry a wall_time
+    return [_read_record(EpochLog, log, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
+            for i, log in enumerate(raw)]
+
+
+@dataclass
+class TrainState:
+    """A run's state besides its config: a checkpoint's fields after format, version and config,
+    in order. ``data._read_record`` reads one by each field's ``read`` rule and type hint."""
+
+    epoch: int
+    stage: str = field(metadata={"read": _read_stage})
+    layer_sizes: tuple = field(metadata={"read": _read_sizes})
+    student_params: np.ndarray = field(metadata={"read": _read_params})
+    teacher_params: np.ndarray = field(metadata={"read": _read_params})
+    smoothed_preds: np.ndarray = field(metadata={"read": _read_preds})
+    visited: np.ndarray = field(metadata={"read": _read_visited})  # bool per training sample
+    detector: DetectorState = field(metadata={"read": _read_detector})
+    rng_state: dict = field(metadata={"read": _read_rng_state})
+    logs: list = field(metadata={"read": _read_logs})  # an EpochLog per epoch
+
+
 class Trainer:
-    """Owns all mutable training state; one instance drives one run.
+    """Owns a run's mutable state, the fields of a ``TrainState``; one instance drives one run.
 
     Each step updates the student and the teacher EMA in place: ``_student`` views
     row 0 of one (2, P) buffer, ``_teacher`` and ``ema.teacher_params`` row 1, and
@@ -212,7 +300,7 @@ class Trainer:
             student.params, train_ds.n_samples, train_ds.n_classes,
             beta_t=config.beta_t, beta_s=config.beta_s, gamma=config.gamma,
         )
-        self._adopt(student)
+        self._adopt(student.layer_sizes, student.params, self.ema.teacher_params)
         self.detector = DetectorState()
         self.logs: list[EpochLog] = []
         self.epoch = 0
@@ -245,10 +333,10 @@ class Trainer:
         _check_param("k_expected", self.k_expected, 0.0 < self.k_expected <= train_ds.n_classes,
                      f"in (0, {train_ds.n_classes}]")
 
-    def _adopt(self, student: Mlp) -> None:
-        """Stack ``student`` and the teacher EMA as the rows of the buffer the steps update."""
-        pair = np.stack([student.params, student.with_params(self.ema.teacher_params).params])
-        self._pair, self._student, self._teacher = (Mlp._over(student.layer_sizes, buffer)
+    def _adopt(self, sizes: tuple, student_params, teacher_params) -> None:
+        """Stack the student and the teacher EMA as the rows of the buffer the steps update."""
+        pair = np.stack([student_params, teacher_params])
+        self._pair, self._student, self._teacher = (Mlp._over(sizes, buffer)
                                                     for buffer in (pair, *pair))
         self.ema.teacher_params = self._teacher.params
 
@@ -372,50 +460,33 @@ class Trainer:
             self.run_epoch()
 
     def checkpoint(self) -> dict:
-        """Everything needed to resume the run bit-identically."""
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "config": asdict(self.config),
-            "epoch": self.epoch,
-            "stage": self.stage,
-            "layer_sizes": list(self._student.layer_sizes),
-            "student_params": self._student.params.tolist(),
-            "teacher_params": self.ema.teacher_params.tolist(),
-            "smoothed_preds": self.ema.smoothed_preds.tolist(),
-            "visited": self.ema.visited.astype(int).tolist(),
-            "detector": asdict(self.detector),
-            "rng_state": self.rng.bit_generator.state,
-            "logs": [asdict(log) for log in self.logs],
-        }
+        """Everything needed to resume the run bit-identically: the config, a ``TrainState``."""
+        ema = self.ema
+        state = TrainState(self.epoch, self.stage, self._student.layer_sizes, self._student.params,
+                           ema.teacher_params, ema.smoothed_preds, ema.visited, self.detector,
+                           self.rng.bit_generator.state, self.logs)
+        return {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+                "config": asdict(self.config),
+                **{k: (v.astype(int) if v.dtype == bool else v).tolist()
+                   if isinstance(v, np.ndarray) else v for k, v in asdict(state).items()}}
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict, train_ds: MultiLabelDataset,
                         val_ds: MultiLabelDataset) -> "Trainer":
-        _check_checkpoint(ckpt, "checkpoint")
-        config = TrainConfig(**ckpt["config"])
+        """Read the parsed checkpoint's state, check it against the data, then adopt it."""
+        config, state = _read_checkpoint(ckpt, "checkpoint")
         trainer = cls(config, train_ds, val_ds)
-        student = _checkpoint_model(ckpt, "student_params", "checkpoint")
         ema = trainer.ema
-        if student.layer_sizes != trainer._student.layer_sizes:
-            raise ValueError(f"checkpoint model has layers {student.layer_sizes}, "
+        if state.layer_sizes != trainer._student.layer_sizes:
+            raise ValueError(f"checkpoint model has layers {state.layer_sizes}, "
                              f"config and data give {trainer._student.layer_sizes}")
-        smoothed = _check_unit(np.array(ckpt["smoothed_preds"], dtype=np.float64), "smoothed_preds",
-                               ema.smoothed_preds.shape, "the prediction EMA of the training set")
-        visited = _check_shape(np.array(ckpt["visited"], dtype=bool), ema.visited.shape,
-                               "visited", "the prediction EMA of the training set")
-        if ckpt["stage"] == "gc" and not config.raw_student_pseudo and not visited.all():
-            raise ValueError("checkpoint in the calibrated stage has unvisited samples")
-        ema.teacher_params = _checkpoint_model(ckpt, "teacher_params", "checkpoint").params
-        ema.smoothed_preds, ema.visited = smoothed, visited
-        trainer._adopt(student)
-        trainer.detector = DetectorState(**ckpt["detector"])
-        trainer.rng.bit_generator.state = ckpt["rng_state"]
-        trainer.epoch = ckpt["epoch"]
-        trainer.stage = ckpt["stage"]
-        # logs of older checkpoints also carry a per-epoch wall_time
-        trainer.logs = [EpochLog(**{k: v for k, v in d.items() if k != "wall_time"})
-                        for d in ckpt["logs"]]
+        _check_shape(state.smoothed_preds, ema.smoothed_preds.shape, "smoothed_preds",
+                     "the prediction EMA of the training set")
+        ema.smoothed_preds, ema.visited = state.smoothed_preds, state.visited
+        trainer._adopt(state.layer_sizes, state.student_params, state.teacher_params)
+        trainer.rng.bit_generator.state = state.rng_state
+        trainer.epoch, trainer.stage = state.epoch, state.stage
+        trainer.detector, trainer.logs = state.detector, state.logs
         return trainer
 
 
@@ -425,14 +496,6 @@ class TrainResult:
 
     trainer: Trainer
     report: MetricReport | None = None
-
-    @property
-    def student(self) -> Mlp:
-        return self.trainer.model
-
-    @property
-    def teacher(self) -> Mlp:
-        return self.trainer.teacher
 
     @property
     def logs(self) -> list:
@@ -445,7 +508,7 @@ class TrainResult:
     @property
     def final_model(self) -> Mlp:
         """The model the run reports: see ``TrainConfig.reports_teacher``."""
-        return self.teacher if self.trainer.config.reports_teacher else self.student
+        return self.trainer.teacher if self.trainer.config.reports_teacher else self.trainer.model
 
 
 def train(config: TrainConfig, train_ds: MultiLabelDataset,
@@ -481,40 +544,27 @@ def save_checkpoint(ckpt: dict, path) -> None:
         fh.write("}\n" if ckpt else "{}\n")
 
 
-def _check_checkpoint(ckpt, source: str) -> dict:
-    """Return ``ckpt`` if it is a trainer checkpoint of this format version with a valid config."""
+def _read_checkpoint(ckpt, source) -> tuple:
+    """The checked ``(TrainConfig, TrainState)`` of a parsed checkpoint; errors name ``source``."""
     if not isinstance(ckpt, dict) or ckpt.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{source}: not a trainer checkpoint")
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{source}: unsupported checkpoint version "
                          f"{ckpt.get('version')!r}, expected {CHECKPOINT_VERSION}")
-    config = ckpt.get("config")
-    if not isinstance(config, dict):
+    if not isinstance(ckpt.get("config"), dict):
         raise ValueError(f"{source}: config is not a JSON object")
-    _read_config(TrainConfig, config, source, "config")
-    return ckpt
-
-
-def _checkpoint_model(ckpt: dict, field: str, source: str) -> Mlp:
-    """The model of ``ckpt[field]``; a bad ``layer_sizes`` or ``field`` is named with ``source``."""
-    sizes, raw = ckpt.get("layer_sizes"), ckpt.get(field)
-    if (not isinstance(sizes, list) or len(sizes) not in (2, 3)
-            or not all(type(s) is int and s >= 1 for s in sizes)):
-        raise ValueError(f"{source}: layer_sizes must be 2 or 3 positive integers, "
-                         f"found {reprlib.repr(sizes)}")
+    config = _read_config(TrainConfig, ckpt["config"], source, "config")
     try:
-        params = np.array(raw) if isinstance(raw, list) else None
-    except ValueError:  # lists nested unevenly
-        params = None
-    if params is None or params.ndim != 1 or params.dtype.kind not in "iuf":
-        raise ValueError(f"{source}: {field} must be a list of numbers, found {reprlib.repr(raw)}")
-    sizes, params = tuple(sizes), np.asarray(params, dtype=np.float64)
-    expected = Mlp.param_count(sizes)
-    if params.size != expected:
-        raise ValueError(f"{source}: {field} has {params.size} entries, "
-                         f"model with layers {sizes} expects {expected}")
-    return Mlp(sizes, _check_cells(params, ~np.isfinite(params), f"{source}: {field}", "be finite"))
+        state = _read_record(TrainState, ckpt, "", "checkpoint", ("format", "version", "config"))
+        if not state.epoch == len(state.logs) == state.detector.n_seen:
+            raise ValueError(f"epoch {state.epoch} must equal the number of logs "
+                             f"({len(state.logs)}) and detector.n_seen ({state.detector.n_seen})")
+        if state.stage == "gc" and not config.raw_student_pseudo and not state.visited.all():
+            raise ValueError("checkpoint in the calibrated stage has unvisited samples")
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return config, state
 
 
-def load_checkpoint(path) -> dict:
-    return _check_checkpoint(read_json(path), str(path))
+def load_checkpoint(path) -> tuple:
+    return _read_checkpoint(read_json(path), str(path))

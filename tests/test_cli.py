@@ -28,6 +28,9 @@ from spmlab.training import (
 )
 
 from oracles import reference_write_curves
+from test_training import STATE_KEYS
+
+DROP = object()  # a parameter that removes the field
 
 # a warmup row without a clean mAP, a gc row with one, and floats whose reprs differ most
 CURVE_LOGS = [EpochLog(0, "warmup", -0.0, 1e-300, 5e-324, None),
@@ -142,7 +145,7 @@ class TestGenCorrupt:
         ("[1, 2]", "not a JSON object"),
         ("not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
         ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
-        ('{"n_samples": "many"}', "'>=' not supported between instances of 'str' and 'int'"),
+        ('{"n_samples": "many"}', "n_samples must be an integer, got 'many'"),
     ], ids=["unknown-field", "not-an-object", "not-json", "bad-value", "wrong-type"])
     def test_corrupt_names_a_bad_spec_json(self, tmp_path, capsys, content, error):
         main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "100",
@@ -249,9 +252,9 @@ class TestRunExperiment:
 
     def test_checkpoint_is_loadable(self, tmp_path):
         run_experiment(tiny_spec(tmp_path / "run"))
-        ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.json")
-        assert ckpt["format"] == "spmlab-checkpoint"
-        assert ckpt["epoch"] == 6
+        config, state = load_checkpoint(tmp_path / "run" / "checkpoint.json")
+        assert config.epochs == 6
+        assert state.epoch == 6
 
     def test_config_json_reproduces_the_run(self, tmp_path):
         # config.json carries enough to re-run the experiment exactly
@@ -642,8 +645,8 @@ class TestRunDirectory:
         assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
                      "--data-dir", str(csv_data), "--out", str(tmp_path / "e.json"),
                      *flags]) == 0
-        ckpt = load_checkpoint(run / "checkpoint.json")
-        model = Mlp(ckpt["layer_sizes"], ckpt[params])
+        _, state = load_checkpoint(run / "checkpoint.json")
+        model = Mlp(state.layer_sizes, getattr(state, params))
         report = evaluate(model, load_split_csv(csv_data, "test"), threshold)
         cli._json_dump(report.to_json_dict(), tmp_path / "expected.json")
         assert (tmp_path / "e.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
@@ -681,18 +684,50 @@ class TestRunDirectory:
                        "model with layers (5, 4, 4) expects 44"}
 
     @pytest.mark.parametrize("field, value, rule", [
+        *[(key, DROP, f"{key} is missing") for key in STATE_KEYS],
+        ("detector", [], "detector must be a JSON object, found []"),
+        ("detector", {"bogus": 1}, "unknown detector field 'bogus'"),
+        ("detector.best_map", "x", "detector.best_map must be a number, got 'x'"),
+        ("logs", 5, "logs must be a list, found 5"),
+        ("logs", [5], "logs[0] must be a JSON object, found 5"),
+        ("logs", [{}], "logs[0].epoch is missing"),
+        ("rng_state", 5, "rng_state must be the state of a PCG64 generator, found 5"),
+        ("rng_state", {}, "rng_state must be the state of a PCG64 generator, found {}"),
+        ("epoch", "x", "epoch must be an integer, got 'x'"),
+        ("epoch", -3, "epoch -3 must equal the number of logs (4) and detector.n_seen (4)"),
+        ("epoch", 99, "epoch 99 must equal the number of logs (4) and detector.n_seen (4)"),
+        ("epoch", 1.5, "epoch must be an integer, got 1.5"),
+        ("epoch", True, "epoch must be an integer, got True"),
+        ("stage", "foo", "stage must be one of ('warmup', 'gc'), got 'foo'"),
+        ("stage", None, "stage must be one of ('warmup', 'gc'), got None"),
+        ("visited", [2] * 100, "visited must be 0 or 1, found 2.0 at [0]"),
+        ("config.raw_student_pseudo", "yes", "raw_student_pseudo must be a bool, got 'yes'"),
+        ("config.hidden", True, "hidden must be an integer, got True"),
         ("layer_sizes", None, "layer_sizes must be 2 or 3 positive integers, found None"),
         ("layer_sizes", [5, "x"], "layer_sizes must be 2 or 3 positive integers, found [5, 'x']"),
         ("layer_sizes", [5, -1, 4],
          "layer_sizes must be 2 or 3 positive integers, found [5, -1, 4]"),
         ("student_params", "abc", "student_params must be a list of numbers, found 'abc'"),
         ("student_params", [[1.0]], "student_params must be a list of numbers, found [[1.0]]"),
-    ], ids=["sizes-null", "sizes-string", "sizes-negative", "params-string", "params-nested"])
+    ], ids=[*(f"no-{key}" for key in STATE_KEYS), "detector-list", "detector-unknown",
+            "best-map-string", "logs-int", "logs-int-entry", "logs-empty-entry", "rng-int",
+            "rng-empty", "epoch-string", "epoch-negative", "epoch-large", "epoch-float",
+            "epoch-bool", "stage-unknown", "stage-null", "visited-two", "config-bool",
+            "config-int", "sizes-null", "sizes-string", "sizes-negative", "params-string",
+            "params-nested"])
     def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
+        # eval reads every state field, also one it does not use, since a resume uses it
         assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
         path = tmp_path / "run" / "checkpoint.json"
         ckpt = json.loads(path.read_text())
-        ckpt[field] = value
+        *parents, key = field.split(".")
+        target = ckpt
+        for parent in parents:
+            target = target[parent]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
         path.write_text(json.dumps(ckpt))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data),
@@ -786,7 +821,7 @@ class TestRunDirectory:
 
     @pytest.mark.parametrize("field, value, rule", [
         ("method", 3, f"method must be one of {METHODS}, got 3"),
-        ("threshold", "0.5", "'<' not supported between instances of 'float' and 'str'"),
+        ("threshold", "0.5", "threshold must be a number, got '0.5'"),
         ("threshold", 2.0, "threshold must be in (0, 1), got 2.0"),
     ], ids=["method", "threshold-string", "threshold-range"])
     def test_eval_names_a_bad_checkpoint_config(self, csv_data, tmp_path, capsys, field, value,

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,34 @@ class TestConfigValidation:
             Trainer(small_config(method="iun"), tr.with_observed(bad), va)
 
 
+# the state fields a checkpoint holds after its format, version and config
+STATE_KEYS = ["epoch", "stage", "layer_sizes", "student_params", "teacher_params",
+              "smoothed_preds", "visited", "detector", "rng_state", "logs"]
+# (field, value, case id, error) of a checkpoint taken after 2 epochs
+STATE_MUTATIONS = [
+    ("detector", [], "list", "detector must be a JSON object, found []"),
+    ("detector", {"bogus": 1}, "unknown", "unknown detector field 'bogus'"),
+    ("logs", 5, "int", "logs must be a list, found 5"),
+    ("logs", [5], "int-entry", "logs[0] must be a JSON object, found 5"),
+    ("logs", [{}], "empty-entry", "logs[0].epoch is missing"),
+    ("rng_state", 5, "int", "rng_state must be the state of a PCG64 generator, found 5"),
+    ("rng_state", {}, "empty", "rng_state must be the state of a PCG64 generator, found {}"),
+    ("epoch", "x", "string", "epoch must be an integer, got 'x'"),
+    ("epoch", -3, "negative",
+     "epoch -3 must equal the number of logs (2) and detector.n_seen (2)"),
+    ("epoch", 99, "large", "epoch 99 must equal the number of logs (2) and detector.n_seen (2)"),
+    ("epoch", 1.5, "float", "epoch must be an integer, got 1.5"),
+    ("epoch", True, "bool", "epoch must be an integer, got True"),
+    ("stage", "foo", "unknown", "stage must be one of ('warmup', 'gc'), got 'foo'"),
+    ("stage", None, "null", "stage must be one of ('warmup', 'gc'), got None"),
+]
+
+
+def named(error):
+    """The pattern of ``error`` as the library names it: the source, then the message."""
+    return "^" + re.escape(f"checkpoint: {error}") + "$"
+
+
 def small_data(regime="random", seed=0, n=600, n_classes=6, d=8):
     spec = SyntheticSpec(n_samples=n, n_classes=n_classes, n_features=d, seed=seed)
     splits = generate_synthetic(spec)
@@ -301,8 +330,8 @@ class TestTrainerMechanics:
         a = train(cfg, tr, va)
         b = train(cfg, tr, va)
         assert [l.noisy_val_map for l in a.logs] == [l.noisy_val_map for l in b.logs]
-        assert np.array_equal(a.student.params, b.student.params)
-        assert np.array_equal(a.teacher.params, b.teacher.params)
+        assert np.array_equal(a.trainer.model.params, b.trainer.model.params)
+        assert np.array_equal(a.trainer.teacher.params, b.trainer.teacher.params)
 
     def test_single_positive_required_for_weak_methods(self):
         tr, va, te = small_data()
@@ -333,6 +362,18 @@ class TestTrainerMechanics:
             resumed.run()
             # everything: parameters, prediction EMA, visited, RNG state, logs
             assert resumed.checkpoint() == full.checkpoint()
+
+    def test_checkpoint_at_epoch_zero_resumes(self):
+        # the detector's best_map is -Infinity until the first epoch
+        tr, va, te = small_data()
+        cfg = small_config(method="adagc", epochs=4)
+        full = Trainer(cfg, tr, va)
+        full.run()
+        resumed = Trainer.from_checkpoint(json.loads(json.dumps(Trainer(cfg, tr, va).checkpoint())),
+                                          tr, va)
+        assert resumed.detector.best_map == -math.inf
+        resumed.run()
+        assert resumed.checkpoint() == full.checkpoint()
 
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_saved_checkpoint_has_the_bytes_of_json_dump(self, tmp_path, hidden):
@@ -389,7 +430,7 @@ class TestTrainerMechanics:
         (lambda c: c.update(config=5), "checkpoint: config is not a JSON object"),
         (lambda c: c.pop("config"), "checkpoint: config is not a JSON object"),
         (lambda c: c["config"].update(lam="3"),
-         "checkpoint: '>=' not supported between instances of 'str' and 'int'"),
+         "checkpoint: lam must be a number, got '3'"),
         (lambda c: c["config"].update(threshold=2.0),
          "checkpoint: threshold must be in (0, 1), got 2.0"),
     ], ids=["unknown-field", "not-an-object", "missing", "wrong-type", "bad-value"])
@@ -418,6 +459,21 @@ class TestTrainerMechanics:
                      r"smoothed_preds must lie in \[0, 1\]", id="prediction-range"),
         pytest.param(lambda c: c.update(stage="gc", visited=[0] * len(c["visited"])), {},
                      "unvisited", id="gc-unvisited"),
+        # every state field is read by its rule; a rejection names the source and the field
+        *[pytest.param(lambda c, key=key: c.pop(key), {}, named(f"{key} is missing"),
+                       id=f"no-{key}") for key in STATE_KEYS],
+        *[pytest.param(lambda c, key=key, value=value: c.update({key: value}), {}, named(error),
+                       id=f"{key}-{case}") for key, value, case, error in STATE_MUTATIONS],
+        pytest.param(lambda c: c["detector"].update(best_map="x"), {},
+                     named("detector.best_map must be a number, got 'x'"), id="best-map-string"),
+        pytest.param(lambda c: c["detector"].update(best_map=float("-inf")), {},
+                     named("detector.best_map must be in [0, 1], got -inf"), id="best-map-inf"),
+        pytest.param(lambda c: c.update(visited=[2] * len(c["visited"])), {},
+                     named("visited must be 0 or 1, found 2.0 at [0]"), id="visited-two"),
+        pytest.param(lambda c: c["config"].update(raw_student_pseudo="yes"), {},
+                     named("raw_student_pseudo must be a bool, got 'yes'"), id="config-bool"),
+        pytest.param(lambda c: c["config"].update(hidden=True), {},
+                     named("hidden must be an integer, got True"), id="config-int"),
     ])
     def test_checkpoint_checked_on_load(self, edit, load_data, error):
         # the steps no longer check the state a checkpoint restores
@@ -478,7 +534,7 @@ class TestTrainerMechanics:
         trainer = Trainer(small_config(method=method, epochs=24, learning_rate=0.4), tr, va)
         trainer.run(max_epochs=2)
         result = TrainResult(trainer)
-        taken = [trainer.model, trainer.teacher, result.teacher]
+        taken = [trainer.model, trainer.teacher, result.final_model]
         params = [m.params.copy() for m in taken]
         outputs = [m.forward(va.features) for m in taken]
         ema = copy.deepcopy(trainer.ema)
