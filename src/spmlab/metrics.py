@@ -2,18 +2,22 @@
 
 Ranking metrics use a fixed deterministic tie rule: scores are ranked in
 descending order, ties broken by ascending index (sample index for
-average precision, class index for coverage). Coverage takes the rule from
-one stable sort per row, AP from an unstable sort per class plus an exact
-tie fix-up (``_class_order``), so no metric loops over rows. Ranking-loss
-ties count as ordering errors. Labels must be binary (0/1) and scores
-finite, or the metric raises ValueError naming the argument.
+average precision, class index for coverage). Coverage counts each row's
+depth from its lowest-scored positive without sorting, and AP ranks with
+an unstable sort per class plus an exact tie fix-up (``_class_order``), so
+no metric loops over rows. Ranking-loss ties count as ordering errors; a
+matrix of scores in [0, 1] ranks each row with one sort of an integer key
+of score and label, any other with ``lexsort``. Labels must be binary (0/1)
+and scores finite, or the metric raises ValueError naming the argument.
 
 The public functions check their inputs, then call private kernels that
 do not: ``compute_metric_report`` checks once for all metrics. AP has one
 kernel: the positives of a label matrix are listed once in rank order
 (class, depth, sample), and any matrix that only removes some of them is a
 keep-mask over that list, so the Monte Carlo check sorts its fixed scores
-once and scores a chunk of trials per call.
+once and scores a chunk of trials per call. When every trial of a chunk
+keeps the same count per class, as in the dominant regime, each class is
+summed for the whole chunk at once.
 
 The noisy-metric side relates evaluation against corrupted single-positive
 labels to evaluation against the clean ground truth: per-class counts obey
@@ -105,23 +109,34 @@ def _kept_average_precisions(bounds: np.ndarray, depth: np.ndarray,
     kept positions. Classes with nothing kept get NaN. Each (matrix, class)
     segment of precisions is summed as one contiguous vector, as a one-class
     call would sum it, so the result does not depend on how many classes or
-    matrices share a call.
+    matrices share a call. When every matrix keeps the same count per class
+    (the dominant Monte Carlo regime), class c is the same columns of each
+    matrix's row of precisions, and one row-wise sum of that (T x count)
+    view sums every row as the 1-D sum of its segment.
     """
     n_trials, m = keep.shape
     kept = np.flatnonzero(keep)
     # where each (matrix, class) segment starts among the kept flat positions
     at = np.searchsorted(kept, np.arange(n_trials)[:, None] * m + bounds)
+    counts = np.diff(at, axis=1)
     starts = at[:, :-1].ravel()
-    counts = np.diff(at, axis=1).ravel()
-    rank = np.arange(1, kept.size + 1) - np.repeat(starts, counts)
+    rank = np.arange(1, kept.size + 1) - np.repeat(starts, counts.ravel())
     # a flat position wraps to its positive's index in the class-major list
     prec = rank / np.take(depth + 1, kept, mode="wrap")
+    per_class = np.full(counts.shape, np.nan)
+    if n_trials > 1 and (counts == counts[0]).all():
+        prec = prec.reshape(n_trials, kept.size // n_trials)
+        stops = np.cumsum(counts[0]).tolist()
+        for c in np.flatnonzero(counts[0]).tolist():
+            count = counts[0, c]
+            per_class[:, c] = prec[:, stops[c] - count:stops[c]].sum(axis=1) / count
+        return per_class
+    counts = counts.ravel()
     filled = np.flatnonzero(counts)
     starts, stops = starts[filled].tolist(), (starts + counts)[filled].tolist()
-    per_class = np.full(counts.size, np.nan)
-    per_class[filled] = np.array(
+    per_class.ravel()[filled] = np.array(
         [prec[a:b].sum() for a, b in zip(starts, stops)]) / counts[filled]
-    return per_class.reshape(n_trials, -1)
+    return per_class
 
 
 def _average_precisions(order: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,16 +189,28 @@ def coverage(scores, labels) -> float:
 
 
 def _coverage(s: np.ndarray, y: np.ndarray) -> float:
-    """``coverage`` of checked inputs."""
+    """``coverage`` of checked inputs, counted rather than sorted.
+
+    Under the tie rule a row's deepest positive is its lowest-scored one and,
+    among those, the one of highest class index. Its 0-based depth is the
+    number of classes scored strictly higher, plus those at the same score
+    with a lower index.
+    """
     n, n_classes = s.shape
-    order = np.argsort(-s, axis=1, kind="stable")
-    hits = np.take_along_axis(y, order, axis=1)
-    # the deepest 0-based position a true label holds; -1 when there is none
-    depth = np.where(hits == 1.0, np.arange(n_classes), -1).max(axis=1)
-    empty = np.flatnonzero(depth < 0)
+    pos = y == 1.0
+    empty = np.flatnonzero(~pos.any(axis=1))
     if empty.size:
         raise ValueError(f"row {empty[0]} has no positive label")
+    low = np.where(pos, s, np.inf).min(axis=1, keepdims=True)
+    tied = s == low
+    col = np.arange(n_classes)
+    last = np.where(pos & tied, col, -1).max(axis=1, keepdims=True)
+    depth = np.count_nonzero((s > low) | (tied & (col < last)), axis=1)
     return float(depth.sum() / n)
+
+
+# the bits of 1.0, the largest score the integer ranking-loss key takes
+_ONE_BITS = np.float64(1.0).view(np.int64)
 
 
 def ranking_loss(scores, labels) -> float:
@@ -201,8 +228,18 @@ def _ranking_loss_counted(s: np.ndarray, y: np.ndarray):
     n_classes = s.shape[1]
     # descending score; on a tie the negative goes first, so it counts
     # against the positive it ties with
-    order = np.lexsort((y, -s), axis=1)
-    hits = np.take_along_axis(y, order, axis=1)
+    s = s + 0.0  # -0.0 becomes 0.0, so the two tie as they do in a float sort
+    if s.size and s.min() >= 0.0 and s.max() <= 1.0:
+        # in [0, 1] a score's bits rise with it, so this key rises as the score
+        # falls, and its low bit is the label. Its order and lexsort's differ
+        # only by swaps of equal keys, which carry the same label
+        key = _ONE_BITS - s.view(np.int64)
+        key <<= 1
+        key |= y.astype(np.int64)
+        key.sort(axis=1)
+        hits = (key & 1).astype(np.float64)
+    else:
+        hits = np.take_along_axis(y, np.lexsort((y, -s), axis=1), axis=1)
     violations = (np.cumsum(1.0 - hits, axis=1) * hits).sum(axis=1)
     n_pos = hits.sum(axis=1)
     valid = (n_pos > 0) & (n_pos < n_classes)
@@ -490,8 +527,11 @@ class MonteCarloReport:
     ceiling_map: float | None = None
 
 
-# cells of random draws per chunk of trials: a few trials at a time keep
-# the temporaries small; larger chunks buy no speed and cost memory
+# cells per chunk of trials, of the larger of a trial's uniforms and its
+# keep-mask, so it bounds the draw buffer and the temporaries: about 8 trials
+# of the random regime at 2000 x 19, which draws a uniform per cell, and
+# about 32 of the dominant, whose mask has a column per positive; larger
+# chunks buy no speed and cost memory
 _CHUNK_CELLS = 320_000
 
 
@@ -575,7 +615,8 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
                  for r, c in zip(by_sample, flipping)]
     flat = sample * n_classes + cls
 
-    chunk = max(1, _CHUNK_CELLS // (n * n_classes))
+    # the wider of a trial's uniforms and keep-mask: see _CHUNK_CELLS
+    chunk = max(1, _CHUNK_CELLS // (n * n_classes if regime == "random" else depth.size))
     # each chunk's uniforms overwrite the last chunk's
     draws = np.empty((chunk, n * n_classes if regime == "random" else n_pos[flipping].sum()))
     thresholds = betas[cls]

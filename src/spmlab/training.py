@@ -138,10 +138,14 @@ def detect_early_learning(state: DetectorState, noisy_val_map: float,
     return state
 
 
+def _read_stage(raw, name: str, read) -> str:
+    return _check_param(name, raw, raw in STAGES, f"one of {STAGES}")
+
+
 @dataclass
 class EpochLog:
     epoch: int
-    stage: str                        # one of STAGES
+    stage: str = field(metadata={"read": _read_stage})
     train_loss: float
     noisy_val_map: float              # teacher model vs single-positive labels
     noisy_val_map_student: float
@@ -181,10 +185,6 @@ def _blend(a: np.ndarray, partner: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.where(a == b, a, w * a + (1.0 - w) * b)
 
 
-def _read_stage(raw, name: str, read) -> str:
-    return _check_param(name, raw, raw in STAGES, f"one of {STAGES}")
-
-
 def _read_sizes(raw, name: str, read) -> tuple:
     if (not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3)
             or not all(type(s) is int and s >= 1 for s in raw)):
@@ -222,30 +222,76 @@ def _read_visited(raw, name: str, read) -> np.ndarray:
     return _check_cells(flags, (flags != 0.0) & (flags != 1.0), name, "be 0 or 1") == 1.0
 
 
+def _check_rules(values: dict, prefix: str, rules: dict) -> None:
+    """Reject the first key of ``rules`` whose ``(ok, requirement)`` fails, naming it with
+    ``prefix``, its requirement and its entry in ``values``."""
+    for key, (ok, requirement) in rules.items():
+        if not ok:
+            raise ValueError(f"{prefix}{key} must be {requirement}, got {reprlib.repr(values[key])}")
+
+
 def _read_detector(raw, name: str, read) -> DetectorState:
-    detector = _read_record(DetectorState, raw, f"{name}.", name)
-    first = detector.n_seen == 0  # best_map is -inf until the first epoch
-    if not (detector.best_map == -math.inf if first else 0.0 <= detector.best_map <= 1.0):
-        rule = "-Infinity before the first epoch" if first else "in [0, 1]"
-        raise ValueError(f"{name}.best_map must be {rule}, got {detector.best_map!r}")
-    return detector
+    d = _read_record(DetectorState, raw, f"{name}.", name)
+    seen, since = d.n_seen, max(d.n_seen - 1 - d.best_epoch, 0)
+    first = seen == 0  # best_map is -inf and best_epoch -1 until the first epoch
+    epochs = f"in [0, {seen})"
+    _check_rules(vars(d), f"{name}.", {
+        "n_seen": (seen >= 0, "non-negative"),
+        "best_map": (d.best_map == -math.inf if first else 0.0 <= d.best_map <= 1.0,
+                     "-Infinity before the first epoch" if first else "in [0, 1]"),
+        "best_epoch": (d.best_epoch == -1 if first else 0 <= d.best_epoch < seen,
+                       "-1 before the first epoch" if first else epochs),
+        "since_improvement": (d.since_improvement == since,
+                              f"{since} (the epochs after best_epoch)"),
+        "trigger_epoch": (d.trigger_epoch is None or 0 <= d.trigger_epoch < seen,
+                          f"None or {epochs}"),
+        "triggered": (d.triggered == (d.trigger_epoch is not None),
+                      f"{d.trigger_epoch is not None} when trigger_epoch is {d.trigger_epoch}"),
+    })
+    return d
 
 
 def _read_rng_state(raw, name: str, read) -> dict:
-    try:
-        np.random.PCG64(0).state = raw
-    except (TypeError, ValueError, KeyError, OverflowError):
+    """A PCG64 ``bit_generator.state``, checked by its structure: NumPy's own setter takes
+    ``1.5`` or ``True`` where an integer belongs and silently truncates it."""
+    inner = raw.get("state") if isinstance(raw, dict) else None
+    if (not isinstance(inner, dict) or inner.keys() != {"state", "inc"}
+            or raw.keys() != {"bit_generator", "state", "has_uint32", "uinteger"}):
         raise ValueError(f"{name} must be the state of a PCG64 generator, "
-                         f"found {reprlib.repr(raw)}") from None
+                         f"found {reprlib.repr(raw)}")
+    values = {"bit_generator": raw["bit_generator"], "state.state": inner["state"],
+              "state.inc": inner["inc"], "has_uint32": raw["has_uint32"],
+              "uinteger": raw["uinteger"]}
+
+    def below(key: str, bits: int) -> bool:
+        return type(values[key]) is int and 0 <= values[key] < 2 ** bits
+
+    _check_rules(values, f"{name}.", {
+        "bit_generator": (values["bit_generator"] == "PCG64", "'PCG64'"),
+        "state.state": (below("state.state", 128), "an integer in [0, 2**128)"),
+        "state.inc": (below("state.inc", 128), "an integer in [0, 2**128)"),
+        "has_uint32": (below("has_uint32", 1), "0 or 1"),
+        "uinteger": (below("uinteger", 32), "an integer in [0, 2**32)"),
+    })
     return raw
 
 
 def _read_logs(raw, name: str, read) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list, found {reprlib.repr(raw)}")
-    # logs of checkpoints from before per-epoch timing left also carry a wall_time
-    return [_read_record(EpochLog, log, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
-            for i, log in enumerate(raw)]
+    logs = []
+    for i, entry in enumerate(raw):
+        # logs of checkpoints from before per-epoch timing left also carry a wall_time
+        log = _read_record(EpochLog, entry, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
+        _check_rules(vars(log), f"{name}[{i}].", {
+            "epoch": (log.epoch == i, str(i)),
+            "noisy_val_map": (0.0 <= log.noisy_val_map <= 1.0, "in [0, 1]"),
+            "noisy_val_map_student": (0.0 <= log.noisy_val_map_student <= 1.0, "in [0, 1]"),
+            "clean_val_map": (log.clean_val_map is None or 0.0 <= log.clean_val_map <= 1.0,
+                              "None or in [0, 1]"),
+        })
+        logs.append(log)
+    return logs
 
 
 @dataclass

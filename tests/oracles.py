@@ -24,6 +24,9 @@ their rewrites can be held to bit-equal results:
   when each row drew its classes with ``rng.choice``.
 * ``reference_read_numeric_csv``: ``data._read_numeric_csv`` when every line
   went through ``csv.reader`` and every cell through its own ``float`` call.
+* ``reference_coverage`` and ``reference_ranking_loss``: ``metrics._coverage``
+  when it took the tie rule from a stable sort per row, and
+  ``metrics._ranking_loss_counted`` when every row went through ``lexsort``.
 """
 
 import csv
@@ -270,6 +273,36 @@ def reference_read_numeric_csv(path, name):
         raise ValueError(f"{name} {path}: line {lines[i]}, column {j + 1}: "
                          f"not a finite number: {float(matrix[i, j])!r}")
     return matrix, lines
+
+
+def reference_coverage(s, y):
+    """Coverage of checked scores and labels, from one stable sort per row."""
+    n, n_classes = s.shape
+    order = np.argsort(-s, axis=1, kind="stable")
+    hits = np.take_along_axis(y, order, axis=1)
+    # the deepest 0-based position a true label holds; -1 when there is none
+    depth = np.where(hits == 1.0, np.arange(n_classes), -1).max(axis=1)
+    empty = np.flatnonzero(depth < 0)
+    if empty.size:
+        raise ValueError(f"row {empty[0]} has no positive label")
+    return float(depth.sum() / n)
+
+
+def reference_ranking_loss(s, y):
+    """(ranking loss, rows skipped) of checked scores and labels, one lexsort per row."""
+    n_classes = s.shape[1]
+    # descending score; on a tie the negative goes first, so it counts
+    # against the positive it ties with
+    order = np.lexsort((y, -s), axis=1)
+    hits = np.take_along_axis(y, order, axis=1)
+    violations = (np.cumsum(1.0 - hits, axis=1) * hits).sum(axis=1)
+    n_pos = hits.sum(axis=1)
+    valid = (n_pos > 0) & (n_pos < n_classes)
+    if not valid.any():
+        raise ValueError("no row has both a positive and a negative label")
+    frac = violations[valid] / (n_pos[valid] * (n_classes - n_pos[valid]))
+    # summed left to right, row by row; pairwise summation would round differently
+    return float(np.cumsum(frac)[-1] / frac.size), int(valid.size - frac.size)
 
 
 def reference_sigmoid(z):

@@ -28,7 +28,7 @@ from spmlab.training import (
 )
 
 from oracles import reference_write_curves
-from test_training import STATE_KEYS
+from test_training import STATE_KEYS, set_at
 
 DROP = object()  # a parameter that removes the field
 
@@ -709,25 +709,35 @@ class TestRunDirectory:
          "layer_sizes must be 2 or 3 positive integers, found [5, -1, 4]"),
         ("student_params", "abc", "student_params must be a list of numbers, found 'abc'"),
         ("student_params", [[1.0]], "student_params must be a list of numbers, found [[1.0]]"),
+        ("rng_state.state.state", 1.5,
+         "rng_state.state.state must be an integer in [0, 2**128), got 1.5"),
+        ("rng_state.state.inc", True,
+         "rng_state.state.inc must be an integer in [0, 2**128), got True"),
+        ("rng_state.has_uint32", 5, "rng_state.has_uint32 must be 0 or 1, got 5"),
+        ("logs.0.stage", "foo", "logs[0].stage must be one of ('warmup', 'gc'), got 'foo'"),
+        ("logs.0.epoch", 7, "logs[0].epoch must be 0, got 7"),
+        # the run triggered at epoch 1 and last improved at epoch 0, of 4
+        ("detector.trigger_epoch", None,
+         "detector.triggered must be False when trigger_epoch is None, got True"),
+        ("detector.best_epoch", 9, "detector.best_epoch must be in [0, 4), got 9"),
+        ("detector.since_improvement", -4,
+         "detector.since_improvement must be 3 (the epochs after best_epoch), got -4"),
     ], ids=[*(f"no-{key}" for key in STATE_KEYS), "detector-list", "detector-unknown",
             "best-map-string", "logs-int", "logs-int-entry", "logs-empty-entry", "rng-int",
             "rng-empty", "epoch-string", "epoch-negative", "epoch-large", "epoch-float",
             "epoch-bool", "stage-unknown", "stage-null", "visited-two", "config-bool",
             "config-int", "sizes-null", "sizes-string", "sizes-negative", "params-string",
-            "params-nested"])
+            "params-nested", "rng-state-float", "rng-inc-bool", "rng-has-uint32", "log-stage",
+            "log-epoch", "triggered-no-epoch", "best-epoch-unseen", "since-improvement"])
     def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
         # eval reads every state field, also one it does not use, since a resume uses it
         assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
         path = tmp_path / "run" / "checkpoint.json"
         ckpt = json.loads(path.read_text())
-        *parents, key = field.split(".")
-        target = ckpt
-        for parent in parents:
-            target = target[parent]
         if value is DROP:
-            del target[key]
+            del ckpt[field]
         else:
-            target[key] = value
+            set_at(ckpt, field, value)
         path.write_text(json.dumps(ckpt))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data),

@@ -28,10 +28,12 @@ from spmlab.metrics import (
     thresholded_metrics,
     _average_precisions,
     _class_order,
+    _coverage,
     _kept_average_precisions,
     _lowest_flip_map,
     _macro_mean,
     _ranked_positives,
+    _ranking_loss_counted,
 )
 from spmlab.net import make_rng
 from spmlab.noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
@@ -43,7 +45,9 @@ from oracles import (
     brute_mean_average_precision,
     brute_ranking_loss,
     reference_class_order,
+    reference_coverage,
     reference_monte_carlo,
+    reference_ranking_loss,
 )
 
 
@@ -438,6 +442,83 @@ class TestClassOrder:
         assert np.array_equal(_class_order(scores), reference_class_order(scores))
 
 
+# cell values of the counted-kernel tests: in [0, 1] the ranking loss sorts
+# an integer key, any score outside it sends the matrix to lexsort
+EDGES = [0.0, -0.0, 1.0, 2.0**-1074, 0.5, 1.0 - 2.0**-53]
+KERNEL_SCORES = {
+    "tied": st.integers(0, 4).map(lambda k: k / 4),
+    "continuous": st.floats(0.0, 1.0) | st.sampled_from(EDGES),
+    "edges": st.sampled_from(EDGES),
+    "outside-tied": st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5]),
+    "outside": st.floats(-3.0, 3.0) | st.sampled_from(EDGES),
+}
+
+
+def outcome(kernel, *args):
+    """What ``kernel(*args)`` returns, or the type and message of the ValueError it raises."""
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestCountedKernels:
+    """``_coverage`` and ``_ranking_loss_counted`` against the sorting bodies they replaced,
+    and the equal-count sums of ``_kept_average_precisions`` against its per-segment sums."""
+
+    @given(st.data())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_bit_equal_to_the_sorting_references(self, data):
+        kind = data.draw(st.sampled_from(sorted(KERNEL_SCORES)))
+        n, n_classes = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 9))
+        cells = n * n_classes
+        scores = np.array(data.draw(st.lists(KERNEL_SCORES[kind], min_size=cells,
+                                             max_size=cells))).reshape(n, n_classes)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=cells,
+                                             max_size=cells)), dtype=float).reshape(n, n_classes)
+        # some rows all positive, a few all negative
+        rows = np.array(data.draw(st.lists(st.sampled_from("rrrran"), min_size=n, max_size=n)))
+        labels[rows == "a"] = 1.0
+        labels[rows == "n"] = 0.0
+        assert outcome(_coverage, scores, labels) == outcome(reference_coverage, scores, labels)
+        assert (outcome(_ranking_loss_counted, scores, labels)
+                == outcome(reference_ranking_loss, scores, labels))
+
+    @pytest.mark.parametrize("shape, levels", [((20000, 19), 20), ((5000, 80), None)])
+    def test_bit_equal_to_the_sorting_references_at_benchmark_shapes(self, shape, levels):
+        rng = make_rng(55)
+        scores = rng.random(shape)
+        if levels is not None:
+            scores = np.round(scores * levels) / levels
+        labels = (rng.random(shape) < 0.2).astype(float)
+        labels[labels.sum(axis=1) == 0, 0] = 1.0
+        assert _coverage(scores, labels) == reference_coverage(scores, labels)
+        assert _ranking_loss_counted(scores, labels) == reference_ranking_loss(scores, labels)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equal_counts_sum_as_the_per_segment_loop(self, data):
+        # tie-heavy scores; classes may be empty, and a trial may keep nothing
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, n_classes = data.draw(st.integers(1, 400)), data.draw(st.integers(1, 6))
+        scores = np.round(rng.random((n, n_classes)) * 8)
+        clean = (rng.random((n, n_classes)) < rng.random(n_classes)).astype(float)
+        clean[:, data.draw(st.lists(st.integers(0, n_classes - 1), max_size=2))] = 0.0
+        bounds, depth, _ = _ranked_positives(_class_order(scores), clean)
+        n_pos = np.diff(bounds)
+        kept = [data.draw(st.integers(0, p)) for p in n_pos.tolist()]
+        if data.draw(st.booleans()):
+            kept = [0] * n_classes
+        n_trials = data.draw(st.integers(2, 8))
+        keep = np.zeros((n_trials, depth.size), dtype=bool)
+        for t in range(n_trials):
+            for c in range(n_classes):
+                keep[t, bounds[c] + rng.permutation(n_pos[c])[:kept[c]]] = True
+        per_class = _kept_average_precisions(bounds, depth, keep)
+        loop = np.vstack([_kept_average_precisions(bounds, depth, row[None]) for row in keep])
+        assert np.array_equal(per_class, loop, equal_nan=True)
+
+
 class TestNoisyMetricTransform:
     def test_worked_counts(self):
         (res,) = noisy_metric_transform([10], [8], [9], [7], [6])
@@ -622,6 +703,24 @@ class TestMonteCarlo:
             monkeypatch.setattr(metrics, "_CHUNK_CELLS", cells)
             rep = monte_carlo_proposition_check(config, regime, 100)
             assert np.array_equal(rep.measured, chunked)
+
+    @pytest.mark.parametrize("regime", ["random", "dominant"])
+    @pytest.mark.parametrize("config", [
+        pytest.param(MonteCarloConfig(seed=0), id="bench"),
+        # few classes flip, so the uniforms of a trial are far fewer than its positives
+        pytest.param(MonteCarloConfig(beta_low=0.0005, beta_high=0.002, seed=0), id="few-flips"),
+    ])
+    def test_chunk_keep_masks_stay_within_the_cell_bound(self, config, regime, monkeypatch):
+        shapes = []
+
+        def kept(bounds, depth, keep):
+            shapes.append(keep.shape)
+            return _kept_average_precisions(bounds, depth, keep)
+
+        monkeypatch.setattr(metrics, "_kept_average_precisions", kept)
+        monte_carlo_proposition_check(config, regime, 100)
+        assert max(t * m for t, m in shapes) <= metrics._CHUNK_CELLS
+        assert max(t for t, _ in shapes) > 1
 
     @pytest.mark.parametrize("regime", ["random", "dominant"])
     @pytest.mark.parametrize("config, error", [

@@ -279,6 +279,24 @@ STATE_MUTATIONS = [
     ("stage", None, "null", "stage must be one of ('warmup', 'gc'), got None"),
 ]
 
+# (path in rng_state, value, rule, case id)
+RNG_MUTATIONS = [
+    ("state.state", 1.5, "an integer in [0, 2**128)", "rng-state-float"),
+    ("state.state", 2 ** 128, "an integer in [0, 2**128)", "rng-state-large"),
+    ("state.inc", True, "an integer in [0, 2**128)", "rng-inc-bool"),
+    ("has_uint32", 5, "0 or 1", "rng-has-uint32"),
+    ("uinteger", -1, "an integer in [0, 2**32)", "rng-uinteger"),
+    ("bit_generator", "MT19937", "'PCG64'", "rng-generator"),
+]
+
+
+def set_at(target, path, value):
+    """Set the entry of ``target`` at the dotted ``path`` (list indices as digits) to ``value``."""
+    *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+
 
 def named(error):
     """The pattern of ``error`` as the library names it: the source, then the message."""
@@ -374,6 +392,18 @@ class TestTrainerMechanics:
         assert resumed.detector.best_map == -math.inf
         resumed.run()
         assert resumed.checkpoint() == full.checkpoint()
+
+    def test_checkpoint_of_every_epoch_passes_its_own_checks(self):
+        # clean validation maps logged, the detector triggered, the calibrated stage reached
+        tr, va, te = small_data()
+        trainer = Trainer(small_config(method="adagc", epochs=30, learning_rate=0.4,
+                                       patience=1, beta_t=0.9, log_clean_val=True), tr, va)
+        while trainer.stage != "gc":
+            trainer.run_epoch()
+            ckpt = json.loads(json.dumps(trainer.checkpoint()))
+            resumed = Trainer.from_checkpoint(ckpt, tr, va)
+            assert json.loads(json.dumps(resumed.checkpoint())) == ckpt
+        assert trainer.detector.triggered and trainer.logs[-1].clean_val_map is not None
 
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_saved_checkpoint_has_the_bytes_of_json_dump(self, tmp_path, hidden):
@@ -474,6 +504,44 @@ class TestTrainerMechanics:
                      named("raw_student_pseudo must be a bool, got 'yes'"), id="config-bool"),
         pytest.param(lambda c: c["config"].update(hidden=True), {},
                      named("hidden must be an integer, got True"), id="config-int"),
+        # rng_state by its structure: NumPy's setter truncates 1.5 to 1 and takes True and 5
+        *[pytest.param(lambda c, path=path, value=value: set_at(c["rng_state"], path, value), {},
+                       named(f"rng_state.{path} must be {rule}, got {value!r}"), id=case)
+          for path, value, rule, case in RNG_MUTATIONS],
+        # logs and detector checked against themselves
+        pytest.param(lambda c: c["logs"][0].update(stage="foo"), {},
+                     named("logs[0].stage must be one of ('warmup', 'gc'), got 'foo'"),
+                     id="log-stage"),
+        pytest.param(lambda c: c["logs"][0].update(epoch=7), {},
+                     named("logs[0].epoch must be 0, got 7"), id="log-epoch"),
+        pytest.param(lambda c: c["logs"][1].update(noisy_val_map=1.5), {},
+                     named("logs[1].noisy_val_map must be in [0, 1], got 1.5"), id="log-map"),
+        pytest.param(lambda c: c["logs"][1].update(noisy_val_map_student=-0.5), {},
+                     named("logs[1].noisy_val_map_student must be in [0, 1], got -0.5"),
+                     id="log-student-map"),
+        pytest.param(lambda c: c["logs"][1].update(clean_val_map=2.0), {},
+                     named("logs[1].clean_val_map must be None or in [0, 1], got 2.0"),
+                     id="log-clean-map"),
+        pytest.param(lambda c: c["detector"].update(triggered=True), {},
+                     named("detector.triggered must be False when trigger_epoch is None, "
+                           "got True"), id="triggered-no-epoch"),
+        pytest.param(lambda c: c["detector"].update(trigger_epoch=1), {},
+                     named("detector.triggered must be True when trigger_epoch is 1, "
+                           "got False"), id="epoch-not-triggered"),
+        pytest.param(lambda c: c["detector"].update(triggered=True, trigger_epoch=2), {},
+                     named("detector.trigger_epoch must be None or in [0, 2), got 2"),
+                     id="trigger-epoch-unseen"),
+        pytest.param(lambda c: c["detector"].update(best_epoch=9, since_improvement=-4), {},
+                     named("detector.best_epoch must be in [0, 2), got 9"), id="best-epoch-unseen"),
+        pytest.param(lambda c: c["detector"].update(best_epoch=-1), {},
+                     named("detector.best_epoch must be in [0, 2), got -1"), id="best-epoch-unset"),
+        pytest.param(lambda c: c["detector"].update(best_epoch=0, since_improvement=-4), {},
+                     named("detector.since_improvement must be 1 (the epochs after best_epoch), "
+                           "got -4"), id="since-improvement"),
+        pytest.param(lambda c: (c.update(epoch=0, logs=[]), c["detector"].update(
+                         n_seen=0, best_map=float("-inf"), best_epoch=1, since_improvement=0)), {},
+                     named("detector.best_epoch must be -1 before the first epoch, got 1"),
+                     id="best-epoch-before-first"),
     ])
     def test_checkpoint_checked_on_load(self, edit, load_data, error):
         # the steps no longer check the state a checkpoint restores
