@@ -15,10 +15,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -27,9 +27,10 @@ from .data import (
     SyntheticSpec,
     _check_known,
     _json_dump,
+    _read_json_record,
     _split_files,
+    _split_paths,
     _write_csv,
-    _write_observed_csv,
     generate_synthetic,
     ingest_csv,
     read_json,
@@ -37,7 +38,7 @@ from .data import (
     write_spec_json,
     write_split_csv,
 )
-from .net import Mlp, _check_fields, _check_type, _field_type, make_rng
+from .net import Mlp, _check_fields, _check_type, _field_type, _hints, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .training import (
     EpochLog,
@@ -69,7 +70,9 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         self.train_config.validate()
-        _check_fields(self, lambda: {"regime": (self.regime in REGIMES, f"one of {REGIMES}")})
+        _check_fields(self, lambda: {
+            "regime": (self.regime in REGIMES, f"one of {REGIMES}"),
+            "data_dir": (self.data_dir is None or isinstance(self.data_dir, str), "a str or None")})
         if (self.synthetic is None) == (self.data_dir is None):
             raise ValueError("exactly one of synthetic spec or data_dir is required")
         if self.regime == "none" and self.train_config.method not in ("gt", "iun"):
@@ -85,7 +88,7 @@ def _load_clean(datadir, name: str, regime="none") -> MultiLabelDataset:
     paths = _split_files(datadir, name)[:3]
     if regime == "dominant" and paths[2] is None:
         raise ValueError("dominant regime requires extent scores: missing dataset file "
-                         f"{Path(datadir) / f'{name}_extents.csv'}")
+                         f"{_split_paths(datadir, name)['extents']}")
     return ingest_csv(*paths)
 
 
@@ -136,18 +139,11 @@ def _corrupt_splits(splits: dict, regime: str, noise_seed: int):
     return observed, compute_flip_rates(observed["train"].y_true, observed["train"].y_observed)
 
 
-def _from_fields(cls, payload: dict):
-    """Rebuild ``cls`` from its ``asdict`` form, nested dataclasses included."""
-    kinds = {name: _field_type(hint)[0] for name, hint in get_type_hints(cls).items()}
-    return cls(**{k: _from_fields(kinds[k], v) if is_dataclass(kinds[k]) and v is not None else v
-                  for k, v in payload.items()})
-
-
 def read_config_json(path) -> ExperimentSpec:
-    """Rebuild the experiment spec from a written config.json."""
-    payload = read_json(path)
-    del payload["trigger_epoch"]  # an outcome of the run, not part of its spec
-    return _from_fields(ExperimentSpec, dict(payload, outdir=str(Path(path).parent)))
+    """The checked spec of a config.json, to replay the run into the file's directory; an
+    error names the file and field. Its trigger_epoch is an outcome, not a setting."""
+    return _read_json_record(ExperimentSpec, path, "config", ("trigger_epoch",),
+                             outdir=str(Path(path).parent))
 
 
 # (EpochLog field, curves.csv header) per column; train_loss is the one
@@ -163,13 +159,11 @@ def _write_curves(path, logs) -> None:
 
 
 def read_curves(path) -> list:
-    """Re-ingest a curves.csv: one dict per epoch, keyed by column header."""
-    hints = get_type_hints(EpochLog)
-    types = {header: _field_type(hints[name]) for name, header in _CURVE_COLUMNS}
+    """Re-ingest a curves.csv: a dict per epoch, by column header; an empty optional is None."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return [{header: None if optional and row[header] == "" else kind(row[header])
-             for header, (kind, optional) in types.items()} for row in rows]
+    return [{header: _parse_value(EpochLog, name, row[header], none="")
+             for name, header in _CURVE_COLUMNS} for row in rows]
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -187,8 +181,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
              ("config.json", "metrics.json", "curves.csv", "fliprates.csv", "checkpoint.json")}
     flips.to_csv(paths["fliprates"])
     trainer = result.trainer
-    resolved = replace(spec, noise_seed=noise_seed, train_config=replace(
-        spec.train_config, w_neg=trainer.w_neg, k_expected=trainer.k_expected))
+    resolved = replace(spec, noise_seed=noise_seed, train_config=trainer.config)
     config = {k: v for k, v in asdict(resolved).items() if k != "outdir"}
     _json_dump(dict(config, trigger_epoch=trainer.detector.trigger_epoch), paths["config"])
     _json_dump(result.report.to_json_dict(), paths["metrics"])
@@ -206,29 +199,25 @@ _FLAG_EXCEPTIONS = {
 
 def _config_flags(cls) -> list:
     """(field name, flag, type hint, default) for each flagged field of ``cls``."""
-    hints = get_type_hints(cls)
-    out = []
-    for f in fields(cls):
-        flag = _FLAG_EXCEPTIONS.get((cls, f.name), "--" + f.name.replace("_", "-"))
-        if flag is not None:
-            out.append((f.name, flag, hints[f.name], f.default))
-    return out
+    flags = [(f, _FLAG_EXCEPTIONS.get((cls, f.name), "--" + f.name.replace("_", "-")))
+             for f in fields(cls)]
+    return [(f.name, flag, _hints(cls)[f.name], f.default) for f, flag in flags if flag]
 
 
-def _parse_value(cls, name: str, raw: str):
-    """Parse a flag or grid value for field ``name`` of ``cls`` by its type hint.
+def _parse_value(cls, name: str, raw: str, none: str = "none"):
+    """Parse a flag, grid or curves.csv value for field ``name`` of ``cls`` by its type hint.
 
-    Bools take only ``true``/``false``; optional fields also take ``none``.
+    Bools take only ``true``/``false``; optional fields also take ``none``, None's spelling.
     """
-    hint, optional = _field_type(get_type_hints(cls)[name])
-    if optional and raw == "none":
+    hint, optional = _field_type(_hints(cls)[name])
+    if optional and raw == none:
         return None
     try:
         return {"true": True, "false": False}[raw] if hint is bool else hint(raw)
     except (KeyError, ValueError):
         expected = "true or false" if hint is bool else hint.__name__
         if optional:
-            expected += " or none"
+            expected += f" or {none}"
         raise ValueError(f"field {name}: expected {expected}, got {raw!r}") from None
 
 
@@ -305,8 +294,9 @@ def _cmd_gen(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # the observed labels, flip rates and noise of older data would pair with the new labels
-    for stale in [f"{name}_observed.csv" for name in splits] + ["fliprates.csv", "noise.json"]:
-        (outdir / stale).unlink(missing_ok=True)
+    for stale in [_split_paths(outdir, name)["observed"] for name in splits] + [
+            outdir / "fliprates.csv", outdir / "noise.json"]:
+        stale.unlink(missing_ok=True)
     for name, ds in splits.items():
         write_split_csv(ds, outdir, name)
     write_spec_json(spec, outdir / "spec.json")
@@ -324,7 +314,10 @@ def _cmd_corrupt(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)  # only once the input has loaded
     in_place = outdir.samefile(datadir)
     for name, ds in observed.items():
-        (_write_observed_csv if in_place else write_split_csv)(ds, outdir, name)
+        if in_place:
+            _write_csv(_split_paths(outdir, name)["observed"], ds.y_observed, int)
+        else:
+            write_split_csv(ds, outdir, name)
     flips.to_csv(outdir / "fliprates.csv")
     if not in_place:
         # a complete data directory: the clean test split and the spec
@@ -366,13 +359,13 @@ def _cmd_eval(args) -> int:
     model = Mlp(sizes, state.teacher_params if teacher else state.student_params)
     threshold = config.threshold if args.threshold is None else args.threshold
     ds = _load_clean(args.data_dir, args.split)
-    features, labels = _split_files(args.data_dir, args.split)[:2]
+    paths = _split_paths(args.data_dir, args.split)
     if ds.n_features != sizes[0]:
         raise ValueError(f"{args.checkpoint}: model with layers {sizes} expects {sizes[0]} "
-                         f"feature columns, features {features} has {ds.n_features}")
+                         f"feature columns, features {paths['features']} has {ds.n_features}")
     if ds.n_classes != sizes[-1]:
         raise ValueError(f"{args.checkpoint}: model with layers {sizes} scores {sizes[-1]} "
-                         f"classes, labels {labels} has {ds.n_classes}")
+                         f"classes, labels {paths['labels']} has {ds.n_classes}")
     report = evaluate(model, ds, threshold)
     payload = report.to_json_dict()
     if args.out:
@@ -401,10 +394,9 @@ def _parse_grid(items) -> list:
 
 
 def _grid_cells(axes) -> list:
-    cells = [{}]
-    for key, values in axes:
-        cells = [dict(cell, **{key: v}) for cell in cells for v in values]
-    return cells
+    """A dict of (field, raw value) per cell of the product of ``axes``, the last axis fastest."""
+    keys = [key for key, _ in axes]
+    return [dict(zip(keys, cell)) for cell in product(*(values for _, values in axes))]
 
 
 def _cmd_grid(args) -> int:

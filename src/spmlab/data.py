@@ -21,10 +21,11 @@ row is one ``map(float)``. The rules on the arrays are those of
 ``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
 prefixes a rejection with the file, line and column it points at.
 
-Artifacts are written atomically: CSV rows by ``_write_csv`` (commas, CRLF: the bytes
-of the ``csv`` module), JSON by ``_json_dump``. ``_read_config`` reads a JSON config;
-an unknown field, a wrong type or a broken rule is rejected with the file named, and
-``_read_record`` reads a record (a checkpoint's state) by its fields' rules and types.
+``_split_paths`` alone names a split's files. Artifacts are written atomically: CSV rows
+by ``_write_csv`` (commas, CRLF: the bytes of the ``csv`` module), JSON by ``_json_dump``.
+Every record read from JSON goes through ``_read_record``, nested records too; it checks
+the types, then the record's own ``validate()``, and names a bad field by its path
+(``train_config.lam``). ``_read_json_record`` reads one from a file and names the file.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import reprlib
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -50,6 +51,8 @@ from .net import (
     _check_rows_positive,
     _check_shape,
     _check_types,
+    _field_type,
+    _hints,
     as_matrix,
     make_rng,
 )
@@ -237,23 +240,23 @@ def _write_csv(path, rows, dtype=None) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
+def _split_paths(datadir, prefix: str) -> dict:
+    """A split's ``{prefix}_{kind}.csv`` in ``datadir`` by kind: features, labels, extents,
+    observed."""
+    return {kind: Path(datadir) / f"{prefix}_{kind}.csv"
+            for kind in ("features", "labels", "extents", "observed")}
+
+
 def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
-    """Write one split as prefix_{features,labels[,extents][,observed]}.csv of ``repr`` cells."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write one split's files (``_split_paths``) of ``repr`` cells; a None array has none."""
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    arrays = ((ds.features, float), (ds.y_true, int), (ds.extents, float), (ds.y_observed, int))
     written = []
-    for kind, array, dtype in (("features", ds.features, float), ("labels", ds.y_true, int),
-                               ("extents", ds.extents, float), ("observed", ds.y_observed, int)):
+    for path, (array, dtype) in zip(_split_paths(outdir, prefix).values(), arrays):
         if array is not None:
-            path = outdir / f"{prefix}_{kind}.csv"
             _write_csv(path, array, dtype)
             written.append(path)
     return written
-
-
-def _write_observed_csv(ds: MultiLabelDataset, datadir, prefix: str) -> None:
-    """Write only the observed-labels file of a split, as ``write_split_csv`` does."""
-    _write_csv(Path(datadir) / f"{prefix}_observed.csv", ds.y_observed, int)
 
 
 def _csv_records(fh):
@@ -340,8 +343,7 @@ def ingest_csv(features_path, labels_path, extents_path=None,
 
 def _split_files(datadir, prefix: str) -> list:
     """A split's features, labels, extents and observed files; a missing optional one is None."""
-    paths = [Path(datadir) / f"{prefix}_{kind}.csv"
-             for kind in ("features", "labels", "extents", "observed")]
+    paths = list(_split_paths(datadir, prefix).values())
     for path in paths[:2]:
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
@@ -382,36 +384,44 @@ def _check_known(cls, keys, kind: str) -> None:
 
 def _read_record(cls, payload, prefix: str, kind: str, ignored=()):
     """The dataclass ``cls`` from the JSON object ``payload`` (a ``kind``), less its keys
-    ``ignored``: each field, named with ``prefix``, passes its metadata's ``read(value, name,
-    fields read so far)`` rule, if any, then its type; an unknown or missing field is named."""
+    ``ignored``. A field hinted as a dataclass is a nested record (None only if hinted
+    ``| None``); any other passes its metadata's ``read(value, name, fields read so far)``
+    rule, if any. Then the types must hold, then ``cls.validate()``, if any. Each error names
+    the field by its path, from ``prefix``; an unknown or missing field is named too."""
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} must be a JSON object, found {reprlib.repr(payload)}")
     _check_known(cls, [key for key in payload if key not in ignored], kind)
-    read = {}
+    hints, read = _hints(cls), {}
     for f in fields(cls):
-        rule = f.metadata.get("read", lambda value, name, read: value)
-        if f.name in payload:
-            read[f.name] = rule(payload[f.name], prefix + f.name, read)
-        elif f.default is MISSING:
-            raise ValueError(f"{prefix}{f.name} is missing")
+        name, value = prefix + f.name, payload.get(f.name, MISSING)
+        hint, optional = _field_type(hints[f.name])
+        if value is MISSING:
+            if f.default is MISSING:
+                raise ValueError(f"{name} is missing")
+        elif is_dataclass(hint) and not (optional and value is None):
+            read[f.name] = _read_record(hint, value, name + ".", name)
+        else:
+            read[f.name] = f.metadata.get("read", lambda raw, *_: raw)(value, name, read)
     record = cls(**read)
     _check_types(record, prefix)
+    try:
+        getattr(record, "validate", lambda: None)()
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
     return record
 
 
-def _read_config(cls, payload: dict, source, kind: str):
-    """The validated ``cls`` of ``payload`` (``_read_record``); a rejection names ``source``."""
+def _read_json_record(cls, path, kind: str, ignored=(), **given):
+    """``_read_record`` of the JSON object in ``path``, ``given`` set; an error names the file."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
     try:
-        config = _read_record(cls, payload, "", kind)
-        config.validate()
+        return _read_record(cls, {**payload, **given}, "", kind, ignored)
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    return config
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_spec_json(path) -> SyntheticSpec:
     """The checked ``SyntheticSpec`` in a spec.json; a rejection names the file."""
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    return _read_config(SyntheticSpec, payload, path, "spec")
+    return _read_json_record(SyntheticSpec, path, "spec")

@@ -25,9 +25,9 @@ supported on the true labels (``_check_extents``) and sample indices in
 range (``_check_indices``). Each raises ValueError through ``_reject``,
 naming the argument, the rule and the first offending value with its
 0-based position, also kept as attributes for CSV ingestion to map to a
-file, line and column. ``_check_fields`` checks a config: each field finite and of its
-hinted type (``_check_types``), then ``_check_param`` on each with its ``{field: (ok,
-requirement)}`` entry of the table the config builds once the types hold.
+file, line and column. ``_check_rules`` is the one table checker: it rejects the first
+failing ``{key: (ok, requirement)}`` entry, naming the key and its value. ``_check_fields``
+checks a config: each field finite, of its hinted type (``_check_types``), then its rules.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import fields
+import reprlib
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -115,12 +115,20 @@ def _check_indices(sample_indices, n_samples: int, name: str) -> np.ndarray:
     return idx
 
 
+def _check_rules(values: dict, prefix: str, rules: dict) -> None:
+    """Reject the first key of ``rules`` whose ``(ok, requirement)`` fails, naming it with
+    ``prefix``, its requirement and its entry in ``values``."""
+    for key, (ok, requirement) in rules.items():
+        if not ok:
+            raise ValueError(f"{prefix}{key} must be {requirement}, "
+                             f"got {reprlib.repr(values[key])}")
+
+
 def _check_param(name: str, value, ok: bool, requirement: str):
     """Return a scalar hyperparameter if it is finite and ``ok`` (it meets ``requirement``)."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
-    if not ok:
-        raise ValueError(f"{name} must be {requirement}, got {value!r}")
+    _check_rules({name: value}, "", {name: (ok, requirement)})
     return value
 
 
@@ -164,14 +172,12 @@ def _check_types(record, prefix: str = "") -> None:
 
 
 def _check_fields(config, rules) -> None:
-    """Each field finite and of its hinted type, then ``_check_param`` by its ``rules()`` entry."""
-    for f in fields(config):
-        _check_param(f.name, getattr(config, f.name), True, "")  # finite
+    """Each field of the dataclass ``config`` finite, then of its hinted type, then ``rules()``."""
+    values = vars(config)
+    for name, value in values.items():
+        _check_param(name, value, True, "")  # finite
     _check_types(config)
-    table = rules()
-    for f in fields(config):
-        ok, requirement = table.get(f.name, (True, ""))
-        _check_param(f.name, getattr(config, f.name), ok, requirement)
+    _check_rules(values, "", rules())
 
 
 def _check_extents(extents, y_true: np.ndarray) -> np.ndarray:

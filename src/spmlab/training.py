@@ -6,7 +6,9 @@ detector watches the teacher's mAP on the noisy (single-positive)
 validation labels; once it plateaus, training switches to the calibrated
 objective on Mixup batches with fused pseudo-labels. Baseline modes are
 single-stage runs of the corresponding loss. A run's resumable state is one record,
-``TrainState``: ``Trainer.checkpoint`` writes it, ``load_checkpoint`` reads it back.
+``TrainState``: ``Trainer.checkpoint`` writes it, resolved config included, and
+``load_checkpoint`` reads it back. A record's rules live on it: ``DetectorState.validate``
+holds what ``detect_early_learning`` keeps, ``EpochLog.validate`` the logged mAP ranges.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import losses
-from .data import MultiLabelDataset, _read_config, _read_record, atomic_open, read_json
+from .data import MultiLabelDataset, _read_record, atomic_open, read_json
 from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
 from .metrics import (
     MetricReport,
@@ -28,8 +30,8 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import (Mlp, _check_cells, _check_fields, _check_param, _check_shape, _check_unit,
-                  _sigmoid, make_rng, sigmoid)
+from .net import (Mlp, _check_cells, _check_fields, _check_param, _check_rules, _check_shape,
+                  _check_unit, _sigmoid, make_rng, sigmoid)
 
 __all__ = [
     "METHODS",
@@ -115,6 +117,24 @@ class DetectorState:
     trigger_epoch: int | None = None
     n_seen: int = 0
 
+    def validate(self) -> None:
+        """Reject a state ``detect_early_learning`` never leaves, naming the first bad field."""
+        seen, trigger = self.n_seen, self.trigger_epoch
+        since, epochs = max(seen - 1 - self.best_epoch, 0), f"in [0, {seen})"
+        first = seen == 0  # best_map is -inf and best_epoch -1 until the first epoch
+        _check_rules(vars(self), "", {
+            "n_seen": (seen >= 0, "non-negative"),
+            "best_map": (self.best_map == -math.inf if first else 0.0 <= self.best_map <= 1.0,
+                         "-Infinity before the first epoch" if first else "in [0, 1]"),
+            "best_epoch": (self.best_epoch == -1 if first else 0 <= self.best_epoch < seen,
+                           "-1 before the first epoch" if first else epochs),
+            "since_improvement": (self.since_improvement == since,
+                                  f"{since} (the epochs after best_epoch)"),
+            "trigger_epoch": (trigger is None or 0 <= trigger < seen, f"None or {epochs}"),
+            "triggered": (self.triggered == (trigger is not None),
+                          f"{trigger is not None} when trigger_epoch is {trigger}"),
+        })
+
 
 def detect_early_learning(state: DetectorState, noisy_val_map: float,
                           patience: int) -> DetectorState:
@@ -150,6 +170,15 @@ class EpochLog:
     noisy_val_map: float              # teacher model vs single-positive labels
     noisy_val_map_student: float
     clean_val_map: float | None
+
+    def validate(self) -> None:
+        """Reject a logged mAP outside [0, 1] (the clean one may be None), naming it."""
+        _check_rules(vars(self), "", {
+            "noisy_val_map": (0.0 <= self.noisy_val_map <= 1.0, "in [0, 1]"),
+            "noisy_val_map_student": (0.0 <= self.noisy_val_map_student <= 1.0, "in [0, 1]"),
+            "clean_val_map": (self.clean_val_map is None or 0.0 <= self.clean_val_map <= 1.0,
+                              "None or in [0, 1]"),
+        })
 
 
 def mixup_batch(x, y, t, rng: np.random.Generator, alpha: float):
@@ -222,35 +251,6 @@ def _read_visited(raw, name: str, read) -> np.ndarray:
     return _check_cells(flags, (flags != 0.0) & (flags != 1.0), name, "be 0 or 1") == 1.0
 
 
-def _check_rules(values: dict, prefix: str, rules: dict) -> None:
-    """Reject the first key of ``rules`` whose ``(ok, requirement)`` fails, naming it with
-    ``prefix``, its requirement and its entry in ``values``."""
-    for key, (ok, requirement) in rules.items():
-        if not ok:
-            raise ValueError(f"{prefix}{key} must be {requirement}, got {reprlib.repr(values[key])}")
-
-
-def _read_detector(raw, name: str, read) -> DetectorState:
-    d = _read_record(DetectorState, raw, f"{name}.", name)
-    seen, since = d.n_seen, max(d.n_seen - 1 - d.best_epoch, 0)
-    first = seen == 0  # best_map is -inf and best_epoch -1 until the first epoch
-    epochs = f"in [0, {seen})"
-    _check_rules(vars(d), f"{name}.", {
-        "n_seen": (seen >= 0, "non-negative"),
-        "best_map": (d.best_map == -math.inf if first else 0.0 <= d.best_map <= 1.0,
-                     "-Infinity before the first epoch" if first else "in [0, 1]"),
-        "best_epoch": (d.best_epoch == -1 if first else 0 <= d.best_epoch < seen,
-                       "-1 before the first epoch" if first else epochs),
-        "since_improvement": (d.since_improvement == since,
-                              f"{since} (the epochs after best_epoch)"),
-        "trigger_epoch": (d.trigger_epoch is None or 0 <= d.trigger_epoch < seen,
-                          f"None or {epochs}"),
-        "triggered": (d.triggered == (d.trigger_epoch is not None),
-                      f"{d.trigger_epoch is not None} when trigger_epoch is {d.trigger_epoch}"),
-    })
-    return d
-
-
 def _read_rng_state(raw, name: str, read) -> dict:
     """A PCG64 ``bit_generator.state``, checked by its structure: NumPy's own setter takes
     ``1.5`` or ``True`` where an integer belongs and silently truncates it."""
@@ -283,13 +283,7 @@ def _read_logs(raw, name: str, read) -> list:
     for i, entry in enumerate(raw):
         # logs of checkpoints from before per-epoch timing left also carry a wall_time
         log = _read_record(EpochLog, entry, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
-        _check_rules(vars(log), f"{name}[{i}].", {
-            "epoch": (log.epoch == i, str(i)),
-            "noisy_val_map": (0.0 <= log.noisy_val_map <= 1.0, "in [0, 1]"),
-            "noisy_val_map_student": (0.0 <= log.noisy_val_map_student <= 1.0, "in [0, 1]"),
-            "clean_val_map": (log.clean_val_map is None or 0.0 <= log.clean_val_map <= 1.0,
-                              "None or in [0, 1]"),
-        })
+        _check_rules(vars(log), f"{name}[{i}].", {"epoch": (log.epoch == i, str(i))})
         logs.append(log)
     return logs
 
@@ -306,7 +300,7 @@ class TrainState:
     teacher_params: np.ndarray = field(metadata={"read": _read_params})
     smoothed_preds: np.ndarray = field(metadata={"read": _read_preds})
     visited: np.ndarray = field(metadata={"read": _read_visited})  # bool per training sample
-    detector: DetectorState = field(metadata={"read": _read_detector})
+    detector: DetectorState
     rng_state: dict = field(metadata={"read": _read_rng_state})
     logs: list = field(metadata={"read": _read_logs})  # an EpochLog per epoch
 
@@ -326,15 +320,14 @@ class Trainer:
     def __init__(self, config: TrainConfig, train_ds: MultiLabelDataset,
                  val_ds: MultiLabelDataset):
         config.validate()
-        self.config = config
+        # the defaults resolved once, so the config and the checkpoint hold what the run used
+        self.config = config = replace(
+            config,
+            w_neg=1.0 / max(train_ds.n_classes - 1, 1) if config.w_neg is None else config.w_neg,
+            k_expected=(float(train_ds.y_true.sum(axis=1).mean()) if config.k_expected is None
+                        else config.k_expected))
         self.train_ds = train_ds
         self.val_ds = val_ds
-        self.w_neg = config.w_neg
-        if self.w_neg is None:
-            self.w_neg = 1.0 / max(train_ds.n_classes - 1, 1)
-        self.k_expected = config.k_expected
-        if self.k_expected is None:
-            self.k_expected = float(train_ds.y_true.sum(axis=1).mean())
         self._check_datasets()
 
         self.rng = make_rng(config.seed)
@@ -357,27 +350,20 @@ class Trainer:
     def _check_datasets(self) -> None:
         train_ds, val_ds = self.train_ds, self.val_ds
         if val_ds.n_features != train_ds.n_features:
-            raise ValueError(
-                f"validation features have {val_ds.n_features} columns, "
-                f"training has {train_ds.n_features}"
-            )
+            raise ValueError(f"validation features have {val_ds.n_features} columns, "
+                             f"training has {train_ds.n_features}")
         if val_ds.n_classes != train_ds.n_classes:
             raise ValueError("train and validation class counts differ")
         for name, ds in (("training", train_ds), ("validation", val_ds)):
             if ds.y_observed is None:
                 raise ValueError(f"{name} set has no observed labels")
         method = self.config.method
-        if method not in ("gt", "iun"):
-            sums = train_ds.y_observed.sum(axis=1)
-            if not np.all(sums == 1.0):
-                raise ValueError(
-                    f"method {method!r} requires single-positive "
-                    f"observed training labels"
-                )
+        if method not in ("gt", "iun") and not np.all(train_ds.y_observed.sum(axis=1) == 1.0):
+            raise ValueError(f"method {method!r} requires single-positive observed training labels")
         if method == "iun" and np.any((train_ds.y_observed == 1.0) & (train_ds.y_true == 0.0)):
             raise ValueError("method 'iun' requires every observed positive to be a true positive")
-        _check_param("k_expected", self.k_expected, 0.0 < self.k_expected <= train_ds.n_classes,
-                     f"in (0, {train_ds.n_classes}]")
+        k, n_classes = self.config.k_expected, train_ds.n_classes
+        _check_param("k_expected", k, 0.0 < k <= n_classes, f"in (0, {n_classes}]")
 
     def _adopt(self, sizes: tuple, student_params, teacher_params) -> None:
         """Stack the student and the teacher EMA as the rows of the buffer the steps update."""
@@ -405,9 +391,9 @@ class Trainer:
         if cfg.method == "an_ls":
             return losses._an_ls_terms(p, y_obs, cfg.eps_smooth)
         if cfg.method == "wan":
-            return losses._bce_terms(p, y_obs, self.w_neg)
+            return losses._bce_terms(p, y_obs, cfg.w_neg)
         if cfg.method == "epr":
-            return losses._epr_terms(p, y_obs, self.k_expected, cfg.epr_weight)
+            return losses._epr_terms(p, y_obs, cfg.k_expected, cfg.epr_weight)
         if cfg.method == "iun":
             return losses._iun_terms(p, y_obs, self._true_neg_mask[idx])
         if cfg.method == "gt":
@@ -597,10 +583,10 @@ def _read_checkpoint(ckpt, source) -> tuple:
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{source}: unsupported checkpoint version "
                          f"{ckpt.get('version')!r}, expected {CHECKPOINT_VERSION}")
-    if not isinstance(ckpt.get("config"), dict):
-        raise ValueError(f"{source}: config is not a JSON object")
-    config = _read_config(TrainConfig, ckpt["config"], source, "config")
     try:
+        if not isinstance(ckpt.get("config"), dict):
+            raise ValueError("config is not a JSON object")
+        config = _read_record(TrainConfig, ckpt["config"], "", "config")
         state = _read_record(TrainState, ckpt, "", "checkpoint", ("format", "version", "config"))
         if not state.epoch == len(state.logs) == state.detector.n_seen:
             raise ValueError(f"epoch {state.epoch} must equal the number of logs "

@@ -257,14 +257,55 @@ class TestRunExperiment:
         assert state.epoch == 6
 
     def test_config_json_reproduces_the_run(self, tmp_path):
-        # config.json carries enough to re-run the experiment exactly
-        run_experiment(tiny_spec(tmp_path / "r1"))
+        # config.json carries enough to re-run the experiment exactly, in all five artifacts
+        paths = run_experiment(tiny_spec(tmp_path / "r1"))
         spec = read_config_json(tmp_path / "r1" / "config.json")
+        assert spec.outdir == str(tmp_path / "r1")
         spec.outdir = str(tmp_path / "r2")
-        run_experiment(spec)
-        a = (tmp_path / "r1" / "metrics.json").read_bytes()
-        b = (tmp_path / "r2" / "metrics.json").read_bytes()
-        assert a == b
+        for name, path in run_experiment(spec).items():
+            assert path.read_bytes() == paths[name].read_bytes(), name
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("train_config", None, "train_config must be a JSON object, found None"),
+        ("train_config.lam", "3", "train_config.lam must be a number, got '3'"),
+        ("train_config.lam", -1.0, "train_config.lam must be non-negative, got -1.0"),
+        ("synthetic.split_ratio", "ab",
+         "synthetic.split_ratio must be a list of numbers, got 'ab'"),
+        ("synthetic.n_samples", 2, "synthetic.n_samples must be at least 4, got 2"),
+        ("bogus", 1, "unknown config field 'bogus'"),
+        ("train_config.bogus", 1, "unknown train_config field 'bogus'"),
+        ("train_config", DROP, "train_config is missing"),
+        ("regime", "x", "regime must be one of ('random', 'dominant', 'none'), got 'x'"),
+        ("noise_seed", 1.5, "noise_seed must be an integer or None, got 1.5"),
+        ("data_dir", 5, "data_dir must be a str or None, got 5"),
+        ("synthetic", None, "exactly one of synthetic spec or data_dir is required"),
+        (None, [1], "not a JSON object"),
+    ], ids=["train-config-null", "lam-string", "lam-negative", "split-ratio-string",
+            "synthetic-rule", "unknown-field", "unknown-nested-field", "missing-field",
+            "regime", "noise-seed", "data-dir", "no-data-source", "not-an-object"])
+    def test_read_config_json_names_a_bad_field(self, tmp_path, field, value, error):
+        run_experiment(tiny_spec(tmp_path / "run", epochs=1))
+        config = json.loads((tmp_path / "run" / "config.json").read_text())
+        if field is None:
+            config = value
+        elif value is DROP:
+            del config[field]
+        else:
+            set_at(config, field, value)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ValueError) as exc:
+            read_config_json(path)
+        assert str(exc.value) == f"{path}: {error}"
+
+    def test_read_config_json_needs_no_trigger_epoch(self, tmp_path):
+        # the trigger epoch is an outcome of the run, not one of its settings
+        run_experiment(tiny_spec(tmp_path / "run", epochs=1))
+        config = json.loads((tmp_path / "run" / "config.json").read_text())
+        del config["trigger_epoch"]
+        path = tmp_path / "run" / "edited.json"
+        path.write_text(json.dumps(config))
+        assert read_config_json(path) == read_config_json(tmp_path / "run" / "config.json")
 
     @pytest.mark.parametrize("write, old, new", [
         (save_checkpoint, {"epoch": 1}, {"epoch": 2}),

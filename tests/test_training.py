@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spmlab.cli import apply_regime
-from spmlab.data import MultiLabelDataset, SyntheticSpec, generate_synthetic
+from spmlab.data import MultiLabelDataset, SyntheticSpec, _read_record, generate_synthetic
 from spmlab.ema import ema_update_predictions, ema_update_weights, make_pseudo_labels
 from spmlab.losses import (
     EPS_CLIP,
@@ -66,6 +68,21 @@ class TestDetector:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             detect_early_learning(DetectorState(), 1.5, 3)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                    max_size=25), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_state_passes_its_own_rules(self, maps, patience):
+        # ties included: the reader of a checkpoint's detector takes every state the walk leaves
+        def read_back(state):
+            state.validate()
+            payload = json.loads(json.dumps(vars(state)))
+            assert _read_record(DetectorState, payload, "detector.", "detector") == state
+
+        state = DetectorState()
+        read_back(state)
+        for noisy_val_map in maps:
+            read_back(detect_early_learning(state, noisy_val_map, patience))
 
 
 class _StubRng:
@@ -394,16 +411,33 @@ class TestTrainerMechanics:
         assert resumed.checkpoint() == full.checkpoint()
 
     def test_checkpoint_of_every_epoch_passes_its_own_checks(self):
-        # clean validation maps logged, the detector triggered, the calibrated stage reached
+        # from before the first epoch to two epochs into the calibrated stage, with clean
+        # validation maps logged and the detector triggered
         tr, va, te = small_data()
         trainer = Trainer(small_config(method="adagc", epochs=30, learning_rate=0.4,
                                        patience=1, beta_t=0.9, log_clean_val=True), tr, va)
-        while trainer.stage != "gc":
-            trainer.run_epoch()
+        while sum(log.stage == "gc" for log in trainer.logs) < 2:
             ckpt = json.loads(json.dumps(trainer.checkpoint()))
             resumed = Trainer.from_checkpoint(ckpt, tr, va)
             assert json.loads(json.dumps(resumed.checkpoint())) == ckpt
+            trainer.run_epoch()
         assert trainer.detector.triggered and trainer.logs[-1].clean_val_map is not None
+
+    def test_checkpoint_config_holds_the_resolved_defaults(self):
+        # an older checkpoint holds None for both; it resumes with the values they resolve to
+        tr, va, te = small_data()
+        trainer = Trainer(small_config(method="wan", epochs=2), tr, va)
+        trainer.run(max_epochs=1)
+        ckpt = json.loads(json.dumps(trainer.checkpoint()))
+        assert ckpt["config"]["w_neg"] == 1.0 / (tr.n_classes - 1)
+        assert ckpt["config"]["k_expected"] == float(tr.y_true.sum(axis=1).mean())
+        old = copy.deepcopy(ckpt)
+        old["config"].update(w_neg=None, k_expected=None)
+        resumed = Trainer.from_checkpoint(old, tr, va)
+        assert json.loads(json.dumps(resumed.checkpoint())) == ckpt
+        resumed.run()
+        trainer.run()
+        assert resumed.checkpoint() == trainer.checkpoint()
 
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_saved_checkpoint_has_the_bytes_of_json_dump(self, tmp_path, hidden):
@@ -684,8 +718,8 @@ def _replay_warmup_batch(trainer, model, ema, idx):
         "adagc": lambda: loss_an(p, y_obs),
         "an": lambda: loss_an(p, y_obs),
         "an_ls": lambda: loss_an_ls(p, y_obs, cfg.eps_smooth),
-        "wan": lambda: loss_wan(p, y_obs, trainer.w_neg),
-        "epr": lambda: loss_epr(p, y_obs, trainer.k_expected, cfg.epr_weight),
+        "wan": lambda: loss_wan(p, y_obs, trainer.config.w_neg),
+        "epr": lambda: loss_epr(p, y_obs, trainer.config.k_expected, cfg.epr_weight),
         "iun": lambda: loss_iun(p, y_obs, (ds.y_true[idx] == 0.0).astype(float)),
         "gt": lambda: loss_an(p, ds.y_true[idx]),
     }[cfg.method]()
