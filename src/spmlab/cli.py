@@ -10,7 +10,6 @@ stderr and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,21 +24,19 @@ import numpy as np
 from .data import (
     MultiLabelDataset,
     SyntheticSpec,
-    _check_known,
-    _json_dump,
-    _read_json_record,
     _split_files,
     _split_paths,
     _write_csv,
     generate_synthetic,
     ingest_csv,
-    read_json,
     read_spec_json,
     write_spec_json,
     write_split_csv,
 )
-from .net import Mlp, _check_fields, _check_type, _field_type, _hints, make_rng
+from .net import Mlp, _check_param, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
+from .records import (_check_fields, _check_known, _check_type, _field_type, _hints, _json_dump,
+                      _read_json_record, read_json)
 from .training import (
     EpochLog,
     TrainConfig,
@@ -72,6 +69,7 @@ class ExperimentSpec:
         self.train_config.validate()
         _check_fields(self, lambda: {
             "regime": (self.regime in REGIMES, f"one of {REGIMES}"),
+            "noise_seed": (self.noise_seed is None or self.noise_seed >= 0, "None or non-negative"),
             "data_dir": (self.data_dir is None or isinstance(self.data_dir, str), "a str or None")})
         if (self.synthetic is None) == (self.data_dir is None):
             raise ValueError("exactly one of synthetic spec or data_dir is required")
@@ -101,9 +99,9 @@ def _load_splits(spec: ExperimentSpec) -> dict:
 
 def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
     """The explicit seed, else the synthetic seed, else the seed of the data's noise.json
-    (written by ``corrupt``), else its spec.json seed, else 0."""
+    (written by ``corrupt``), else its spec.json seed, else 0. Each must be non-negative."""
     if noise_seed is not None:
-        return noise_seed
+        return _check_param("noise_seed", noise_seed, noise_seed >= 0, "non-negative")
     if synthetic is not None:
         return synthetic.seed
     if data_dir is not None:
@@ -111,7 +109,8 @@ def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
         if path.exists():
             payload = read_json(path)
             seed = payload.get("noise_seed") if isinstance(payload, dict) else None
-            return _check_type(f"{path}: noise_seed", seed, int)
+            _check_type(f"{path}: noise_seed", seed, int)
+            return _check_param(f"{path}: noise_seed", seed, seed >= 0, "non-negative")
         spec_path = Path(data_dir, "spec.json")
         if spec_path.exists():
             return read_spec_json(spec_path).seed
@@ -158,14 +157,6 @@ def _write_curves(path, logs) -> None:
                       *(["" if value is None else str(value) for value in row] for row in rows)])
 
 
-def read_curves(path) -> list:
-    """Re-ingest a curves.csv: a dict per epoch, by column header; an empty optional is None."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [{header: _parse_value(EpochLog, name, row[header], none="")
-             for name, header in _CURVE_COLUMNS} for row in rows]
-
-
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment and write its five artifacts; returns their paths by stem."""
     spec.validate()
@@ -204,20 +195,20 @@ def _config_flags(cls) -> list:
     return [(f.name, flag, _hints(cls)[f.name], f.default) for f, flag in flags if flag]
 
 
-def _parse_value(cls, name: str, raw: str, none: str = "none"):
-    """Parse a flag, grid or curves.csv value for field ``name`` of ``cls`` by its type hint.
+def _parse_value(cls, name: str, raw: str):
+    """Parse a flag or grid value for field ``name`` of ``cls`` by its type hint.
 
     Bools take only ``true``/``false``; optional fields also take ``none``, None's spelling.
     """
     hint, optional = _field_type(_hints(cls)[name])
-    if optional and raw == none:
+    if optional and raw == "none":
         return None
     try:
         return {"true": True, "false": False}[raw] if hint is bool else hint(raw)
     except (KeyError, ValueError):
         expected = "true or false" if hint is bool else hint.__name__
         if optional:
-            expected += f" or {none}"
+            expected += " or none"
         raise ValueError(f"field {name}: expected {expected}, got {raw!r}") from None
 
 

@@ -21,41 +21,26 @@ row is one ``map(float)``. The rules on the arrays are those of
 ``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
 prefixes a rejection with the file, line and column it points at.
 
-``_split_paths`` alone names a split's files. Artifacts are written atomically: CSV rows
-by ``_write_csv`` (commas, CRLF: the bytes of the ``csv`` module), JSON by ``_json_dump``.
-Every record read from JSON goes through ``_read_record``, nested records too; it checks
-the types, then the record's own ``validate()``, and names a bad field by its path
-(``train_config.lam``). ``_read_json_record`` reads one from a file and names the file.
+``_split_paths`` alone names a split's files. CSV rows are written by ``_write_csv``
+(commas, CRLF: the bytes of the ``csv`` module) through ``records.atomic_open``; a spec.json
+is written and read through ``records``, like every JSON artifact.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
-import reprlib
 from array import array
 from bisect import bisect_right
-from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .net import (
-    _check_binary,
-    _check_extents,
-    _check_fields,
-    _check_rows_positive,
-    _check_shape,
-    _check_types,
-    _field_type,
-    _hints,
-    as_matrix,
-    make_rng,
-)
+from .net import (_check_binary, _check_extents, _check_rows_positive, _check_shape, as_matrix,
+                  make_rng)
+from .records import _check_fields, _json_dump, _read_json_record, atomic_open
 
 __all__ = [
     "MultiLabelDataset",
@@ -67,23 +52,6 @@ __all__ = [
     "write_spec_json",
     "read_spec_json",
 ]
-
-
-@contextmanager
-def atomic_open(path, newline=None):
-    """Write text to a temporary file beside ``path``, renamed over it on success.
-
-    A writer that raises or is killed partway leaves the previous file intact.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 @dataclass
@@ -147,6 +115,7 @@ class SyntheticSpec:
             "mean_positives": (1.0 <= self.mean_positives <= self.n_classes,
                                f"in [1, {self.n_classes}]"),
             "extent_concentration": (self.extent_concentration > 0, "positive"),
+            "seed": (self.seed >= 0, "non-negative"),
             "split_ratio": (len(ratio) == 3 and all(math.isfinite(r) and r > 0 for r in ratio),
                             "three finite, positive numbers"),
         })
@@ -355,71 +324,8 @@ def load_split_csv(datadir, prefix: str) -> MultiLabelDataset:
     return ingest_csv(*_split_files(datadir, prefix))
 
 
-def _json_dump(obj, path) -> None:
-    """Write ``obj`` as indented JSON with sorted keys and a final newline, atomically."""
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_spec_json(spec: SyntheticSpec, path) -> None:
     _json_dump(asdict(spec), path)
-
-
-def read_json(path):
-    """The JSON value in the file ``path``; a parse error names the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-
-
-def _check_known(cls, keys, kind: str) -> None:
-    """Reject the first of ``keys`` that is no field of ``cls``, naming it a ``kind`` field."""
-    unknown = next((key for key in keys if key not in cls.__dataclass_fields__), None)
-    if unknown is not None:
-        raise ValueError(f"unknown {kind} field {unknown!r}")
-
-
-def _read_record(cls, payload, prefix: str, kind: str, ignored=()):
-    """The dataclass ``cls`` from the JSON object ``payload`` (a ``kind``), less its keys
-    ``ignored``. A field hinted as a dataclass is a nested record (None only if hinted
-    ``| None``); any other passes its metadata's ``read(value, name, fields read so far)``
-    rule, if any. Then the types must hold, then ``cls.validate()``, if any. Each error names
-    the field by its path, from ``prefix``; an unknown or missing field is named too."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"{kind} must be a JSON object, found {reprlib.repr(payload)}")
-    _check_known(cls, [key for key in payload if key not in ignored], kind)
-    hints, read = _hints(cls), {}
-    for f in fields(cls):
-        name, value = prefix + f.name, payload.get(f.name, MISSING)
-        hint, optional = _field_type(hints[f.name])
-        if value is MISSING:
-            if f.default is MISSING:
-                raise ValueError(f"{name} is missing")
-        elif is_dataclass(hint) and not (optional and value is None):
-            read[f.name] = _read_record(hint, value, name + ".", name)
-        else:
-            read[f.name] = f.metadata.get("read", lambda raw, *_: raw)(value, name, read)
-    record = cls(**read)
-    _check_types(record, prefix)
-    try:
-        getattr(record, "validate", lambda: None)()
-    except ValueError as exc:
-        raise ValueError(f"{prefix}{exc}") from None
-    return record
-
-
-def _read_json_record(cls, path, kind: str, ignored=(), **given):
-    """``_read_record`` of the JSON object in ``path``, ``given`` set; an error names the file."""
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    try:
-        return _read_record(cls, {**payload, **given}, "", kind, ignored)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_spec_json(path) -> SyntheticSpec:

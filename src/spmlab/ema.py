@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import _check_fields, _check_indices, _check_shape, _check_unit
+from .net import _check_indices, _check_shape, _check_unit
+from .records import _check_fields
 
 __all__ = [
     "DualEmaState",

@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .net import _check_binary, _check_fields, _check_param, _check_type, as_matrix
+from .net import _check_binary, _check_param, as_matrix
+from .records import _check_fields, _check_type
 
 __all__ = [
     "MetricReport",
@@ -312,18 +313,6 @@ class MetricReport:
             out[f.name] = value
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MetricReport":
-        """Inverse of ``to_json_dict``: lists become float arrays with None as NaN."""
-        kwargs = {}
-        for f in fields(cls):
-            value = d[f.name]
-            if isinstance(value, list):
-                value = np.array([np.nan if v is None else float(v) for v in value],
-                                 dtype=np.float64)
-            kwargs[f.name] = value
-        return cls(**kwargs)
-
 
 def compute_metric_report(probs, labels, threshold: float = 0.5) -> MetricReport:
     """Evaluate probabilities against binary labels on every metric."""
@@ -506,6 +495,7 @@ class MonteCarloConfig:
                           "in [beta_low, 1] and positive"),
             "margin_high": (self.margin_high >= self.margin_low, "at least margin_low"),
             "dominant_sharpness": (self.dominant_sharpness > 0, "positive"),
+            "seed": (self.seed >= 0, "non-negative"),
         })
 
 

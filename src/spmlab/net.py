@@ -25,18 +25,16 @@ supported on the true labels (``_check_extents``) and sample indices in
 range (``_check_indices``). Each raises ValueError through ``_reject``,
 naming the argument, the rule and the first offending value with its
 0-based position, also kept as attributes for CSV ingestion to map to a
-file, line and column. ``_check_rules`` is the one table checker: it rejects the first
-failing ``{key: (ok, requirement)}`` entry, naming the key and its value. ``_check_fields``
-checks a config: each field finite, of its hinted type (``_check_types``), then its rules.
+file, line and column. Every value rule lives here too: ``_check_rules`` is the one table
+checker, rejecting the first failing ``{key: (ok, requirement)}`` entry and naming the key
+and its value, and ``_check_param`` checks one finite scalar. Records (type hints, JSON,
+atomic writes) live in ``records``; this module imports no other module of the package.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 import reprlib
-from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -130,54 +128,6 @@ def _check_param(name: str, value, ok: bool, requirement: str):
         raise ValueError(f"{name} must be finite, got {value}")
     _check_rules({name: value}, "", {name: (ok, requirement)})
     return value
-
-
-def _field_type(hint):
-    """(type, optional) of a field hinted ``T`` or ``T | None``."""
-    args = [arg for arg in get_args(hint) if arg is not type(None)]
-    return (args[0], True) if len(args) < len(get_args(hint)) else (hint, False)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# (test, what it takes) of a field by its hint; NumPy numbers pass, a bool is no number
-_KINDS = {
-    bool: (lambda v: isinstance(v, bool), "a bool"),
-    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
-    tuple[float, ...]: (lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
-                        "a list of numbers"),
-}
-
-
-def _check_type(name: str, value, hint):
-    """Return ``value`` if it is of the type ``hint`` (``| None`` also takes None), else name it
-    and its value. Only the hints of ``_KINDS`` are checked."""
-    kind, optional = _field_type(hint)
-    test, what = _KINDS.get(kind, (None, ""))
-    if test is None or (optional and value is None) or test(value):
-        return value
-    raise ValueError(f"{name} must be {what}{' or None' if optional else ''}, got {value!r}")
-
-
-_hints = functools.cache(get_type_hints)  # a class's hints, evaluated from their strings once
-
-
-def _check_types(record, prefix: str = "") -> None:
-    """``_check_type`` on each field of the dataclass ``record``, named with ``prefix``."""
-    for name, hint in _hints(type(record)).items():
-        _check_type(prefix + name, getattr(record, name), hint)
-
-
-def _check_fields(config, rules) -> None:
-    """Each field of the dataclass ``config`` finite, then of its hinted type, then ``rules()``."""
-    values = vars(config)
-    for name, value in values.items():
-        _check_param(name, value, True, "")  # finite
-    _check_types(config)
-    _check_rules(values, "", rules())
 
 
 def _check_extents(extents, y_true: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ noise rates induced by a corruption.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,26 +70,6 @@ class FlipRateTable:
             for c, (b, s) in enumerate(zip(self.beta, self.support))),
             ["micro_average", repr(float(self.micro)), ""],
             ["macro_average", repr(float(self.macro)), ""]])
-
-    @classmethod
-    def from_csv(cls, path) -> "FlipRateTable":
-        beta, support = [], []
-        micro = macro = None
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["class", "beta", "support"]:
-            raise ValueError(f"{path}: not a flip-rate table")
-        for row in rows[1:]:
-            if row[0] == "micro_average":
-                micro = float(row[1])
-            elif row[0] == "macro_average":
-                macro = float(row[1])
-            else:
-                beta.append(float("nan") if row[1] == "" else float(row[1]))
-                support.append(int(row[2]))
-        if micro is None or macro is None:
-            raise ValueError(f"{path}: missing summary rows")
-        return cls(np.array(beta), np.array(support, dtype=np.intp), micro, macro)
 
 
 def compute_flip_rates(y_true, y_observed) -> FlipRateTable:

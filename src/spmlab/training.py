@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .data import MultiLabelDataset, _read_record, atomic_open, read_json
+from .data import MultiLabelDataset
 from .ema import _pseudo_labels, _update_predictions, _update_weights, init_dual_ema
 from .metrics import (
     MetricReport,
@@ -30,8 +30,9 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import (Mlp, _check_cells, _check_fields, _check_param, _check_rules, _check_shape,
-                  _check_unit, _sigmoid, make_rng, sigmoid)
+from .net import (Mlp, _check_cells, _check_param, _check_rules, _check_shape, _check_unit,
+                  _sigmoid, make_rng, sigmoid)
+from .records import _check_fields, _read_record, atomic_open, read_json
 
 __all__ = [
     "METHODS",
@@ -79,7 +80,7 @@ class TrainConfig:
     log_clean_val: bool = False       # diagnostic only, never used for decisions
 
     def validate(self) -> None:
-        """Reject a bad field through ``net._check_fields``, naming it and its value."""
+        """Reject a bad field through ``records._check_fields``, naming it and its value."""
         _check_fields(self, lambda: {
             "method": (self.method in METHODS, f"one of {METHODS}"),
             "lam": (self.lam >= 0, "non-negative"),
@@ -96,6 +97,7 @@ class TrainConfig:
             "epochs": (self.epochs >= 1, "at least 1"),
             "batch_size": (self.batch_size >= 1, "at least 1"),
             "learning_rate": (self.learning_rate > 0, "positive"),
+            "seed": (self.seed >= 0, "non-negative"),
             "threshold": (0.0 < self.threshold < 1.0, "in (0, 1)"),
             "hidden": (self.hidden >= 0, "non-negative"),
         })
@@ -291,7 +293,7 @@ def _read_logs(raw, name: str, read) -> list:
 @dataclass
 class TrainState:
     """A run's state besides its config: a checkpoint's fields after format, version and config,
-    in order. ``data._read_record`` reads one by each field's ``read`` rule and type hint."""
+    in order. ``records._read_record`` reads one by each field's ``read`` rule and type hint."""
 
     epoch: int
     stage: str = field(metadata={"read": _read_stage})
@@ -528,10 +530,6 @@ class TrainResult:
 
     trainer: Trainer
     report: MetricReport | None = None
-
-    @property
-    def logs(self) -> list:
-        return self.trainer.logs
 
     @property
     def detector(self) -> DetectorState:

@@ -7,15 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from spmlab import cli, data
+from spmlab import cli, data, records
 from spmlab.cli import (
     ExperimentSpec,
     main,
     read_config_json,
-    read_curves,
     run_experiment,
 )
 from spmlab.data import SyntheticSpec, load_split_csv, write_spec_json
+from spmlab.metrics import MonteCarloConfig, monte_carlo_proposition_check
 from spmlab.net import Mlp
 from spmlab.noise import FlipRateTable
 from spmlab.training import (
@@ -83,8 +83,9 @@ class TestGenCorrupt:
         ds = load_split_csv(tmp_path / "d", "train")
         assert ds.y_observed is not None
         assert np.all(ds.y_observed.sum(axis=1) == 1.0)
-        table = FlipRateTable.from_csv(tmp_path / "d" / "fliprates.csv")
-        assert 0.0 <= table.micro <= 1.0
+        with open(tmp_path / "d" / "fliprates.csv", newline="") as fh:
+            micro = next(row for row in csv.reader(fh) if row[0] == "micro_average")
+        assert 0.0 <= float(micro[1]) <= 1.0
 
     def test_corrupt_dominant_is_deterministic(self, tmp_path):
         main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "150",
@@ -156,6 +157,18 @@ class TestGenCorrupt:
         assert main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "random"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"{path}: {error}"}
+
+    def test_corrupt_names_a_long_bad_seed_briefly(self, tmp_path, capsys):
+        # a rejected value is shown cut short (reprlib.repr), however long it is
+        main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "100",
+              "--n-classes", "4", "--n-features", "5", "--data-seed", "4"])
+        path = tmp_path / "d" / "spec.json"
+        path.write_text(json.dumps({"seed": "9" * 5000}))
+        capsys.readouterr()
+        assert main(["corrupt", "--data-dir", str(tmp_path / "d"), "--regime", "random"]) == 1
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith(f"{path}: seed must be an integer, got '999")
+        assert len(message) < 200
 
     @pytest.mark.parametrize("command", [
         ["train", "--data-dir", "{data}", "--outdir", "{out}", "--epochs", "1"],
@@ -236,19 +249,18 @@ class TestRunExperiment:
     def test_curves_have_one_row_per_epoch(self, tmp_path):
         spec = tiny_spec(tmp_path / "run", method="adagc", epochs=9)
         run_experiment(spec)
-        rows = read_curves(tmp_path / "run" / "curves.csv")
+        with open(tmp_path / "run" / "curves.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 9
-        assert [r["epoch"] for r in rows] == list(range(9))
+        assert [int(r["epoch"]) for r in rows] == list(range(9))
         stages = [r["stage"] for r in rows]
         assert sum(1 for a, b in zip(stages, stages[1:]) if a != b) <= 1
 
     def test_metrics_json_is_reingestable(self, tmp_path):
-        from spmlab.metrics import MetricReport
-
         run_experiment(tiny_spec(tmp_path / "run"))
         with open(tmp_path / "run" / "metrics.json") as fh:
-            report = MetricReport.from_json_dict(json.load(fh))
-        assert 0.0 <= report.map <= 1.0
+            report = json.load(fh)
+        assert 0.0 <= report["map"] <= 1.0
 
     def test_checkpoint_is_loadable(self, tmp_path):
         run_experiment(tiny_spec(tmp_path / "run"))
@@ -339,8 +351,8 @@ class TestRunExperiment:
                 for line in lines:
                     self.write(line)
 
-        # every writer opens its file through data.atomic_open
-        monkeypatch.setattr(data, "open", lambda *a, **kw: KilledMidWrite(open(*a, **kw)),
+        # every writer opens its file through records.atomic_open
+        monkeypatch.setattr(records, "open", lambda *a, **kw: KilledMidWrite(open(*a, **kw)),
                             raising=False)
         with pytest.raises(RuntimeError, match="mid-write"):
             write(new, path)
@@ -363,6 +375,36 @@ class TestRunExperiment:
 
 
 class TestCliSurface:
+    @pytest.mark.parametrize("command, noise_seed, message", [
+        (["gen", "--outdir", "{out}", "--data-seed", "-1"], None,
+         "seed must be non-negative, got -1"),
+        (["corrupt", "--data-dir", "{data}", "--regime", "random", "--noise-seed", "-3",
+          "--outdir", "{out}"], None, "noise_seed must be non-negative, got -3"),
+        (["train", "--data-dir", "{data}", "--outdir", "{out}", "--seed", "-2"], None,
+         "seed must be non-negative, got -2"),
+        (["train", "--data-dir", "{data}", "--outdir", "{out}"], -4,
+         "{data}/noise.json: noise_seed must be non-negative, got -4"),
+        (None, None, "seed must be non-negative, got -1"),
+    ], ids=["gen-data-seed", "corrupt-noise-seed", "train-seed", "noise-json", "monte-carlo"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command, noise_seed, message):
+        data, out = tmp_path / "d", tmp_path / "out"
+        if command is None:  # the Monte Carlo check, which no command runs
+            with pytest.raises(ValueError) as exc:
+                monte_carlo_proposition_check(MonteCarloConfig(seed=-1), "random", 100)
+            assert str(exc.value) == message
+            return
+        main(["gen", "--outdir", str(data), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5"])
+        if noise_seed is not None:
+            (data / "noise.json").write_text(json.dumps({"noise_seed": noise_seed,
+                                                         "regime": "random"}))
+        capsys.readouterr()
+        assert main([a.format(data=data, out=out) for a in command]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message.format(data=data)}
+        assert not out.exists()
+
     def test_train_on_csv_dataset(self, tmp_path, capsys):
         main(["gen", "--outdir", str(tmp_path / "d"), "--n-samples", "200",
               "--n-classes", "4", "--n-features", "5", "--data-seed", "5"])

@@ -94,6 +94,7 @@ class TestGenerator:
          "least one row, got (1, 1, 10) (train/val/test rows (0, 0, 4) of 4)"),
         # two bad fields: the first declared is named
         ({"n_samples": 3, "separation": 0.0}, "n_samples must be at least 4, got 3"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
     ])
     def test_config_rule_names_field_and_value(self, changes, message):
         with pytest.raises(ValueError) as exc:

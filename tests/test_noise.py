@@ -164,22 +164,6 @@ class TestFlipRates:
         assert ((tmp_path / "fliprates.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
-    def test_csv_round_trip(self, tmp_path):
-        y = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        obs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        table = compute_flip_rates(y, obs)
-        path = tmp_path / "fliprates.csv"
-        table.to_csv(path)
-        back = FlipRateTable.from_csv(path)
-        np.testing.assert_array_equal(
-            np.isnan(back.beta), np.isnan(table.beta)
-        )
-        np.testing.assert_allclose(
-            back.beta[~np.isnan(back.beta)], table.beta[~np.isnan(table.beta)]
-        )
-        np.testing.assert_array_equal(back.support, table.support)
-        assert back.micro == table.micro and back.macro == table.macro
-
 
 def test_both_simulators_satisfy_single_positive_contract():
     splits = generate_synthetic(SyntheticSpec(n_samples=600, seed=10))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spmlab.cli import apply_regime
-from spmlab.data import MultiLabelDataset, SyntheticSpec, _read_record, generate_synthetic
+from spmlab.data import MultiLabelDataset, SyntheticSpec, generate_synthetic
 from spmlab.ema import ema_update_predictions, ema_update_weights, make_pseudo_labels
 from spmlab.losses import (
     EPS_CLIP,
@@ -21,6 +21,7 @@ from spmlab.losses import (
     loss_wan,
 )
 from spmlab.net import Mlp, make_rng, sigmoid
+from spmlab.records import _read_record
 from spmlab.training import (
     METHODS,
     DetectorState,
@@ -244,6 +245,7 @@ class TestConfigValidation:
         ("epr_weight", math.nan),
         ("epr_weight", -1.0),
         ("threshold", math.nan),
+        ("seed", -1),
     ])
     def test_rejects_field_naming_it_and_value(self, field, value):
         # every method: a bad field fails before training, not mid-run
@@ -344,14 +346,14 @@ class TestTrainerMechanics:
     def test_baseline_never_leaves_warmup(self):
         tr, va, te = small_data()
         result = train(small_config(method="an"), tr, va)
-        assert all(log.stage == "warmup" for log in result.logs)
+        assert all(log.stage == "warmup" for log in result.trainer.logs)
 
     def test_stage_switches_at_most_once_and_sticks(self):
         tr, va, te = small_data()
         result = train(
             small_config(method="adagc", epochs=30, learning_rate=0.4), tr, va
         )
-        stages = [log.stage for log in result.logs]
+        stages = [log.stage for log in result.trainer.logs]
         assert result.detector.triggered
         flips = sum(1 for a, b in zip(stages, stages[1:]) if a != b)
         assert flips == 1
@@ -364,7 +366,8 @@ class TestTrainerMechanics:
         cfg = small_config(method="adagc", epochs=15)
         a = train(cfg, tr, va)
         b = train(cfg, tr, va)
-        assert [l.noisy_val_map for l in a.logs] == [l.noisy_val_map for l in b.logs]
+        assert ([l.noisy_val_map for l in a.trainer.logs]
+                == [l.noisy_val_map for l in b.trainer.logs])
         assert np.array_equal(a.trainer.model.params, b.trainer.model.params)
         assert np.array_equal(a.trainer.teacher.params, b.trainer.teacher.params)
 
@@ -380,7 +383,7 @@ class TestTrainerMechanics:
         full_va = va.with_observed(va.y_true.copy())
         for method in ("gt", "iun"):
             result = train(small_config(method=method, epochs=3), full_tr, full_va)
-            assert len(result.logs) == 3
+            assert len(result.trainer.logs) == 3
 
     def test_checkpoint_resume_is_bit_identical(self):
         # resume both before and after the stage switch (trigger is ~20)
@@ -797,6 +800,6 @@ class TestSuiteProperties:
         for regime in ("random", "dominant"):
             for seed in (0, 1, 2):
                 run = suite_runs(regime, seed, "an")
-                teacher = [l.noisy_val_map for l in run.logs]
-                student = [l.noisy_val_map_student for l in run.logs]
+                teacher = [l.noisy_val_map for l in run.trainer.logs]
+                student = [l.noisy_val_map_student for l in run.trainer.logs]
                 assert local_maxima(teacher) < local_maxima(student)
