@@ -51,7 +51,6 @@ from .training import (
     EpochLog,
     TrainConfig,
     Trainer,
-    TrainResult,
     detect_early_learning,
     evaluate,
     mixup_batch,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -163,7 +163,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     splits = _load_splits(spec)
     noise_seed = _resolve_noise_seed(spec.noise_seed, spec.synthetic, spec.data_dir)
     observed, flips = _corrupt_splits(splits, spec.regime, noise_seed)
-    result = train(spec.train_config, observed["train"], observed["val"], splits["test"])
+    trainer = train(spec.train_config, observed["train"], observed["val"], splits["test"])
     # the run directory exists only once the run has succeeded, so a file
     # failing its checks, or splits that disagree, leave none
     outdir = Path(spec.outdir)
@@ -171,11 +171,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     paths = {Path(name).stem: outdir / name for name in
              ("config.json", "metrics.json", "curves.csv", "fliprates.csv", "checkpoint.json")}
     flips.to_csv(paths["fliprates"])
-    trainer = result.trainer
     resolved = replace(spec, noise_seed=noise_seed, train_config=trainer.config)
     config = {k: v for k, v in asdict(resolved).items() if k != "outdir"}
     _json_dump(dict(config, trigger_epoch=trainer.detector.trigger_epoch), paths["config"])
-    _json_dump(result.report.to_json_dict(), paths["metrics"])
+    _json_dump(trainer.report.to_json_dict(), paths["metrics"])
     _write_curves(paths["curves"], trainer.logs)
     save_checkpoint(trainer.checkpoint(), paths["checkpoint"])
     return paths
@@ -189,9 +188,10 @@ _FLAG_EXCEPTIONS = {
 
 
 def _config_flags(cls) -> list:
-    """(field name, flag, type hint, default) for each flagged field of ``cls``."""
+    """(field name, flag, type hint, default) for each flagged field of ``cls``; a field
+    hinted as a dataclass (a nested record) has no flag."""
     flags = [(f, _FLAG_EXCEPTIONS.get((cls, f.name), "--" + f.name.replace("_", "-")))
-             for f in fields(cls)]
+             for f in fields(cls) if not is_dataclass(_field_type(_hints(cls)[f.name])[0])]
     return [(f.name, flag, _hints(cls)[f.name], f.default) for f, flag in flags if flag]
 
 
@@ -220,16 +220,19 @@ def _flag_value(cls, name: str, raw: str):
 
 
 def _add_config_flags(parser, cls) -> None:
+    """A flag per field of ``cls``; a field without a default is a required flag."""
     for name, flag, hint, default in _config_flags(cls):
         if hint is bool:
             parser.add_argument(flag, action="store_true")
         else:
-            parser.add_argument(flag, type=partial(_flag_value, cls, name), default=default)
+            parser.add_argument(flag, type=partial(_flag_value, cls, name), default=default,
+                                required=default is MISSING)
 
 
-def _config_from_flags(cls, args):
+def _config_from_flags(cls, args, **given):
+    """``cls`` from its flags in ``args``, and the fields ``given``."""
     return cls(**{name: getattr(args, flag[2:].replace("-", "_"))
-                  for name, flag, _, _ in _config_flags(cls)})
+                  for name, flag, _, _ in _config_flags(cls)}, **given)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,10 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     _add_config_flags(run, SyntheticSpec)
     _add_config_flags(run, TrainConfig)
-    run.add_argument("--data-dir", default=None)
-    run.add_argument("--regime", choices=list(REGIMES), default="random")
-    run.add_argument("--noise-seed", type=int, default=None)
-    run.add_argument("--outdir", required=True)
+    _add_config_flags(run, ExperimentSpec)
     sub.add_parser("train", parents=[run], help="run one experiment")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -323,14 +323,8 @@ def _cmd_corrupt(args) -> int:
 
 def _spec_from_train_args(args) -> ExperimentSpec:
     synthetic = None if args.data_dir else _config_from_flags(SyntheticSpec, args)
-    return ExperimentSpec(
-        train_config=_config_from_flags(TrainConfig, args),
-        outdir=args.outdir,
-        regime=args.regime,
-        synthetic=synthetic,
-        data_dir=args.data_dir,
-        noise_seed=args.noise_seed,
-    )
+    return _config_from_flags(ExperimentSpec, args, synthetic=synthetic,
+                              train_config=_config_from_flags(TrainConfig, args))
 
 
 def _cmd_train(args) -> int:
@@ -394,12 +388,13 @@ def _cmd_grid(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     base = _spec_from_train_args(args)
-    specs = []  # every value is parsed before any cell runs
+    specs = []  # every cell is parsed and validated before any cell runs
     for cell in _grid_cells(_parse_grid(args.grid)):
         config = replace(base.train_config, **{
             key: _parse_value(TrainConfig, key, raw) for key, raw in cell.items()})
         subdir = "_".join(f"{k}={v}" for k, v in cell.items())
         specs.append(replace(base, train_config=config, outdir=str(Path(args.outdir) / subdir)))
+        specs[-1].validate()
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,8 +12,9 @@ minor classes carry proportionally weaker signal. A row's classes are
 without the per-call checks; the shares are clamped and normalised after
 the row loop, once per row cardinality.
 
-CSV files are only parsed here: a cell must be a finite number and every
-row as wide as the first. Lines are split on commas until the first that
+CSV files are only parsed here: a cell is whatever Python's ``float`` takes
+(``1_0``, ``３`` and `` 7`` too) and must be finite, and every row is as wide
+as the first. Lines are split on commas until the first that
 holds a quote or a NUL or is longer than the field size limit; ``csv.reader``
 reads from that line on, so the cells and line numbers are its own for the
 whole file, and its errors (an oversize cell) are named like the rest. Each

@@ -9,6 +9,7 @@ single-stage runs of the corresponding loss. A run's resumable state is one reco
 ``TrainState``: ``Trainer.checkpoint`` writes it, resolved config included, and
 ``load_checkpoint`` reads it back. A record's rules live on it: ``DetectorState.validate``
 holds what ``detect_early_learning`` keeps, ``EpochLog.validate`` the logged mAP ranges.
+``train`` returns the finished ``Trainer``, with the test report when given a test set.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "TrainState",
     "mixup_batch",
     "Trainer",
-    "TrainResult",
     "train",
     "evaluate",
     "save_checkpoint",
@@ -158,6 +158,11 @@ def detect_early_learning(state: DetectorState, noisy_val_map: float,
             state.trigger_epoch = epoch
     state.n_seen = epoch + 1
     return state
+
+
+def _stage(config: TrainConfig, detector: DetectorState) -> str:
+    """The stage a run is in: ``gc`` once the calibrated method's detector has fired."""
+    return "gc" if config.method == "adagc" and detector.triggered else "warmup"
 
 
 def _read_stage(raw, name: str, read) -> str:
@@ -309,6 +314,7 @@ class TrainState:
 
 class Trainer:
     """Owns a run's mutable state, the fields of a ``TrainState``; one instance drives one run.
+    ``epoch`` and ``stage`` are not stored: they follow from the logs and the detector.
 
     Each step updates the student and the teacher EMA in place: ``_student`` views
     row 0 of one (2, P) buffer, ``_teacher`` and ``ema.teacher_params`` row 1, and
@@ -344,8 +350,7 @@ class Trainer:
         self._adopt(student.layer_sizes, student.params, self.ema.teacher_params)
         self.detector = DetectorState()
         self.logs: list[EpochLog] = []
-        self.epoch = 0
-        self.stage = "warmup"
+        self.report: MetricReport | None = None  # set by ``train`` from the test set
         if config.method == "iun":
             self._true_neg_mask = (train_ds.y_true == 0.0).astype(np.float64)
 
@@ -375,6 +380,14 @@ class Trainer:
         self.ema.teacher_params = self._teacher.params
 
     @property
+    def epoch(self) -> int:
+        return len(self.logs)
+
+    @property
+    def stage(self) -> str:
+        return _stage(self.config, self.detector)
+
+    @property
     def model(self) -> Mlp:
         """A copy of the student."""
         return self._student.with_params(self._student.params)
@@ -383,6 +396,11 @@ class Trainer:
     def teacher(self) -> Mlp:
         """A copy of the teacher."""
         return self._student.with_params(self.ema.teacher_params)
+
+    @property
+    def final_model(self) -> Mlp:
+        """The model the run reports: see ``TrainConfig.reports_teacher``."""
+        return self.teacher if self.config.reports_teacher else self.model
 
     def _baseline_loss(self, p, idx):
         """(value, dlogits) of the single-stage loss on clamped probabilities."""
@@ -471,9 +489,6 @@ class Trainer:
         (noisy_map_student,) = self._val_map(self._student, val.y_observed)
 
         detect_early_learning(self.detector, noisy_map, cfg.patience)
-        if cfg.method == "adagc" and self.detector.triggered:
-            self.stage = "gc"
-
         log = EpochLog(
             epoch=self.epoch,
             stage=stage,
@@ -483,7 +498,6 @@ class Trainer:
             clean_val_map=clean_map,
         )
         self.logs.append(log)
-        self.epoch += 1
         return log
 
     def run(self, max_epochs: int | None = None) -> None:
@@ -519,38 +533,19 @@ class Trainer:
         ema.smoothed_preds, ema.visited = state.smoothed_preds, state.visited
         trainer._adopt(state.layer_sizes, state.student_params, state.teacher_params)
         trainer.rng.bit_generator.state = state.rng_state
-        trainer.epoch, trainer.stage = state.epoch, state.stage
         trainer.detector, trainer.logs = state.detector, state.logs
         return trainer
 
 
-@dataclass
-class TrainResult:
-    """A finished run: its trainer (resolved config, logs, checkpoint) and report."""
-
-    trainer: Trainer
-    report: MetricReport | None = None
-
-    @property
-    def detector(self) -> DetectorState:
-        return self.trainer.detector
-
-    @property
-    def final_model(self) -> Mlp:
-        """The model the run reports: see ``TrainConfig.reports_teacher``."""
-        return self.trainer.teacher if self.trainer.config.reports_teacher else self.trainer.model
-
-
 def train(config: TrainConfig, train_ds: MultiLabelDataset,
           val_ds: MultiLabelDataset,
-          test_ds: MultiLabelDataset | None = None) -> TrainResult:
-    """Run a full training and optionally evaluate on a clean test set."""
+          test_ds: MultiLabelDataset | None = None) -> Trainer:
+    """Run a full training and, given a clean test set, set the trainer's ``report``."""
     trainer = Trainer(config, train_ds, val_ds)
     trainer.run()
-    result = TrainResult(trainer)
     if test_ds is not None:
-        result.report = evaluate(result.final_model, test_ds, config.threshold)
-    return result
+        trainer.report = evaluate(trainer.final_model, test_ds, config.threshold)
+    return trainer
 
 
 def evaluate(model: Mlp, dataset: MultiLabelDataset,
@@ -591,6 +586,10 @@ def _read_checkpoint(ckpt, source) -> tuple:
                              f"({len(state.logs)}) and detector.n_seen ({state.detector.n_seen})")
         if state.stage == "gc" and not config.raw_student_pseudo and not state.visited.all():
             raise ValueError("checkpoint in the calibrated stage has unvisited samples")
+        expected = _stage(config, state.detector)
+        _check_param("stage", state.stage, state.stage == expected,
+                     f"{expected!r} for method {config.method!r} with detector.triggered "
+                     f"{state.detector.triggered}")
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     return config, state

@@ -138,7 +138,7 @@ def test_criterion_07_trigger_tracks_clean_peak(suite_runs):
             hits = 0
             for seed in SUITE_SEEDS:
                 run = suite_runs(regime, seed, "an")
-                clean = [log.clean_val_map for log in run.trainer.logs]
+                clean = [log.clean_val_map for log in run.logs]
                 trigger = run.detector.trigger_epoch
                 if trigger is None:
                     continue

@@ -510,15 +510,20 @@ class TestCliSurface:
         # no directory, and no noise.json from the failed corrupt
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_bad_arguments_emit_error_json(self, tmp_path, capsys):
+    # --regime is ExperimentSpec.regime's flag, checked by its validate(), not by argparse
+    @pytest.mark.parametrize("field, value", [("method", "nope"), ("regime", "bogus")])
+    def test_bad_arguments_emit_error_json(self, tmp_path, capsys, field, value):
         rc = main([
-            "train", "--method", "nope", "--outdir", str(tmp_path / "x"),
+            "train", f"--{field}", value, "--outdir", str(tmp_path / "x"),
             "--epochs", "1",
         ])
         assert rc == 1
-        err = json.loads(capsys.readouterr().err.strip())
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
         assert err["error"] == "ValueError"
-        assert "method" in err["message"]
+        assert field in err["message"] and repr(value) in err["message"]
+        assert not (tmp_path / "x").exists()
 
     def test_non_finite_flag_exits_before_training(self, tmp_path, capsys):
         rc = main(["train", "--lam", "nan", "--outdir", str(tmp_path / "x"), "--epochs", "1"])
@@ -586,6 +591,29 @@ class TestCliSurface:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": message}
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flags, grid, message", [
+        ([], "lam=1,-1", "lam must be non-negative, got -1.0"),
+        (["--regime", "none"], "method=gt,an", "regime 'none' keeps full labels and is only "
+                                                "valid with methods 'gt' or 'iun'"),
+    ], ids=["lam", "regime-none"])
+    def test_grid_validates_every_cell_before_any_runs(self, tmp_path, capsys, flags, grid,
+                                                       message):
+        rc = main(["grid", "--n-samples", "120", "--n-classes", "4", "--n-features", "4",
+                   "--epochs", "1", "--hidden", "2", *flags,
+                   "--outdir", str(tmp_path / "g"), "--grid", grid])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "g").exists()
+
+    def test_run_flags_are_the_experiment_spec_fields(self):
+        args = cli._build_parser().parse_args(
+            ["train", "--outdir", "x", "--regime", "dominant", "--data-dir", "none",
+             "--noise-seed", "4"])
+        spec = cli._spec_from_train_args(args)
+        assert spec == ExperimentSpec(TrainConfig(), "x", "dominant", SyntheticSpec(), None, 4)
 
     def test_empty_train_argv_builds_default_configs(self):
         args = cli._build_parser().parse_args(["train", "--outdir", "x"])
@@ -805,13 +833,22 @@ class TestRunDirectory:
         ("detector.best_epoch", 9, "detector.best_epoch must be in [0, 4), got 9"),
         ("detector.since_improvement", -4,
          "detector.since_improvement must be 3 (the epochs after best_epoch), got -4"),
+        # the stage follows from the method and the detector
+        ("config.method", "an",
+         "stage must be 'warmup' for method 'an' with detector.triggered True, got 'gc'"),
+        ("detector", {"best_map": 0.5, "best_epoch": 3, "since_improvement": 0,
+                      "triggered": False, "trigger_epoch": None, "n_seen": 4},
+         "stage must be 'warmup' for method 'adagc' with detector.triggered False, got 'gc'"),
+        ("stage", "warmup",
+         "stage must be 'gc' for method 'adagc' with detector.triggered True, got 'warmup'"),
     ], ids=[*(f"no-{key}" for key in STATE_KEYS), "detector-list", "detector-unknown",
             "best-map-string", "logs-int", "logs-int-entry", "logs-empty-entry", "rng-int",
             "rng-empty", "epoch-string", "epoch-negative", "epoch-large", "epoch-float",
             "epoch-bool", "stage-unknown", "stage-null", "visited-two", "config-bool",
             "config-int", "sizes-null", "sizes-string", "sizes-negative", "params-string",
             "params-nested", "rng-state-float", "rng-inc-bool", "rng-has-uint32", "log-stage",
-            "log-epoch", "triggered-no-epoch", "best-epoch-unseen", "since-improvement"])
+            "log-epoch", "triggered-no-epoch", "best-epoch-unseen", "since-improvement",
+            "stage-gc-an", "stage-gc-untriggered", "stage-warmup-triggered"])
     def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
         # eval reads every state field, also one it does not use, since a resume uses it
         assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0

@@ -333,6 +333,13 @@ class TestIngestValidation:
             f"labels {paths[1]}: line 4: y_true must have a positive label in every row, "
             "found no positive label in row 2")
 
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\uff13", 3.0), (" 7", 7.0)],
+                             ids=["underscore", "fullwidth-digit", "leading-space"])
+    def test_a_cell_is_what_float_takes(self, tmp_path, cell, value):
+        # bare on line 1, split on commas; quoted on line 2, read by csv.reader
+        paths = self.write(tmp_path, f'{cell}\n"{cell}"\n', "1,0\n0,1\n")
+        assert ingest_csv(*paths).features.tolist() == [[value], [value]]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
         paths = self.write(tmp_path, f"1.0,2.0\n\n3.0,{cell}\n", "1,0\n0,1\n")

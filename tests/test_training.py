@@ -27,7 +27,6 @@ from spmlab.training import (
     DetectorState,
     TrainConfig,
     Trainer,
-    TrainResult,
     detect_early_learning,
     evaluate,
     mixup_batch,
@@ -346,14 +345,14 @@ class TestTrainerMechanics:
     def test_baseline_never_leaves_warmup(self):
         tr, va, te = small_data()
         result = train(small_config(method="an"), tr, va)
-        assert all(log.stage == "warmup" for log in result.trainer.logs)
+        assert all(log.stage == "warmup" for log in result.logs)
 
     def test_stage_switches_at_most_once_and_sticks(self):
         tr, va, te = small_data()
         result = train(
             small_config(method="adagc", epochs=30, learning_rate=0.4), tr, va
         )
-        stages = [log.stage for log in result.trainer.logs]
+        stages = [log.stage for log in result.logs]
         assert result.detector.triggered
         flips = sum(1 for a, b in zip(stages, stages[1:]) if a != b)
         assert flips == 1
@@ -366,10 +365,10 @@ class TestTrainerMechanics:
         cfg = small_config(method="adagc", epochs=15)
         a = train(cfg, tr, va)
         b = train(cfg, tr, va)
-        assert ([l.noisy_val_map for l in a.trainer.logs]
-                == [l.noisy_val_map for l in b.trainer.logs])
-        assert np.array_equal(a.trainer.model.params, b.trainer.model.params)
-        assert np.array_equal(a.trainer.teacher.params, b.trainer.teacher.params)
+        assert ([l.noisy_val_map for l in a.logs]
+                == [l.noisy_val_map for l in b.logs])
+        assert np.array_equal(a.model.params, b.model.params)
+        assert np.array_equal(a.teacher.params, b.teacher.params)
 
     def test_single_positive_required_for_weak_methods(self):
         tr, va, te = small_data()
@@ -383,7 +382,7 @@ class TestTrainerMechanics:
         full_va = va.with_observed(va.y_true.copy())
         for method in ("gt", "iun"):
             result = train(small_config(method=method, epochs=3), full_tr, full_va)
-            assert len(result.trainer.logs) == 3
+            assert len(result.logs) == 3
 
     def test_checkpoint_resume_is_bit_identical(self):
         # resume both before and after the stage switch (trigger is ~20)
@@ -526,6 +525,17 @@ class TestTrainerMechanics:
                      r"smoothed_preds must lie in \[0, 1\]", id="prediction-range"),
         pytest.param(lambda c: c.update(stage="gc", visited=[0] * len(c["visited"])), {},
                      "unvisited", id="gc-unvisited"),
+        # the stage follows from the method and the detector
+        pytest.param(lambda c: (c.update(stage="gc"), c["config"].update(method="an")), {},
+                     named("stage must be 'warmup' for method 'an' with detector.triggered "
+                           "False, got 'gc'"), id="stage-gc-an"),
+        pytest.param(lambda c: c.update(stage="gc"), {},
+                     named("stage must be 'warmup' for method 'adagc' with detector.triggered "
+                           "False, got 'gc'"), id="stage-gc-untriggered"),
+        pytest.param(lambda c: c["detector"].update(best_epoch=0, since_improvement=1,
+                                                    triggered=True, trigger_epoch=1), {},
+                     named("stage must be 'gc' for method 'adagc' with detector.triggered "
+                           "True, got 'warmup'"), id="stage-warmup-triggered"),
         # every state field is read by its rule; a rejection names the source and the field
         *[pytest.param(lambda c, key=key: c.pop(key), {}, named(f"{key} is missing"),
                        id=f"no-{key}") for key in STATE_KEYS],
@@ -606,8 +616,9 @@ class TestTrainerMechanics:
         tr, va, te = small_data()
         cfg = small_config(method=method, lam=lam, raw_student_pseudo=raw_student, epochs=40)
         trainer = Trainer(cfg, tr, va)
-        trainer.run(max_epochs=10 if stage == "gc" else 1)
-        trainer.stage = stage
+        trainer.run(max_epochs=1)
+        while trainer.stage != stage:
+            trainer.run_epoch()
 
         replay_model = trainer.model  # a copy: run_epoch must not change it
         replay_ema = copy.deepcopy(trainer.ema)
@@ -638,8 +649,7 @@ class TestTrainerMechanics:
         tr, va, te = small_data()
         trainer = Trainer(small_config(method=method, epochs=24, learning_rate=0.4), tr, va)
         trainer.run(max_epochs=2)
-        result = TrainResult(trainer)
-        taken = [trainer.model, trainer.teacher, result.final_model]
+        taken = [trainer.model, trainer.teacher, trainer.final_model]
         params = [m.params.copy() for m in taken]
         outputs = [m.forward(va.features) for m in taken]
         ema = copy.deepcopy(trainer.ema)
@@ -800,6 +810,6 @@ class TestSuiteProperties:
         for regime in ("random", "dominant"):
             for seed in (0, 1, 2):
                 run = suite_runs(regime, seed, "an")
-                teacher = [l.noisy_val_map for l in run.trainer.logs]
-                student = [l.noisy_val_map_student for l in run.trainer.logs]
+                teacher = [l.noisy_val_map for l in run.logs]
+                student = [l.noisy_val_map_student for l in run.logs]
                 assert local_maxima(teacher) < local_maxima(student)
