@@ -27,7 +27,8 @@ naming the argument, the rule and the first offending value with its
 0-based position, also kept as attributes for CSV ingestion to map to a
 file, line and column. Every value rule lives here too: ``_check_rules`` is the one table
 checker, rejecting the first failing ``{key: (ok, requirement)}`` entry and naming the key
-and its value, and ``_check_param`` checks one finite scalar. Records (type hints, JSON,
+and its value, ``_check_derived`` a table of stored values against the values they follow
+from, and ``_check_param`` checks one finite scalar. Records (type hints, JSON,
 atomic writes) live in ``records``; this module imports no other module of the package.
 """
 
@@ -120,6 +121,14 @@ def _check_rules(values: dict, prefix: str, rules: dict) -> None:
         if not ok:
             raise ValueError(f"{prefix}{key} must be {requirement}, "
                              f"got {reprlib.repr(values[key])}")
+
+
+def _check_derived(facts: dict, basis: str) -> None:
+    """Reject the first ``{name: (stored, derived)}`` fact whose stored value is not the one
+    derived from ``basis``, naming it, the derived value and the stored one."""
+    _check_rules({name: stored for name, (stored, _) in facts.items()}, "",
+                 {name: (stored == derived, f"{derived!r} (as {basis})")
+                  for name, (stored, derived) in facts.items()})
 
 
 def _check_param(name: str, value, ok: bool, requirement: str):

@@ -7,15 +7,14 @@ validation labels; once it plateaus, training switches to the calibrated
 objective on Mixup batches with fused pseudo-labels. Baseline modes are
 single-stage runs of the corresponding loss. A run's resumable state is one record,
 ``TrainState``: ``Trainer.checkpoint`` writes it, resolved config included, and
-``load_checkpoint`` reads it back. A record's rules live on it: ``DetectorState.validate``
-holds what ``detect_early_learning`` keeps, ``EpochLog.validate`` the logged mAP ranges.
+``load_checkpoint`` reads it back. A record's rules live on it, and what follows from the
+logs (the epoch, the stages, the detector) is checked against their ``_replay``.
 ``train`` returns the finished ``Trainer``, with the test report when given a test set.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 from dataclasses import asdict, dataclass, field, replace
 
@@ -31,8 +30,8 @@ from .metrics import (
     _macro_mean,
     compute_metric_report,
 )
-from .net import (Mlp, _check_cells, _check_param, _check_rules, _check_shape, _check_unit,
-                  _sigmoid, make_rng, sigmoid)
+from .net import (Mlp, _check_cells, _check_derived, _check_param, _check_rules, _check_shape,
+                  _check_unit, _sigmoid, make_rng, sigmoid)
 from .records import _check_fields, _read_record, atomic_open, read_json
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 METHODS = ("adagc", "an", "an_ls", "wan", "epr", "iun", "gt")
-STAGES = ("warmup", "gc")
 
 CHECKPOINT_FORMAT = "spmlab-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -119,24 +117,6 @@ class DetectorState:
     trigger_epoch: int | None = None
     n_seen: int = 0
 
-    def validate(self) -> None:
-        """Reject a state ``detect_early_learning`` never leaves, naming the first bad field."""
-        seen, trigger = self.n_seen, self.trigger_epoch
-        since, epochs = max(seen - 1 - self.best_epoch, 0), f"in [0, {seen})"
-        first = seen == 0  # best_map is -inf and best_epoch -1 until the first epoch
-        _check_rules(vars(self), "", {
-            "n_seen": (seen >= 0, "non-negative"),
-            "best_map": (self.best_map == -math.inf if first else 0.0 <= self.best_map <= 1.0,
-                         "-Infinity before the first epoch" if first else "in [0, 1]"),
-            "best_epoch": (self.best_epoch == -1 if first else 0 <= self.best_epoch < seen,
-                           "-1 before the first epoch" if first else epochs),
-            "since_improvement": (self.since_improvement == since,
-                                  f"{since} (the epochs after best_epoch)"),
-            "trigger_epoch": (trigger is None or 0 <= trigger < seen, f"None or {epochs}"),
-            "triggered": (self.triggered == (trigger is not None),
-                          f"{trigger is not None} when trigger_epoch is {trigger}"),
-        })
-
 
 def detect_early_learning(state: DetectorState, noisy_val_map: float,
                           patience: int) -> DetectorState:
@@ -165,14 +145,21 @@ def _stage(config: TrainConfig, detector: DetectorState) -> str:
     return "gc" if config.method == "adagc" and detector.triggered else "warmup"
 
 
-def _read_stage(raw, name: str, read) -> str:
-    return _check_param(name, raw, raw in STAGES, f"one of {STAGES}")
+def _replay(config: TrainConfig, logs) -> tuple:
+    """The detector the logs' noisy-validation mAPs leave, and the stage before each epoch and
+    after the last: what a run with these logs holds."""
+    detector = DetectorState()
+    stages = [_stage(config, detector)]
+    for log in logs:
+        detect_early_learning(detector, log.noisy_val_map, config.patience)
+        stages.append(_stage(config, detector))
+    return detector, stages
 
 
 @dataclass
 class EpochLog:
     epoch: int
-    stage: str = field(metadata={"read": _read_stage})
+    stage: str
     train_loss: float
     noisy_val_map: float              # teacher model vs single-positive labels
     noisy_val_map_student: float
@@ -286,13 +273,9 @@ def _read_rng_state(raw, name: str, read) -> dict:
 def _read_logs(raw, name: str, read) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list, found {reprlib.repr(raw)}")
-    logs = []
-    for i, entry in enumerate(raw):
-        # logs of checkpoints from before per-epoch timing left also carry a wall_time
-        log = _read_record(EpochLog, entry, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
-        _check_rules(vars(log), f"{name}[{i}].", {"epoch": (log.epoch == i, str(i))})
-        logs.append(log)
-    return logs
+    # logs of checkpoints from before per-epoch timing left also carry a wall_time
+    return [_read_record(EpochLog, entry, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
+            for i, entry in enumerate(raw)]
 
 
 @dataclass
@@ -301,7 +284,7 @@ class TrainState:
     in order. ``records._read_record`` reads one by each field's ``read`` rule and type hint."""
 
     epoch: int
-    stage: str = field(metadata={"read": _read_stage})
+    stage: str
     layer_sizes: tuple = field(metadata={"read": _read_sizes})
     student_params: np.ndarray = field(metadata={"read": _read_params})
     teacher_params: np.ndarray = field(metadata={"read": _read_params})
@@ -581,15 +564,18 @@ def _read_checkpoint(ckpt, source) -> tuple:
             raise ValueError("config is not a JSON object")
         config = _read_record(TrainConfig, ckpt["config"], "", "config")
         state = _read_record(TrainState, ckpt, "", "checkpoint", ("format", "version", "config"))
-        if not state.epoch == len(state.logs) == state.detector.n_seen:
-            raise ValueError(f"epoch {state.epoch} must equal the number of logs "
-                             f"({len(state.logs)}) and detector.n_seen ({state.detector.n_seen})")
+        sizes, hidden = state.layer_sizes, (config.hidden,) if config.hidden else ()
+        _check_derived({"layer_sizes": (sizes, (sizes[0], *hidden, sizes[-1]))},
+                       "config.hidden gives")
         if state.stage == "gc" and not config.raw_student_pseudo and not state.visited.all():
             raise ValueError("checkpoint in the calibrated stage has unvisited samples")
-        expected = _stage(config, state.detector)
-        _check_param("stage", state.stage, state.stage == expected,
-                     f"{expected!r} for method {config.method!r} with detector.triggered "
-                     f"{state.detector.triggered}")
+        detector, stages = _replay(config, state.logs)
+        _check_derived({"epoch": (state.epoch, len(state.logs)), "stage": (state.stage, stages[-1]),
+                        **{f"logs[{i}].{key}": pair for i, log in enumerate(state.logs)
+                           for key, pair in (("epoch", (log.epoch, i)),
+                                             ("stage", (log.stage, stages[i])))},
+                        **{f"detector.{key}": (value, getattr(detector, key))
+                           for key, value in vars(state.detector).items()}}, "the logs replay")
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     return config, state

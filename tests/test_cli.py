@@ -805,12 +805,12 @@ class TestRunDirectory:
         ("rng_state", 5, "rng_state must be the state of a PCG64 generator, found 5"),
         ("rng_state", {}, "rng_state must be the state of a PCG64 generator, found {}"),
         ("epoch", "x", "epoch must be an integer, got 'x'"),
-        ("epoch", -3, "epoch -3 must equal the number of logs (4) and detector.n_seen (4)"),
-        ("epoch", 99, "epoch 99 must equal the number of logs (4) and detector.n_seen (4)"),
+        ("epoch", -3, "epoch must be 4 (as the logs replay), got -3"),
+        ("epoch", 99, "epoch must be 4 (as the logs replay), got 99"),
         ("epoch", 1.5, "epoch must be an integer, got 1.5"),
         ("epoch", True, "epoch must be an integer, got True"),
-        ("stage", "foo", "stage must be one of ('warmup', 'gc'), got 'foo'"),
-        ("stage", None, "stage must be one of ('warmup', 'gc'), got None"),
+        ("stage", "foo", "stage must be 'gc' (as the logs replay), got 'foo'"),
+        ("stage", None, "stage must be 'gc' (as the logs replay), got None"),
         ("visited", [2] * 100, "visited must be 0 or 1, found 2.0 at [0]"),
         ("config.raw_student_pseudo", "yes", "raw_student_pseudo must be a bool, got 'yes'"),
         ("config.hidden", True, "hidden must be an integer, got True"),
@@ -825,22 +825,29 @@ class TestRunDirectory:
         ("rng_state.state.inc", True,
          "rng_state.state.inc must be an integer in [0, 2**128), got True"),
         ("rng_state.has_uint32", 5, "rng_state.has_uint32 must be 0 or 1, got 5"),
-        ("logs.0.stage", "foo", "logs[0].stage must be one of ('warmup', 'gc'), got 'foo'"),
-        ("logs.0.epoch", 7, "logs[0].epoch must be 0, got 7"),
-        # the run triggered at epoch 1 and last improved at epoch 0, of 4
+        # the epoch, the stages and the detector follow from the logs: the run improved to a
+        # best noisy map of 0.384931962050462 at epoch 0, of 4, and triggered at epoch 1
+        ("logs.0.stage", "foo", "logs[0].stage must be 'warmup' (as the logs replay), got 'foo'"),
+        ("logs.0.epoch", 7, "logs[0].epoch must be 0 (as the logs replay), got 7"),
         ("detector.trigger_epoch", None,
-         "detector.triggered must be False when trigger_epoch is None, got True"),
-        ("detector.best_epoch", 9, "detector.best_epoch must be in [0, 4), got 9"),
+         "detector.trigger_epoch must be 1 (as the logs replay), got None"),
+        ("detector.best_epoch", 9, "detector.best_epoch must be 0 (as the logs replay), got 9"),
         ("detector.since_improvement", -4,
-         "detector.since_improvement must be 3 (the epochs after best_epoch), got -4"),
-        # the stage follows from the method and the detector
-        ("config.method", "an",
-         "stage must be 'warmup' for method 'an' with detector.triggered True, got 'gc'"),
+         "detector.since_improvement must be 3 (as the logs replay), got -4"),
+        ("config.method", "an", "stage must be 'warmup' (as the logs replay), got 'gc'"),
         ("detector", {"best_map": 0.5, "best_epoch": 3, "since_improvement": 0,
                       "triggered": False, "trigger_epoch": None, "n_seen": 4},
-         "stage must be 'warmup' for method 'adagc' with detector.triggered False, got 'gc'"),
-        ("stage", "warmup",
-         "stage must be 'gc' for method 'adagc' with detector.triggered True, got 'warmup'"),
+         "detector.best_map must be 0.384931962050462 (as the logs replay), got 0.5"),
+        ("stage", "warmup", "stage must be 'gc' (as the logs replay), got 'warmup'"),
+        ("logs.0.stage", "gc", "logs[0].stage must be 'warmup' (as the logs replay), got 'gc'"),
+        ("detector.best_map", 0.99,
+         "detector.best_map must be 0.384931962050462 (as the logs replay), got 0.99"),
+        ("detector.trigger_epoch", 0,
+         "detector.trigger_epoch must be 1 (as the logs replay), got 0"),
+        # the hidden layer follows from the config
+        ("config.hidden", 7, "layer_sizes must be (5, 7, 4) (as config.hidden gives), "
+         "got (5, 4, 4)"),
+        ("config.hidden", 0, "layer_sizes must be (5, 4) (as config.hidden gives), got (5, 4, 4)"),
     ], ids=[*(f"no-{key}" for key in STATE_KEYS), "detector-list", "detector-unknown",
             "best-map-string", "logs-int", "logs-int-entry", "logs-empty-entry", "rng-int",
             "rng-empty", "epoch-string", "epoch-negative", "epoch-large", "epoch-float",
@@ -848,7 +855,9 @@ class TestRunDirectory:
             "config-int", "sizes-null", "sizes-string", "sizes-negative", "params-string",
             "params-nested", "rng-state-float", "rng-inc-bool", "rng-has-uint32", "log-stage",
             "log-epoch", "triggered-no-epoch", "best-epoch-unseen", "since-improvement",
-            "stage-gc-an", "stage-gc-untriggered", "stage-warmup-triggered"])
+            "stage-gc-an", "stage-gc-untriggered", "stage-warmup-triggered",
+            "log-stage-flipped", "best-map-high", "trigger-moved", "config-hidden-other",
+            "config-hidden-zero"])
     def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
         # eval reads every state field, also one it does not use, since a resume uses it
         assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0

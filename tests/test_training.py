@@ -25,8 +25,11 @@ from spmlab.records import _read_record
 from spmlab.training import (
     METHODS,
     DetectorState,
+    EpochLog,
     TrainConfig,
     Trainer,
+    _replay,
+    _stage,
     detect_early_learning,
     evaluate,
     mixup_batch,
@@ -72,17 +75,19 @@ class TestDetector:
     @given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
                     max_size=25), st.integers(1, 5))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_every_state_passes_its_own_rules(self, maps, patience):
-        # ties included: the reader of a checkpoint's detector takes every state the walk leaves
-        def read_back(state):
-            state.validate()
+    def test_replay_leaves_every_state_the_walk_leaves(self, maps, patience):
+        # ties included: a checkpoint's reader replays its logs to the walk's detector and
+        # stages, and reads back every detector the walk leaves
+        config = TrainConfig(method="adagc", patience=patience)
+        logs = [EpochLog(i, "warmup", 0.0, m, m, None) for i, m in enumerate(maps)]
+        detector, stages = _replay(config, logs)
+        assert detector == walk_detector(maps, patience)
+        assert len(stages) == len(maps) + 1
+        for k, stage in enumerate(stages):
+            state = walk_detector(maps[:k], patience)
+            assert stage == _stage(config, state)
             payload = json.loads(json.dumps(vars(state)))
             assert _read_record(DetectorState, payload, "detector.", "detector") == state
-
-        state = DetectorState()
-        read_back(state)
-        for noisy_val_map in maps:
-            read_back(detect_early_learning(state, noisy_val_map, patience))
 
 
 class _StubRng:
@@ -288,13 +293,12 @@ STATE_MUTATIONS = [
     ("rng_state", 5, "int", "rng_state must be the state of a PCG64 generator, found 5"),
     ("rng_state", {}, "empty", "rng_state must be the state of a PCG64 generator, found {}"),
     ("epoch", "x", "string", "epoch must be an integer, got 'x'"),
-    ("epoch", -3, "negative",
-     "epoch -3 must equal the number of logs (2) and detector.n_seen (2)"),
-    ("epoch", 99, "large", "epoch 99 must equal the number of logs (2) and detector.n_seen (2)"),
+    ("epoch", -3, "negative", "epoch must be 2 (as the logs replay), got -3"),
+    ("epoch", 99, "large", "epoch must be 2 (as the logs replay), got 99"),
     ("epoch", 1.5, "float", "epoch must be an integer, got 1.5"),
     ("epoch", True, "bool", "epoch must be an integer, got True"),
-    ("stage", "foo", "unknown", "stage must be one of ('warmup', 'gc'), got 'foo'"),
-    ("stage", None, "null", "stage must be one of ('warmup', 'gc'), got None"),
+    ("stage", "foo", "unknown", "stage must be 'warmup' (as the logs replay), got 'foo'"),
+    ("stage", None, "null", "stage must be 'warmup' (as the logs replay), got None"),
 ]
 
 # (path in rng_state, value, rule, case id)
@@ -525,17 +529,35 @@ class TestTrainerMechanics:
                      r"smoothed_preds must lie in \[0, 1\]", id="prediction-range"),
         pytest.param(lambda c: c.update(stage="gc", visited=[0] * len(c["visited"])), {},
                      "unvisited", id="gc-unvisited"),
-        # the stage follows from the method and the detector
+        # the hidden layer follows from the config
+        pytest.param(lambda c: c["config"].update(hidden=7), {},
+                     named("layer_sizes must be (8, 7, 6) (as config.hidden gives), "
+                           "got (8, 8, 6)"), id="config-hidden-other"),
+        pytest.param(lambda c: c["config"].update(hidden=0), {},
+                     named("layer_sizes must be (8, 6) (as config.hidden gives), got (8, 8, 6)"),
+                     id="config-hidden-zero"),
+        # the epoch, the stages and the detector follow from the logs: the run improved at
+        # both epochs, to a best noisy map of 0.17790878889254047, and never triggered
         pytest.param(lambda c: (c.update(stage="gc"), c["config"].update(method="an")), {},
-                     named("stage must be 'warmup' for method 'an' with detector.triggered "
-                           "False, got 'gc'"), id="stage-gc-an"),
+                     named("stage must be 'warmup' (as the logs replay), got 'gc'"),
+                     id="stage-gc-an"),
         pytest.param(lambda c: c.update(stage="gc"), {},
-                     named("stage must be 'warmup' for method 'adagc' with detector.triggered "
-                           "False, got 'gc'"), id="stage-gc-untriggered"),
+                     named("stage must be 'warmup' (as the logs replay), got 'gc'"),
+                     id="stage-gc-untriggered"),
         pytest.param(lambda c: c["detector"].update(best_epoch=0, since_improvement=1,
                                                     triggered=True, trigger_epoch=1), {},
-                     named("stage must be 'gc' for method 'adagc' with detector.triggered "
-                           "True, got 'warmup'"), id="stage-warmup-triggered"),
+                     named("detector.best_epoch must be 1 (as the logs replay), got 0"),
+                     id="stage-warmup-triggered"),
+        pytest.param(lambda c: (c.update(stage="gc"), c["detector"].update(
+                         best_epoch=0, since_improvement=1, triggered=True, trigger_epoch=1)), {},
+                     named("stage must be 'warmup' (as the logs replay), got 'gc'"),
+                     id="trigger-moved"),
+        pytest.param(lambda c: c["logs"][0].update(stage="gc"), {},
+                     named("logs[0].stage must be 'warmup' (as the logs replay), got 'gc'"),
+                     id="log-stage-flipped"),
+        pytest.param(lambda c: c["detector"].update(best_map=0.99), {},
+                     named("detector.best_map must be 0.17790878889254047 (as the logs replay), "
+                           "got 0.99"), id="best-map-high"),
         # every state field is read by its rule; a rejection names the source and the field
         *[pytest.param(lambda c, key=key: c.pop(key), {}, named(f"{key} is missing"),
                        id=f"no-{key}") for key in STATE_KEYS],
@@ -544,7 +566,8 @@ class TestTrainerMechanics:
         pytest.param(lambda c: c["detector"].update(best_map="x"), {},
                      named("detector.best_map must be a number, got 'x'"), id="best-map-string"),
         pytest.param(lambda c: c["detector"].update(best_map=float("-inf")), {},
-                     named("detector.best_map must be in [0, 1], got -inf"), id="best-map-inf"),
+                     named("detector.best_map must be 0.17790878889254047 (as the logs replay), "
+                           "got -inf"), id="best-map-inf"),
         pytest.param(lambda c: c.update(visited=[2] * len(c["visited"])), {},
                      named("visited must be 0 or 1, found 2.0 at [0]"), id="visited-two"),
         pytest.param(lambda c: c["config"].update(raw_student_pseudo="yes"), {},
@@ -555,12 +578,12 @@ class TestTrainerMechanics:
         *[pytest.param(lambda c, path=path, value=value: set_at(c["rng_state"], path, value), {},
                        named(f"rng_state.{path} must be {rule}, got {value!r}"), id=case)
           for path, value, rule, case in RNG_MUTATIONS],
-        # logs and detector checked against themselves
+        # the logs' maps checked against themselves, the rest against the logs' replay
         pytest.param(lambda c: c["logs"][0].update(stage="foo"), {},
-                     named("logs[0].stage must be one of ('warmup', 'gc'), got 'foo'"),
+                     named("logs[0].stage must be 'warmup' (as the logs replay), got 'foo'"),
                      id="log-stage"),
         pytest.param(lambda c: c["logs"][0].update(epoch=7), {},
-                     named("logs[0].epoch must be 0, got 7"), id="log-epoch"),
+                     named("logs[0].epoch must be 0 (as the logs replay), got 7"), id="log-epoch"),
         pytest.param(lambda c: c["logs"][1].update(noisy_val_map=1.5), {},
                      named("logs[1].noisy_val_map must be in [0, 1], got 1.5"), id="log-map"),
         pytest.param(lambda c: c["logs"][1].update(noisy_val_map_student=-0.5), {},
@@ -570,24 +593,26 @@ class TestTrainerMechanics:
                      named("logs[1].clean_val_map must be None or in [0, 1], got 2.0"),
                      id="log-clean-map"),
         pytest.param(lambda c: c["detector"].update(triggered=True), {},
-                     named("detector.triggered must be False when trigger_epoch is None, "
-                           "got True"), id="triggered-no-epoch"),
+                     named("detector.triggered must be False (as the logs replay), got True"),
+                     id="triggered-no-epoch"),
         pytest.param(lambda c: c["detector"].update(trigger_epoch=1), {},
-                     named("detector.triggered must be True when trigger_epoch is 1, "
-                           "got False"), id="epoch-not-triggered"),
+                     named("detector.trigger_epoch must be None (as the logs replay), got 1"),
+                     id="epoch-not-triggered"),
         pytest.param(lambda c: c["detector"].update(triggered=True, trigger_epoch=2), {},
-                     named("detector.trigger_epoch must be None or in [0, 2), got 2"),
+                     named("detector.triggered must be False (as the logs replay), got True"),
                      id="trigger-epoch-unseen"),
         pytest.param(lambda c: c["detector"].update(best_epoch=9, since_improvement=-4), {},
-                     named("detector.best_epoch must be in [0, 2), got 9"), id="best-epoch-unseen"),
+                     named("detector.best_epoch must be 1 (as the logs replay), got 9"),
+                     id="best-epoch-unseen"),
         pytest.param(lambda c: c["detector"].update(best_epoch=-1), {},
-                     named("detector.best_epoch must be in [0, 2), got -1"), id="best-epoch-unset"),
+                     named("detector.best_epoch must be 1 (as the logs replay), got -1"),
+                     id="best-epoch-unset"),
         pytest.param(lambda c: c["detector"].update(best_epoch=0, since_improvement=-4), {},
-                     named("detector.since_improvement must be 1 (the epochs after best_epoch), "
-                           "got -4"), id="since-improvement"),
+                     named("detector.best_epoch must be 1 (as the logs replay), got 0"),
+                     id="since-improvement"),
         pytest.param(lambda c: (c.update(epoch=0, logs=[]), c["detector"].update(
                          n_seen=0, best_map=float("-inf"), best_epoch=1, since_improvement=0)), {},
-                     named("detector.best_epoch must be -1 before the first epoch, got 1"),
+                     named("detector.best_epoch must be -1 (as the logs replay), got 1"),
                      id="best-epoch-before-first"),
     ])
     def test_checkpoint_checked_on_load(self, edit, load_data, error):
