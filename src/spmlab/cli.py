@@ -35,8 +35,7 @@ from .data import (
 )
 from .net import Mlp, _check_param, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
-from .records import (_check_fields, _check_known, _check_type, _field_type, _hints, _json_dump,
-                      _read_json_record, read_json)
+from .records import _check_fields, _check_known, _field_type, _hints, _json_dump, _read_json_record
 from .training import (
     EpochLog,
     TrainConfig,
@@ -48,7 +47,8 @@ from .training import (
 
 __all__ = ["ExperimentSpec", "run_experiment", "main"]
 
-REGIMES = ("random", "dominant", "none")
+NOISE_REGIMES = ("random", "dominant")  # the regimes that corrupt draws
+REGIMES = (*NOISE_REGIMES, "none")
 # stream tag mixed into the data seed so corruption draws are independent
 # of generation draws but still reproducible from one seed
 NOISE_STREAM = 9157
@@ -80,6 +80,19 @@ class ExperimentSpec:
             )
 
 
+@dataclass
+class NoiseRecord:
+    """A data directory's noise.json: the seed and regime ``corrupt`` drew its labels with."""
+
+    noise_seed: int
+    regime: str
+
+    def validate(self) -> None:
+        _check_fields(self, lambda: {
+            "noise_seed": (self.noise_seed >= 0, "non-negative"),
+            "regime": (self.regime in NOISE_REGIMES, f"one of {NOISE_REGIMES}")})
+
+
 def _load_clean(datadir, name: str, regime="none") -> MultiLabelDataset:
     """A split's features, labels and extents; its ``*_observed.csv`` is never read.
     Under the dominant ``regime``, a missing extents file is an error that names it."""
@@ -107,10 +120,7 @@ def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
     if data_dir is not None:
         path = Path(data_dir, "noise.json")
         if path.exists():
-            payload = read_json(path)
-            seed = payload.get("noise_seed") if isinstance(payload, dict) else None
-            _check_type(f"{path}: noise_seed", seed, int)
-            return _check_param(f"{path}: noise_seed", seed, seed >= 0, "non-negative")
+            return _read_json_record(NoiseRecord, path, "noise").noise_seed
         spec_path = Path(data_dir, "spec.json")
         if spec_path.exists():
             return read_spec_json(spec_path).seed
@@ -248,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cor = sub.add_parser("corrupt", help="apply a noise regime to a dataset")
     p_cor.add_argument("--data-dir", required=True)
-    p_cor.add_argument("--regime", choices=["random", "dominant"], required=True)
+    p_cor.add_argument("--regime", choices=NOISE_REGIMES, required=True)
     p_cor.add_argument("--noise-seed", type=int, default=None)
     p_cor.add_argument("--outdir", default=None,
                        help="defaults to the dataset directory")
@@ -316,7 +326,7 @@ def _cmd_corrupt(args) -> int:
         if (datadir / "spec.json").exists():
             write_spec_json(read_spec_json(datadir / "spec.json"), outdir / "spec.json")
     # last, so train --data-dir <outdir> redraws exactly these labels
-    _json_dump({"noise_seed": noise_seed, "regime": args.regime}, outdir / "noise.json")
+    _json_dump(asdict(NoiseRecord(noise_seed, args.regime)), outdir / "noise.json")
     print(outdir)
     return 0
 
@@ -338,11 +348,11 @@ def _cmd_eval(args) -> int:
 
     Every checkpoint field is checked first, also one only a resume reads. A split whose
     feature or class count is not the model's is named with the checkpoint."""
-    config, state = load_checkpoint(args.checkpoint)
-    teacher = config.reports_teacher and not args.use_student
+    state = load_checkpoint(args.checkpoint)
+    teacher = state.config.reports_teacher and not args.use_student
     sizes = state.layer_sizes
     model = Mlp(sizes, state.teacher_params if teacher else state.student_params)
-    threshold = config.threshold if args.threshold is None else args.threshold
+    threshold = state.config.threshold if args.threshold is None else args.threshold
     ds = _load_clean(args.data_dir, args.split)
     paths = _split_paths(args.data_dir, args.split)
     if ds.n_features != sizes[0]:

@@ -3,8 +3,8 @@
 ``_check_type`` checks one value against a field's hint, ``_check_types`` every field of a
 record, and ``_check_fields`` a config: each field finite, of its hinted type, then the value
 rules it passes to ``net._check_rules``. Every record read from JSON goes through
-``_read_record``, nested records too; it checks the types, then the record's own
-``validate()``, and names a bad field by its path (``train_config.lam``).
+``_read_record``, nested records too: each field by its own ``read(raw, name)``, then the
+types, then ``validate()`` with the rules between fields; a bad field is named by its path.
 ``_read_json_record`` reads one from a file and names the file. Artifacts are written
 through ``atomic_open``, JSON by ``_json_dump``.
 """
@@ -116,9 +116,9 @@ def _check_known(cls, keys, kind: str) -> None:
 def _read_record(cls, payload, prefix: str, kind: str, ignored=()):
     """The dataclass ``cls`` from the JSON object ``payload`` (a ``kind``), less its keys
     ``ignored``. A field hinted as a dataclass is a nested record (None only if hinted
-    ``| None``); any other passes its metadata's ``read(value, name, fields read so far)``
-    rule, if any. Then the types must hold, then ``cls.validate()``, if any. Each error names
-    the field by its path, from ``prefix``; an unknown or missing field is named too."""
+    ``| None``); any other passes its metadata's ``read(value, name)`` rule, if any. Then the
+    types must hold, then ``cls.validate()``, if any, with every rule between fields. Each error
+    names the field by its path, from ``prefix``; an unknown or missing field is named too."""
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} must be a JSON object, found {reprlib.repr(payload)}")
     _check_known(cls, [key for key in payload if key not in ignored], kind)
@@ -132,7 +132,7 @@ def _read_record(cls, payload, prefix: str, kind: str, ignored=()):
         elif is_dataclass(hint) and not (optional and value is None):
             read[f.name] = _read_record(hint, value, name + ".", name)
         else:
-            read[f.name] = f.metadata.get("read", lambda raw, *_: raw)(value, name, read)
+            read[f.name] = f.metadata.get("read", lambda raw, _: raw)(value, name)
     record = cls(**read)
     _check_types(record, prefix)
     try:

@@ -5,10 +5,9 @@ teacher EMA and per-sample prediction EMA run alongside. A patience
 detector watches the teacher's mAP on the noisy (single-positive)
 validation labels; once it plateaus, training switches to the calibrated
 objective on Mixup batches with fused pseudo-labels. Baseline modes are
-single-stage runs of the corresponding loss. A run's resumable state is one record,
-``TrainState``: ``Trainer.checkpoint`` writes it, resolved config included, and
-``load_checkpoint`` reads it back. A record's rules live on it, and what follows from the
-logs (the epoch, the stages, the detector) is checked against their ``_replay``.
+single-stage runs of the corresponding loss. A checkpoint is one record, ``TrainState``, that
+holds its config: ``Trainer.checkpoint`` writes it, ``load_checkpoint`` reads it, and its
+``validate()`` checks every rule between fields, the logs' ``_replay`` against the rest.
 ``train`` returns the finished ``Trainer``, with the test report when given a test set.
 """
 
@@ -166,8 +165,8 @@ class EpochLog:
     clean_val_map: float | None
 
     def validate(self) -> None:
-        """Reject a logged mAP outside [0, 1] (the clean one may be None), naming it."""
-        _check_rules(vars(self), "", {
+        """Reject a non-finite field, or a mAP outside [0, 1] (the clean one may be None)."""
+        _check_fields(self, lambda: {
             "noisy_val_map": (0.0 <= self.noisy_val_map <= 1.0, "in [0, 1]"),
             "noisy_val_map_student": (0.0 <= self.noisy_val_map_student <= 1.0, "in [0, 1]"),
             "clean_val_map": (self.clean_val_map is None or 0.0 <= self.clean_val_map <= 1.0,
@@ -208,7 +207,12 @@ def _blend(a: np.ndarray, partner: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.where(a == b, a, w * a + (1.0 - w) * b)
 
 
-def _read_sizes(raw, name: str, read) -> tuple:
+def _layer_sizes(config: TrainConfig, n_inputs: int, n_outputs: int) -> tuple:
+    """A model's layers: one hidden layer of ``config.hidden`` units, or none when it is 0."""
+    return (n_inputs, *((config.hidden,) if config.hidden else ()), n_outputs)
+
+
+def _read_sizes(raw, name: str) -> tuple:
     if (not isinstance(raw, (list, tuple)) or len(raw) not in (2, 3)
             or not all(type(s) is int and s >= 1 for s in raw)):
         raise ValueError(f"{name} must be 2 or 3 positive integers, found {reprlib.repr(raw)}")
@@ -226,26 +230,21 @@ def _read_numbers(raw, name: str, ndim: int, what: str) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
-def _read_params(raw, name: str, read) -> np.ndarray:
-    params, sizes = _read_numbers(raw, name, 1, "a list of numbers"), read["layer_sizes"]
-    expected = Mlp.param_count(sizes)
-    if params.size != expected:
-        raise ValueError(f"{name} has {params.size} entries, "
-                         f"model with layers {sizes} expects {expected}")
+def _read_params(raw, name: str) -> np.ndarray:
+    params = _read_numbers(raw, name, 1, "a list of numbers")
     return _check_cells(params, ~np.isfinite(params), name, "be finite")
 
 
-def _read_preds(raw, name: str, read) -> np.ndarray:
+def _read_preds(raw, name: str) -> np.ndarray:
     return _check_unit(_read_numbers(raw, name, 2, "a list of rows of numbers"), name)
 
 
-def _read_visited(raw, name: str, read) -> np.ndarray:
+def _read_visited(raw, name: str) -> np.ndarray:
     flags = _read_numbers(raw, name, 1, "a list of 0/1 flags")
-    _check_shape(flags, read["smoothed_preds"].shape[:1], name, "smoothed_preds")
     return _check_cells(flags, (flags != 0.0) & (flags != 1.0), name, "be 0 or 1") == 1.0
 
 
-def _read_rng_state(raw, name: str, read) -> dict:
+def _read_rng_state(raw, name: str) -> dict:
     """A PCG64 ``bit_generator.state``, checked by its structure: NumPy's own setter takes
     ``1.5`` or ``True`` where an integer belongs and silently truncates it."""
     inner = raw.get("state") if isinstance(raw, dict) else None
@@ -270,7 +269,7 @@ def _read_rng_state(raw, name: str, read) -> dict:
     return raw
 
 
-def _read_logs(raw, name: str, read) -> list:
+def _read_logs(raw, name: str) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list, found {reprlib.repr(raw)}")
     # logs of checkpoints from before per-epoch timing left also carry a wall_time
@@ -280,9 +279,9 @@ def _read_logs(raw, name: str, read) -> list:
 
 @dataclass
 class TrainState:
-    """A run's state besides its config: a checkpoint's fields after format, version and config,
-    in order. ``records._read_record`` reads one by each field's ``read`` rule and type hint."""
+    """A run's resumable state, its config first: a checkpoint's fields after format and version."""
 
+    config: TrainConfig
     epoch: int
     stage: str
     layer_sizes: tuple = field(metadata={"read": _read_sizes})
@@ -293,6 +292,28 @@ class TrainState:
     detector: DetectorState
     rng_state: dict = field(metadata={"read": _read_rng_state})
     logs: list = field(metadata={"read": _read_logs})  # an EpochLog per epoch
+
+    def validate(self) -> None:
+        """The rules between fields: layers from ``config.hidden``, the rest from ``_replay``."""
+        sizes, config, logs = self.layer_sizes, self.config, self.logs
+        _check_derived({"layer_sizes": (sizes, _layer_sizes(config, sizes[0], sizes[-1]))},
+                       "config.hidden gives")
+        for name in ("student_params", "teacher_params"):
+            size, expected = getattr(self, name).size, Mlp.param_count(sizes)
+            if size != expected:
+                raise ValueError(f"{name} has {size} entries, "
+                                 f"model with layers {sizes} expects {expected}")
+        _check_shape(self.visited, self.smoothed_preds.shape[:1], "visited", "smoothed_preds")
+        detector, stages = _replay(config, logs)
+        _check_derived({"epoch": (self.epoch, len(logs)), "stage": (self.stage, stages[-1]),
+                        **{f"logs[{i}].{key}": pair for i, log in enumerate(logs)
+                           for key, pair in (("epoch", (log.epoch, i)),
+                                             ("stage", (log.stage, stages[i])))},
+                        **{f"detector.{key}": (value, getattr(detector, key))
+                           for key, value in vars(self.detector).items()}}, "the logs replay")
+        visited = config.method == "adagc" and bool(logs)  # an adagc epoch visits every sample
+        _check_cells(self.visited, self.visited != visited, "visited",
+                     f"be {visited:d} (as config.method and the logs give)")
 
 
 class Trainer:
@@ -322,10 +343,7 @@ class Trainer:
         self._check_datasets()
 
         self.rng = make_rng(config.seed)
-        sizes = (train_ds.n_features, config.hidden, train_ds.n_classes)
-        if config.hidden == 0:
-            sizes = (train_ds.n_features, train_ds.n_classes)
-        student = Mlp.init(sizes, self.rng)
+        student = Mlp.init(_layer_sizes(config, train_ds.n_features, train_ds.n_classes), self.rng)
         self.ema = init_dual_ema(
             student.params, train_ds.n_samples, train_ds.n_classes,
             beta_t=config.beta_t, beta_s=config.beta_s, gamma=config.gamma,
@@ -491,13 +509,12 @@ class Trainer:
             self.run_epoch()
 
     def checkpoint(self) -> dict:
-        """Everything needed to resume the run bit-identically: the config, a ``TrainState``."""
+        """Everything needed to resume the run bit-identically: a ``TrainState``."""
         ema = self.ema
-        state = TrainState(self.epoch, self.stage, self._student.layer_sizes, self._student.params,
-                           ema.teacher_params, ema.smoothed_preds, ema.visited, self.detector,
-                           self.rng.bit_generator.state, self.logs)
+        state = TrainState(self.config, self.epoch, self.stage, self._student.layer_sizes,
+                           self._student.params, ema.teacher_params, ema.smoothed_preds,
+                           ema.visited, self.detector, self.rng.bit_generator.state, self.logs)
         return {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                "config": asdict(self.config),
                 **{k: (v.astype(int) if v.dtype == bool else v).tolist()
                    if isinstance(v, np.ndarray) else v for k, v in asdict(state).items()}}
 
@@ -505,15 +522,14 @@ class Trainer:
     def from_checkpoint(cls, ckpt: dict, train_ds: MultiLabelDataset,
                         val_ds: MultiLabelDataset) -> "Trainer":
         """Read the parsed checkpoint's state, check it against the data, then adopt it."""
-        config, state = _read_checkpoint(ckpt, "checkpoint")
-        trainer = cls(config, train_ds, val_ds)
-        ema = trainer.ema
+        state = _read_checkpoint(ckpt, "checkpoint")
+        trainer = cls(state.config, train_ds, val_ds)
         if state.layer_sizes != trainer._student.layer_sizes:
             raise ValueError(f"checkpoint model has layers {state.layer_sizes}, "
                              f"config and data give {trainer._student.layer_sizes}")
-        _check_shape(state.smoothed_preds, ema.smoothed_preds.shape, "smoothed_preds",
+        _check_shape(state.smoothed_preds, trainer.ema.smoothed_preds.shape, "smoothed_preds",
                      "the prediction EMA of the training set")
-        ema.smoothed_preds, ema.visited = state.smoothed_preds, state.visited
+        trainer.ema.smoothed_preds, trainer.ema.visited = state.smoothed_preds, state.visited
         trainer._adopt(state.layer_sizes, state.student_params, state.teacher_params)
         trainer.rng.bit_generator.state = state.rng_state
         trainer.detector, trainer.logs = state.detector, state.logs
@@ -552,34 +568,18 @@ def save_checkpoint(ckpt: dict, path) -> None:
         fh.write("}\n" if ckpt else "{}\n")
 
 
-def _read_checkpoint(ckpt, source) -> tuple:
-    """The checked ``(TrainConfig, TrainState)`` of a parsed checkpoint; errors name ``source``."""
+def _read_checkpoint(ckpt, source) -> TrainState:
+    """The checked ``TrainState`` of a parsed checkpoint; errors name ``source``."""
     if not isinstance(ckpt, dict) or ckpt.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{source}: not a trainer checkpoint")
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{source}: unsupported checkpoint version "
                          f"{ckpt.get('version')!r}, expected {CHECKPOINT_VERSION}")
     try:
-        if not isinstance(ckpt.get("config"), dict):
-            raise ValueError("config is not a JSON object")
-        config = _read_record(TrainConfig, ckpt["config"], "", "config")
-        state = _read_record(TrainState, ckpt, "", "checkpoint", ("format", "version", "config"))
-        sizes, hidden = state.layer_sizes, (config.hidden,) if config.hidden else ()
-        _check_derived({"layer_sizes": (sizes, (sizes[0], *hidden, sizes[-1]))},
-                       "config.hidden gives")
-        if state.stage == "gc" and not config.raw_student_pseudo and not state.visited.all():
-            raise ValueError("checkpoint in the calibrated stage has unvisited samples")
-        detector, stages = _replay(config, state.logs)
-        _check_derived({"epoch": (state.epoch, len(state.logs)), "stage": (state.stage, stages[-1]),
-                        **{f"logs[{i}].{key}": pair for i, log in enumerate(state.logs)
-                           for key, pair in (("epoch", (log.epoch, i)),
-                                             ("stage", (log.stage, stages[i])))},
-                        **{f"detector.{key}": (value, getattr(detector, key))
-                           for key, value in vars(state.detector).items()}}, "the logs replay")
+        return _read_record(TrainState, ckpt, "", "checkpoint", ("format", "version"))
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    return config, state
 
 
-def load_checkpoint(path) -> tuple:
+def load_checkpoint(path) -> TrainState:
     return _read_checkpoint(read_json(path), str(path))

@@ -264,8 +264,8 @@ class TestRunExperiment:
 
     def test_checkpoint_is_loadable(self, tmp_path):
         run_experiment(tiny_spec(tmp_path / "run"))
-        config, state = load_checkpoint(tmp_path / "run" / "checkpoint.json")
-        assert config.epochs == 6
+        state = load_checkpoint(tmp_path / "run" / "checkpoint.json")
+        assert state.config.epochs == 6
         assert state.epoch == 6
 
     def test_config_json_reproduces_the_run(self, tmp_path):
@@ -471,11 +471,17 @@ class TestCliSurface:
             assert not (d / name).exists()
         assert load_split_csv(d, "train").y_observed is None
 
-    @pytest.mark.parametrize("content, value", [
-        ('{"noise_seed": "5"}', "'5'"), ('{"noise_seed": true}', "True"), ("[5]", "None"),
-        ("{}", "None"),
-    ], ids=["string", "bool", "not-an-object", "no-seed"])
-    def test_train_names_a_bad_noise_json(self, tmp_path, capsys, content, value):
+    @pytest.mark.parametrize("content, rule", [
+        ('{"noise_seed": "5", "regime": "random"}', "noise_seed must be an integer, got '5'"),
+        ('{"noise_seed": true, "regime": "random"}', "noise_seed must be an integer, got True"),
+        ("[5]", "not a JSON object"), ("{}", "noise_seed is missing"),
+        ('{"noise_seed": 5, "bogus": 1}', "unknown noise field 'bogus'"),
+        ('{"noise_seed": 5, "regime": 7}', "regime must be one of ('random', 'dominant'), got 7"),
+        ('{"noise_seed": 5, "regime": "bogus"}',
+         "regime must be one of ('random', 'dominant'), got 'bogus'"),
+    ], ids=["string", "bool", "not-an-object", "no-seed", "unknown-field", "regime-int",
+            "regime-unknown"])
+    def test_train_names_a_bad_noise_json(self, tmp_path, capsys, content, rule):
         d = tmp_path / "d"
         main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
               "--n-features", "5", "--data-seed", "1"])
@@ -484,8 +490,7 @@ class TestCliSurface:
         assert main(["train", "--data-dir", str(d), "--epochs", "1",
                      "--outdir", str(tmp_path / "run")]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ValueError", "message": f"{d / 'noise.json'}: noise_seed "
-                       f"must be an integer, got {value}"}
+        assert err == {"error": "ValueError", "message": f"{d / 'noise.json'}: {rule}"}
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, split", [
@@ -756,7 +761,7 @@ class TestRunDirectory:
         assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
                      "--data-dir", str(csv_data), "--out", str(tmp_path / "e.json"),
                      *flags]) == 0
-        _, state = load_checkpoint(run / "checkpoint.json")
+        state = load_checkpoint(run / "checkpoint.json")
         model = Mlp(state.layer_sizes, getattr(state, params))
         report = evaluate(model, load_split_csv(csv_data, "test"), threshold)
         cli._json_dump(report.to_json_dict(), tmp_path / "expected.json")
@@ -812,8 +817,9 @@ class TestRunDirectory:
         ("stage", "foo", "stage must be 'gc' (as the logs replay), got 'foo'"),
         ("stage", None, "stage must be 'gc' (as the logs replay), got None"),
         ("visited", [2] * 100, "visited must be 0 or 1, found 2.0 at [0]"),
-        ("config.raw_student_pseudo", "yes", "raw_student_pseudo must be a bool, got 'yes'"),
-        ("config.hidden", True, "hidden must be an integer, got True"),
+        ("config.raw_student_pseudo", "yes",
+         "config.raw_student_pseudo must be a bool, got 'yes'"),
+        ("config.hidden", True, "config.hidden must be an integer, got True"),
         ("layer_sizes", None, "layer_sizes must be 2 or 3 positive integers, found None"),
         ("layer_sizes", [5, "x"], "layer_sizes must be 2 or 3 positive integers, found [5, 'x']"),
         ("layer_sizes", [5, -1, 4],
@@ -848,6 +854,11 @@ class TestRunDirectory:
         ("config.hidden", 7, "layer_sizes must be (5, 7, 4) (as config.hidden gives), "
          "got (5, 4, 4)"),
         ("config.hidden", 0, "layer_sizes must be (5, 4) (as config.hidden gives), got (5, 4, 4)"),
+        # every sample is visited once an adagc run has logged an epoch
+        ("visited", [0] * 100,
+         "visited must be 1 (as config.method and the logs give), found 0.0 at [0]"),
+        ("logs.0.train_loss", float("nan"), "logs[0].train_loss must be finite, got nan"),
+        ("logs.0.train_loss", float("inf"), "logs[0].train_loss must be finite, got inf"),
     ], ids=[*(f"no-{key}" for key in STATE_KEYS), "detector-list", "detector-unknown",
             "best-map-string", "logs-int", "logs-int-entry", "logs-empty-entry", "rng-int",
             "rng-empty", "epoch-string", "epoch-negative", "epoch-large", "epoch-float",
@@ -857,7 +868,7 @@ class TestRunDirectory:
             "log-epoch", "triggered-no-epoch", "best-epoch-unseen", "since-improvement",
             "stage-gc-an", "stage-gc-untriggered", "stage-warmup-triggered",
             "log-stage-flipped", "best-map-high", "trigger-moved", "config-hidden-other",
-            "config-hidden-zero"])
+            "config-hidden-zero", "visited-zeroed", "log-loss-nan", "log-loss-inf"])
     def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
         # eval reads every state field, also one it does not use, since a resume uses it
         assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
@@ -959,9 +970,9 @@ class TestRunDirectory:
                        "message": f"{path}: unknown config field 'bogus'"}
 
     @pytest.mark.parametrize("field, value, rule", [
-        ("method", 3, f"method must be one of {METHODS}, got 3"),
-        ("threshold", "0.5", "threshold must be a number, got '0.5'"),
-        ("threshold", 2.0, "threshold must be in (0, 1), got 2.0"),
+        ("method", 3, f"config.method must be one of {METHODS}, got 3"),
+        ("threshold", "0.5", "config.threshold must be a number, got '0.5'"),
+        ("threshold", 2.0, "config.threshold must be in (0, 1), got 2.0"),
     ], ids=["method", "threshold-string", "threshold-range"])
     def test_eval_names_a_bad_checkpoint_config(self, csv_data, tmp_path, capsys, field, value,
                                                 rule):

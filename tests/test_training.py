@@ -497,12 +497,12 @@ class TestTrainerMechanics:
 
     @pytest.mark.parametrize("edit, error", [
         (lambda c: c["config"].update(bogus=1), "checkpoint: unknown config field 'bogus'"),
-        (lambda c: c.update(config=5), "checkpoint: config is not a JSON object"),
-        (lambda c: c.pop("config"), "checkpoint: config is not a JSON object"),
+        (lambda c: c.update(config=5), "checkpoint: config must be a JSON object, found 5"),
+        (lambda c: c.pop("config"), "checkpoint: config is missing"),
         (lambda c: c["config"].update(lam="3"),
-         "checkpoint: lam must be a number, got '3'"),
+         "checkpoint: config.lam must be a number, got '3'"),
         (lambda c: c["config"].update(threshold=2.0),
-         "checkpoint: threshold must be in (0, 1), got 2.0"),
+         "checkpoint: config.threshold must be in (0, 1), got 2.0"),
     ], ids=["unknown-field", "not-an-object", "missing", "wrong-type", "bad-value"])
     def test_checkpoint_config_checked(self, edit, error):
         tr, va, te = small_data()
@@ -527,8 +527,13 @@ class TestTrainerMechanics:
         pytest.param(lambda c: None, dict(n=400), "prediction EMA", id="other-train-size"),
         pytest.param(lambda c: c["smoothed_preds"][0].__setitem__(0, 1.5), {},
                      r"smoothed_preds must lie in \[0, 1\]", id="prediction-range"),
-        pytest.param(lambda c: c.update(stage="gc", visited=[0] * len(c["visited"])), {},
-                     "unvisited", id="gc-unvisited"),
+        # every sample is visited once an adagc run has logged an epoch
+        pytest.param(lambda c: c["visited"].__setitem__(3, 0), {},
+                     named("visited must be 1 (as config.method and the logs give), "
+                           "found 0.0 at [3]"), id="unvisited"),
+        pytest.param(lambda c: c.update(visited=[0] * len(c["visited"])), {},
+                     named("visited must be 1 (as config.method and the logs give), "
+                           "found 0.0 at [0]"), id="visited-zeroed"),
         # the hidden layer follows from the config
         pytest.param(lambda c: c["config"].update(hidden=7), {},
                      named("layer_sizes must be (8, 7, 6) (as config.hidden gives), "
@@ -571,9 +576,10 @@ class TestTrainerMechanics:
         pytest.param(lambda c: c.update(visited=[2] * len(c["visited"])), {},
                      named("visited must be 0 or 1, found 2.0 at [0]"), id="visited-two"),
         pytest.param(lambda c: c["config"].update(raw_student_pseudo="yes"), {},
-                     named("raw_student_pseudo must be a bool, got 'yes'"), id="config-bool"),
+                     named("config.raw_student_pseudo must be a bool, got 'yes'"),
+                     id="config-bool"),
         pytest.param(lambda c: c["config"].update(hidden=True), {},
-                     named("hidden must be an integer, got True"), id="config-int"),
+                     named("config.hidden must be an integer, got True"), id="config-int"),
         # rng_state by its structure: NumPy's setter truncates 1.5 to 1 and takes True and 5
         *[pytest.param(lambda c, path=path, value=value: set_at(c["rng_state"], path, value), {},
                        named(f"rng_state.{path} must be {rule}, got {value!r}"), id=case)
@@ -592,6 +598,10 @@ class TestTrainerMechanics:
         pytest.param(lambda c: c["logs"][1].update(clean_val_map=2.0), {},
                      named("logs[1].clean_val_map must be None or in [0, 1], got 2.0"),
                      id="log-clean-map"),
+        pytest.param(lambda c: c["logs"][0].update(train_loss=float("nan")), {},
+                     named("logs[0].train_loss must be finite, got nan"), id="log-loss-nan"),
+        pytest.param(lambda c: c["logs"][0].update(train_loss=float("inf")), {},
+                     named("logs[0].train_loss must be finite, got inf"), id="log-loss-inf"),
         pytest.param(lambda c: c["detector"].update(triggered=True), {},
                      named("detector.triggered must be False (as the logs replay), got True"),
                      id="triggered-no-epoch"),
