@@ -93,14 +93,19 @@ class NoiseRecord:
             "regime": (self.regime in NOISE_REGIMES, f"one of {NOISE_REGIMES}")})
 
 
-def _load_clean(datadir, name: str, regime="none") -> MultiLabelDataset:
-    """A split's features, labels and extents; its ``*_observed.csv`` is never read.
-    Under the dominant ``regime``, a missing extents file is an error that names it."""
-    paths = _split_files(datadir, name)[:3]
-    if regime == "dominant" and paths[2] is None:
+def _load_clean(datadir, name: str, regime="none", features=True,
+                copy=False) -> MultiLabelDataset:
+    """The files of a split that a command uses, each checked as ``ingest_csv`` reads it:
+    the labels; the features unless not ``features``; the extents under the dominant
+    ``regime``, or wherever they exist to ``copy`` the split. Its ``*_observed.csv`` is never
+    read. A missing features or labels file is an error even where it is not read, and so
+    is a missing extents file under the dominant ``regime``; each error names the file."""
+    features_path, labels_path, extents_path = _split_files(datadir, name)[:3]
+    if regime == "dominant" and extents_path is None:
         raise ValueError("dominant regime requires extent scores: missing dataset file "
                          f"{_split_paths(datadir, name)['extents']}")
-    return ingest_csv(*paths)
+    return ingest_csv(features_path if features else None, labels_path,
+                      extents_path if copy or regime == "dominant" else None)
 
 
 def _load_splits(spec: ExperimentSpec) -> dict:
@@ -306,14 +311,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    """Draw train and val observed labels from their clean files, never the old observed ones."""
+    """Draw train and val observed labels from their clean files, never the old observed ones.
+    In place it reads only the draw's inputs; a copy reads every file it writes."""
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
-    splits = {name: _load_clean(datadir, name, args.regime) for name in ("train", "val")}
+    # in place when outdir is the data directory; a missing one is named by _load_clean
+    in_place = datadir.exists() and outdir.exists() and outdir.samefile(datadir)
+    splits = {name: _load_clean(datadir, name, args.regime, features=not in_place,
+                                copy=not in_place) for name in ("train", "val")}
     noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
     observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
     outdir.mkdir(parents=True, exist_ok=True)  # only once the input has loaded
-    in_place = outdir.samefile(datadir)
     for name, ds in observed.items():
         if in_place:
             _write_csv(_split_paths(outdir, name)["observed"], ds.y_observed, int)
@@ -322,7 +330,7 @@ def _cmd_corrupt(args) -> int:
     flips.to_csv(outdir / "fliprates.csv")
     if not in_place:
         # a complete data directory: the clean test split and the spec
-        write_split_csv(_load_clean(datadir, "test"), outdir, "test")
+        write_split_csv(_load_clean(datadir, "test", copy=True), outdir, "test")
         if (datadir / "spec.json").exists():
             write_spec_json(read_spec_json(datadir / "spec.json"), outdir / "spec.json")
     # last, so train --data-dir <outdir> redraws exactly these labels

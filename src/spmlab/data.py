@@ -284,7 +284,9 @@ def _read_numeric_csv(path, name):
 
 def ingest_csv(features_path, labels_path, extents_path=None,
                observed_path=None) -> MultiLabelDataset:
-    """Build a dataset from CSV files, checked once by ``MultiLabelDataset``.
+    """Build a dataset from CSV files, checked once by ``MultiLabelDataset``. Without a
+    ``features_path``, for a caller that uses only the labels, the features have the
+    labels' rows and no columns.
 
     A rejection reads ``<kind> <path>: line L, column C: <rule>``, the cell's
     1-based line and column; a row rule gives the line only, a shape rule neither.
@@ -296,6 +298,7 @@ def ingest_csv(features_path, labels_path, extents_path=None,
     for arg, (kind, path) in sources.items():
         if path is not None:
             arrays[arg], lines[arg] = _read_numeric_csv(path, kind)
+    arrays.setdefault("features", np.empty((len(lines["y_true"]), 0)))
     try:
         return MultiLabelDataset(**arrays)
     except ValueError as exc:

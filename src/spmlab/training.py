@@ -294,7 +294,8 @@ class TrainState:
     logs: list = field(metadata={"read": _read_logs})  # an EpochLog per epoch
 
     def validate(self) -> None:
-        """The rules between fields: layers from ``config.hidden``, the rest from ``_replay``."""
+        """The rules between fields: layers from ``config.hidden``, the logged clean maps from
+        ``config.log_clean_val``, ``visited`` from ``config.method``, the rest from ``_replay``."""
         sizes, config, logs = self.layer_sizes, self.config, self.logs
         _check_derived({"layer_sizes": (sizes, _layer_sizes(config, sizes[0], sizes[-1]))},
                        "config.hidden gives")
@@ -311,6 +312,10 @@ class TrainState:
                                              ("stage", (log.stage, stages[i])))},
                         **{f"detector.{key}": (value, getattr(detector, key))
                            for key, value in vars(self.detector).items()}}, "the logs replay")
+        maps = {f"logs[{i}].clean_val_map": log.clean_val_map for i, log in enumerate(logs)}
+        clean = f"{'a number' if config.log_clean_val else 'None'} (as config.log_clean_val gives)"
+        _check_rules(maps, "", {key: ((value is None) != config.log_clean_val, clean)
+                                for key, value in maps.items()})
         visited = config.method == "adagc" and bool(logs)  # an adagc epoch visits every sample
         _check_cells(self.visited, self.visited != visited, "visited",
                      f"be {visited:d} (as config.method and the logs give)")

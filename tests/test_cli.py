@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -52,6 +53,19 @@ def tiny_spec(outdir, method="an", **config_kw):
         regime="random",
         synthetic=SyntheticSpec(n_samples=200, n_classes=5, n_features=6, seed=3),
     )
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The names of the dataset CSVs read, in order: ``data._read_numeric_csv`` parses each."""
+    names, original = [], data._read_numeric_csv
+
+    def recorded(path, name):
+        names.append(path.name)
+        return original(path, name)
+
+    monkeypatch.setattr(data, "_read_numeric_csv", recorded)
+    return names
 
 
 class TestGenCorrupt:
@@ -108,7 +122,7 @@ class TestGenCorrupt:
         observed = np.loadtxt(path, delimiter=",")
         assert np.array_equal(observed.sum(axis=1), np.ones(len(lines)))
 
-    def test_corrupt_in_place_rewrites_only_the_observed_files(self, tmp_path, monkeypatch):
+    def test_corrupt_in_place_rewrites_only_the_observed_files(self, tmp_path, reads):
         d = tmp_path / "d"
         main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
               "--n-features", "5", "--data-seed", "2"])
@@ -116,17 +130,12 @@ class TestGenCorrupt:
         clean = [d / f"{split}_{kind}.csv" for split in ("train", "val")
                  for kind in ("features", "labels", "extents")]
         before = {path: (path.stat().st_ino, path.read_bytes()) for path in clean}
-        read = []
-        original = data._read_numeric_csv
-
-        def recorded(path, name):
-            read.append(path.name)
-            return original(path, name)
-
-        monkeypatch.setattr(data, "_read_numeric_csv", recorded)
+        reads.clear()
         assert main(["corrupt", "--data-dir", str(d), "--regime", "dominant"]) == 0
         assert {path: (path.stat().st_ino, path.read_bytes()) for path in clean} == before
-        assert sorted(read) == sorted(path.name for path in clean)
+        # the draw uses the labels and the extents, never the features
+        assert sorted(reads) == sorted(path.name for path in clean
+                                       if not path.name.endswith("_features.csv"))
 
     def test_corrupt_in_place_leaves_hand_written_labels(self, tmp_path):
         d = tmp_path / "d"
@@ -221,6 +230,60 @@ class TestGenCorrupt:
         assert main(["eval", "--checkpoint", str(tmp_path / "dirty" / "checkpoint.json"),
                      "--data-dir", str(d), "--out", str(tmp_path / "e.json")]) == 0
         assert (tmp_path / "e.json").read_bytes() == (tmp_path / "clean" / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("command, expected", [
+        ("corrupt --data-dir {d} --regime random", "train_labels val_labels"),
+        ("corrupt --data-dir {d} --regime dominant",
+         "train_labels train_extents val_labels val_extents"),
+        ("corrupt --data-dir {d} --regime random --outdir {out}",
+         " ".join(f"{split}_{kind}" for split in ("train", "val", "test")
+                  for kind in ("features", "labels", "extents"))),
+        ("train --data-dir {d} --regime random --epochs 1 --outdir {out}",
+         "train_features train_labels val_features val_labels test_features test_labels"),
+        ("train --data-dir {d} --regime dominant --epochs 1 --outdir {out}",
+         "train_features train_labels train_extents val_features val_labels val_extents "
+         "test_features test_labels"),
+        ("eval --checkpoint {run}/checkpoint.json --data-dir {d} --split val",
+         "val_features val_labels"),
+    ], ids=["corrupt-random", "corrupt-dominant", "corrupt-outdir", "train-random",
+            "train-dominant", "eval"])
+    def test_each_command_reads_only_the_files_it_uses(self, tmp_path, reads, command,
+                                                       expected):
+        # once each, in this order; a missing features or labels file still fails
+        # a command that does not read it (test_missing_dataset_creates_no_directory)
+        d, out, run = tmp_path / "d", tmp_path / "out", tmp_path / "run"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "2"])
+        main(["corrupt", "--data-dir", str(d), "--regime", "dominant"])
+        main(["train", "--data-dir", str(d), "--epochs", "1", "--outdir", str(run)])
+        reads.clear()
+        assert main(command.format(d=d, out=out, run=run).split()) == 0
+        assert reads == [f"{name}.csv" for name in expected.split()]
+
+    def test_a_bad_features_file_fails_the_command_that_reads_it(self, tmp_path, capsys):
+        # corrupt in place draws the same labels from a copy whose training features
+        # hold a non-number; train, which reads them, names the file, line and column
+        clean, bad, run = tmp_path / "clean", tmp_path / "bad", tmp_path / "run"
+        main(["gen", "--outdir", str(clean), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "2"])
+        shutil.copytree(clean, bad)
+        path = bad / "train_features.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[2].split(b",")
+        cells[1] = b"x"
+        lines[2] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        for d in (clean, bad):
+            assert main(["corrupt", "--data-dir", str(d), "--regime", "dominant"]) == 0
+        for name in ("train_observed.csv", "val_observed.csv", "fliprates.csv", "noise.json"):
+            assert (bad / name).read_bytes() == (clean / name).read_bytes()
+        capsys.readouterr()
+        assert main(["train", "--data-dir", str(bad), "--regime", "dominant", "--epochs", "1",
+                     "--outdir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not run.exists()
+        assert json.loads(err) == {"error": "ValueError", "message": f"features {path}: "
+                                   "line 3, column 2: not a number: 'x'"}
 
 
 class TestRunExperiment:

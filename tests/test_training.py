@@ -598,6 +598,13 @@ class TestTrainerMechanics:
         pytest.param(lambda c: c["logs"][1].update(clean_val_map=2.0), {},
                      named("logs[1].clean_val_map must be None or in [0, 1], got 2.0"),
                      id="log-clean-map"),
+        # a clean map is logged exactly when config.log_clean_val asks for it
+        pytest.param(lambda c: c["logs"][0].update(clean_val_map=0.5), {},
+                     named("logs[0].clean_val_map must be None (as config.log_clean_val gives), "
+                           "got 0.5"), id="log-clean-map-unasked"),
+        pytest.param(lambda c: c["config"].update(log_clean_val=True), {},
+                     named("logs[0].clean_val_map must be a number "
+                           "(as config.log_clean_val gives), got None"), id="log-clean-map-missing"),
         pytest.param(lambda c: c["logs"][0].update(train_loss=float("nan")), {},
                      named("logs[0].train_loss must be finite, got nan"), id="log-loss-nan"),
         pytest.param(lambda c: c["logs"][0].update(train_loss=float("inf")), {},
