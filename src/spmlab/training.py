@@ -6,8 +6,8 @@ detector watches the teacher's mAP on the noisy (single-positive)
 validation labels; once it plateaus, training switches to the calibrated
 objective on Mixup batches with fused pseudo-labels. Baseline modes are
 single-stage runs of the corresponding loss. A checkpoint is one record, ``TrainState``, that
-holds its config: ``Trainer.checkpoint`` writes it, ``load_checkpoint`` reads it, and its
-``validate()`` checks every rule between fields, the logs' ``_replay`` against the rest.
+holds its config and no fact that follows from another: ``Trainer.checkpoint`` writes it,
+``load_checkpoint`` reads it, and its ``validate()`` checks every rule between fields.
 ``train`` returns the finished ``Trainer``, with the test report when given a test set.
 """
 
@@ -51,7 +51,7 @@ __all__ = [
 METHODS = ("adagc", "an", "an_ls", "wan", "epr", "iun", "gt")
 
 CHECKPOINT_FORMAT = "spmlab-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -235,13 +235,9 @@ def _read_params(raw, name: str) -> np.ndarray:
     return _check_cells(params, ~np.isfinite(params), name, "be finite")
 
 
-def _read_preds(raw, name: str) -> np.ndarray:
-    return _check_unit(_read_numbers(raw, name, 2, "a list of rows of numbers"), name)
-
-
-def _read_visited(raw, name: str) -> np.ndarray:
-    flags = _read_numbers(raw, name, 1, "a list of 0/1 flags")
-    return _check_cells(flags, (flags != 0.0) & (flags != 1.0), name, "be 0 or 1") == 1.0
+def _read_preds(raw, name: str) -> np.ndarray | None:
+    return None if raw is None else _check_unit(
+        _read_numbers(raw, name, 2, "a list of rows of numbers"), name)
 
 
 def _read_rng_state(raw, name: str) -> dict:
@@ -272,30 +268,28 @@ def _read_rng_state(raw, name: str) -> dict:
 def _read_logs(raw, name: str) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"{name} must be a list, found {reprlib.repr(raw)}")
-    # logs of checkpoints from before per-epoch timing left also carry a wall_time
-    return [_read_record(EpochLog, entry, f"{name}[{i}].", f"{name}[{i}]", ("wall_time",))
+    return [_read_record(EpochLog, entry, f"{name}[{i}].", f"{name}[{i}]")
             for i, entry in enumerate(raw)]
 
 
 @dataclass
 class TrainState:
-    """A run's resumable state, its config first: a checkpoint's fields after format and version."""
+    """A run's resumable state, its config first: a checkpoint's fields after format and version.
+    The epoch, the stages and the detector are not stored: they are the ``_replay`` of the logs.
+    ``smoothed_preds`` is None until an ``adagc`` epoch has visited every sample."""
 
     config: TrainConfig
-    epoch: int
-    stage: str
     layer_sizes: tuple = field(metadata={"read": _read_sizes})
     student_params: np.ndarray = field(metadata={"read": _read_params})
     teacher_params: np.ndarray = field(metadata={"read": _read_params})
-    smoothed_preds: np.ndarray = field(metadata={"read": _read_preds})
-    visited: np.ndarray = field(metadata={"read": _read_visited})  # bool per training sample
-    detector: DetectorState
+    smoothed_preds: np.ndarray | None = field(metadata={"read": _read_preds})
     rng_state: dict = field(metadata={"read": _read_rng_state})
     logs: list = field(metadata={"read": _read_logs})  # an EpochLog per epoch
 
     def validate(self) -> None:
-        """The rules between fields: layers from ``config.hidden``, the logged clean maps from
-        ``config.log_clean_val``, ``visited`` from ``config.method``, the rest from ``_replay``."""
+        """The rules between fields: layers from ``config.hidden``, the logs' epochs and stages
+        from their ``_replay``, their clean maps from ``config.log_clean_val``, and
+        ``smoothed_preds`` from ``config.method`` and the logs."""
         sizes, config, logs = self.layer_sizes, self.config, self.logs
         _check_derived({"layer_sizes": (sizes, _layer_sizes(config, sizes[0], sizes[-1]))},
                        "config.hidden gives")
@@ -304,21 +298,18 @@ class TrainState:
             if size != expected:
                 raise ValueError(f"{name} has {size} entries, "
                                  f"model with layers {sizes} expects {expected}")
-        _check_shape(self.visited, self.smoothed_preds.shape[:1], "visited", "smoothed_preds")
-        detector, stages = _replay(config, logs)
-        _check_derived({"epoch": (self.epoch, len(logs)), "stage": (self.stage, stages[-1]),
-                        **{f"logs[{i}].{key}": pair for i, log in enumerate(logs)
-                           for key, pair in (("epoch", (log.epoch, i)),
-                                             ("stage", (log.stage, stages[i])))},
-                        **{f"detector.{key}": (value, getattr(detector, key))
-                           for key, value in vars(self.detector).items()}}, "the logs replay")
+        stages = _replay(config, logs)[1]
+        _check_derived({f"logs[{i}].{key}": pair for i, log in enumerate(logs)
+                        for key, pair in (("epoch", (log.epoch, i)),
+                                          ("stage", (log.stage, stages[i])))}, "the logs replay")
         maps = {f"logs[{i}].clean_val_map": log.clean_val_map for i, log in enumerate(logs)}
         clean = f"{'a number' if config.log_clean_val else 'None'} (as config.log_clean_val gives)"
         _check_rules(maps, "", {key: ((value is None) != config.log_clean_val, clean)
                                 for key, value in maps.items()})
-        visited = config.method == "adagc" and bool(logs)  # an adagc epoch visits every sample
-        _check_cells(self.visited, self.visited != visited, "visited",
-                     f"be {visited:d} (as config.method and the logs give)")
+        preds = config.method == "adagc" and bool(logs)  # an adagc epoch visits every sample
+        _check_rules(vars(self), "", {"smoothed_preds": (
+            (self.smoothed_preds is not None) == preds,
+            f"{'rows of numbers' if preds else 'None'} (as config.method and the logs give)")})
 
 
 class Trainer:
@@ -516,12 +507,12 @@ class Trainer:
     def checkpoint(self) -> dict:
         """Everything needed to resume the run bit-identically: a ``TrainState``."""
         ema = self.ema
-        state = TrainState(self.config, self.epoch, self.stage, self._student.layer_sizes,
-                           self._student.params, ema.teacher_params, ema.smoothed_preds,
-                           ema.visited, self.detector, self.rng.bit_generator.state, self.logs)
+        state = TrainState(self.config, self._student.layer_sizes, self._student.params,
+                           ema.teacher_params, ema.smoothed_preds if ema.visited.all() else None,
+                           self.rng.bit_generator.state, self.logs)
         return {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                **{k: (v.astype(int) if v.dtype == bool else v).tolist()
-                   if isinstance(v, np.ndarray) else v for k, v in asdict(state).items()}}
+                **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                   for k, v in asdict(state).items()}}
 
     @classmethod
     def from_checkpoint(cls, ckpt: dict, train_ds: MultiLabelDataset,
@@ -532,12 +523,14 @@ class Trainer:
         if state.layer_sizes != trainer._student.layer_sizes:
             raise ValueError(f"checkpoint model has layers {state.layer_sizes}, "
                              f"config and data give {trainer._student.layer_sizes}")
-        _check_shape(state.smoothed_preds, trainer.ema.smoothed_preds.shape, "smoothed_preds",
-                     "the prediction EMA of the training set")
-        trainer.ema.smoothed_preds, trainer.ema.visited = state.smoothed_preds, state.visited
+        if state.smoothed_preds is not None:  # every sample visited
+            trainer.ema.smoothed_preds = _check_shape(
+                state.smoothed_preds, trainer.ema.smoothed_preds.shape, "smoothed_preds",
+                "the prediction EMA of the training set")
+            trainer.ema.visited[:] = True
         trainer._adopt(state.layer_sizes, state.student_params, state.teacher_params)
         trainer.rng.bit_generator.state = state.rng_state
-        trainer.detector, trainer.logs = state.detector, state.logs
+        trainer.detector, trainer.logs = _replay(trainer.config, state.logs)[0], state.logs
         return trainer
 
 

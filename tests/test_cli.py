@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import shutil
@@ -23,15 +24,37 @@ from spmlab.training import (
     METHODS,
     EpochLog,
     TrainConfig,
+    Trainer,
     evaluate,
     load_checkpoint,
     save_checkpoint,
 )
 
 from oracles import reference_write_curves
-from test_training import STATE_KEYS, set_at
 
 DROP = object()  # a parameter that removes the field
+# the state fields a checkpoint holds after its format, version and config
+STATE_KEYS = ["layer_sizes", "student_params", "teacher_params", "smoothed_preds", "rng_state",
+              "logs"]
+# the fields only a version-1 checkpoint held, each with a value it held
+REMOVED_FIELDS = {"epoch": 4, "stage": "gc", "detector": {"n_seen": 4}, "visited": [1] * 100}
+# (path in rng_state, value, rule, case id)
+RNG_MUTATIONS = [
+    ("state.state", 1.5, "an integer in [0, 2**128)", "rng-state-float"),
+    ("state.state", 2 ** 128, "an integer in [0, 2**128)", "rng-state-large"),
+    ("state.inc", True, "an integer in [0, 2**128)", "rng-inc-bool"),
+    ("has_uint32", 5, "0 or 1", "rng-has-uint32"),
+    ("uinteger", -1, "an integer in [0, 2**32)", "rng-uinteger"),
+    ("bit_generator", "MT19937", "'PCG64'", "rng-generator"),
+]
+
+
+def set_at(target, path, value):
+    """Set the entry of ``target`` at the dotted ``path`` (list indices as digits) to ``value``."""
+    *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
 
 # a warmup row without a clean mAP, a gc row with one, and floats whose reprs differ most
 CURVE_LOGS = [EpochLog(0, "warmup", -0.0, 1e-300, 5e-324, None),
@@ -329,7 +352,7 @@ class TestRunExperiment:
         run_experiment(tiny_spec(tmp_path / "run"))
         state = load_checkpoint(tmp_path / "run" / "checkpoint.json")
         assert state.config.epochs == 6
-        assert state.epoch == 6
+        assert len(state.logs) == 6
 
     def test_config_json_reproduces_the_run(self, tmp_path):
         # config.json carries enough to re-run the experiment exactly, in all five artifacts
@@ -801,6 +824,21 @@ def train_on_csv(datadir, outdir, method, *flags):
                  "--outdir", str(outdir), *flags])
 
 
+@pytest.fixture(scope="module")
+def checkpoints(csv_data, tmp_path_factory):
+    """By source: the checkpoint of a run on ``csv_data``, then its training and validation
+    sets. ``adagc`` triggers at epoch 1 of 4, ``adagc-1`` stops after 1 epoch, ``an`` runs 4."""
+    root, runs = tmp_path_factory.mktemp("checkpoints"), {}
+    for source, method, flags in (("adagc", "adagc", []), ("adagc-1", "adagc", ["--epochs", "1"]),
+                                  ("an", "an", [])):
+        assert train_on_csv(csv_data, root / source, method, *flags) == 0
+        spec = read_config_json(root / source / "config.json")
+        observed, _ = cli._corrupt_splits(cli._load_splits(spec), spec.regime, spec.noise_seed)
+        runs[source] = (json.loads((root / source / "checkpoint.json").read_text()),
+                        observed["train"], observed["val"])
+    return runs
+
+
 class TestRunDirectory:
     @pytest.mark.parametrize("method", METHODS)
     def test_eval_rescores_what_train_reported(self, csv_data, tmp_path, method):
@@ -834,7 +872,7 @@ class TestRunDirectory:
         ({"format": "x"}, "not a trainer checkpoint"),
         ([1, 2], "not a trainer checkpoint"),
         ({"format": "spmlab-checkpoint", "version": 99},
-         "unsupported checkpoint version 99, expected 1"),
+         "unsupported checkpoint version 99, expected 2"),
     ], ids=["format", "not-an-object", "version"])
     def test_eval_names_a_file_that_is_not_a_checkpoint(self, csv_data, tmp_path, capsys,
                                                         payload, error):
@@ -862,91 +900,143 @@ class TestRunDirectory:
         assert err == {"error": "ValueError", "message": f"{path}: {field} has 43 entries, "
                        "model with layers (5, 4, 4) expects 44"}
 
-    @pytest.mark.parametrize("field, value, rule", [
-        *[(key, DROP, f"{key} is missing") for key in STATE_KEYS],
-        ("detector", [], "detector must be a JSON object, found []"),
-        ("detector", {"bogus": 1}, "unknown detector field 'bogus'"),
-        ("detector.best_map", "x", "detector.best_map must be a number, got 'x'"),
-        ("logs", 5, "logs must be a list, found 5"),
-        ("logs", [5], "logs[0] must be a JSON object, found 5"),
-        ("logs", [{}], "logs[0].epoch is missing"),
-        ("rng_state", 5, "rng_state must be the state of a PCG64 generator, found 5"),
-        ("rng_state", {}, "rng_state must be the state of a PCG64 generator, found {}"),
-        ("epoch", "x", "epoch must be an integer, got 'x'"),
-        ("epoch", -3, "epoch must be 4 (as the logs replay), got -3"),
-        ("epoch", 99, "epoch must be 4 (as the logs replay), got 99"),
-        ("epoch", 1.5, "epoch must be an integer, got 1.5"),
-        ("epoch", True, "epoch must be an integer, got True"),
-        ("stage", "foo", "stage must be 'gc' (as the logs replay), got 'foo'"),
-        ("stage", None, "stage must be 'gc' (as the logs replay), got None"),
-        ("visited", [2] * 100, "visited must be 0 or 1, found 2.0 at [0]"),
-        ("config.raw_student_pseudo", "yes",
-         "config.raw_student_pseudo must be a bool, got 'yes'"),
-        ("config.hidden", True, "config.hidden must be an integer, got True"),
-        ("layer_sizes", None, "layer_sizes must be 2 or 3 positive integers, found None"),
-        ("layer_sizes", [5, "x"], "layer_sizes must be 2 or 3 positive integers, found [5, 'x']"),
-        ("layer_sizes", [5, -1, 4],
-         "layer_sizes must be 2 or 3 positive integers, found [5, -1, 4]"),
-        ("student_params", "abc", "student_params must be a list of numbers, found 'abc'"),
-        ("student_params", [[1.0]], "student_params must be a list of numbers, found [[1.0]]"),
-        ("rng_state.state.state", 1.5,
-         "rng_state.state.state must be an integer in [0, 2**128), got 1.5"),
-        ("rng_state.state.inc", True,
-         "rng_state.state.inc must be an integer in [0, 2**128), got True"),
-        ("rng_state.has_uint32", 5, "rng_state.has_uint32 must be 0 or 1, got 5"),
-        # the epoch, the stages and the detector follow from the logs: the run improved to a
-        # best noisy map of 0.384931962050462 at epoch 0, of 4, and triggered at epoch 1
-        ("logs.0.stage", "foo", "logs[0].stage must be 'warmup' (as the logs replay), got 'foo'"),
-        ("logs.0.epoch", 7, "logs[0].epoch must be 0 (as the logs replay), got 7"),
-        ("detector.trigger_epoch", None,
-         "detector.trigger_epoch must be 1 (as the logs replay), got None"),
-        ("detector.best_epoch", 9, "detector.best_epoch must be 0 (as the logs replay), got 9"),
-        ("detector.since_improvement", -4,
-         "detector.since_improvement must be 3 (as the logs replay), got -4"),
-        ("config.method", "an", "stage must be 'warmup' (as the logs replay), got 'gc'"),
-        ("detector", {"best_map": 0.5, "best_epoch": 3, "since_improvement": 0,
-                      "triggered": False, "trigger_epoch": None, "n_seen": 4},
-         "detector.best_map must be 0.384931962050462 (as the logs replay), got 0.5"),
-        ("stage", "warmup", "stage must be 'gc' (as the logs replay), got 'warmup'"),
-        ("logs.0.stage", "gc", "logs[0].stage must be 'warmup' (as the logs replay), got 'gc'"),
-        ("detector.best_map", 0.99,
-         "detector.best_map must be 0.384931962050462 (as the logs replay), got 0.99"),
-        ("detector.trigger_epoch", 0,
-         "detector.trigger_epoch must be 1 (as the logs replay), got 0"),
+    @pytest.mark.parametrize("source, field, value, rule", [
+        *[pytest.param("adagc", key, DROP, f"{key} is missing", id=f"no-{key}")
+          for key in STATE_KEYS],
+        pytest.param("adagc", "version", 1, "unsupported checkpoint version 1, expected 2",
+                     id="version-1"),
+        pytest.param("adagc", "version", "2", "unsupported checkpoint version '2', expected 2",
+                     id="version-string"),
+        pytest.param("adagc", "version", DROP, "unsupported checkpoint version None, expected 2",
+                     id="no-version"),
+        # version 1 stored what follows from other fields: a v2 file holds none of it
+        *[pytest.param("adagc", key, value, f"unknown checkpoint field {key!r}", id=f"has-{key}")
+          for key, value in REMOVED_FIELDS.items()],
+        pytest.param("adagc", "logs.0.wall_time", 0.25, "unknown logs[0] field 'wall_time'",
+                     id="log-wall-time"),
+        pytest.param("adagc", "logs", 5, "logs must be a list, found 5", id="logs-int"),
+        pytest.param("adagc", "logs", [5], "logs[0] must be a JSON object, found 5",
+                     id="logs-int-entry"),
+        pytest.param("adagc", "logs", [{}], "logs[0].epoch is missing", id="logs-empty-entry"),
+        pytest.param("adagc", "rng_state", 5,
+                     "rng_state must be the state of a PCG64 generator, found 5", id="rng-int"),
+        pytest.param("adagc", "rng_state", {},
+                     "rng_state must be the state of a PCG64 generator, found {}",
+                     id="rng-empty"),
+        # rng_state by its structure: NumPy's setter truncates 1.5 to 1 and takes True and 5
+        *[pytest.param("adagc", f"rng_state.{path}", value,
+                       f"rng_state.{path} must be {rule}, got {value!r}", id=case)
+          for path, value, rule, case in RNG_MUTATIONS],
+        pytest.param("adagc", "config.raw_student_pseudo", "yes",
+                     "config.raw_student_pseudo must be a bool, got 'yes'", id="config-bool"),
+        pytest.param("adagc", "config.hidden", True, "config.hidden must be an integer, got True",
+                     id="config-int"),
+        pytest.param("adagc", "layer_sizes", None,
+                     "layer_sizes must be 2 or 3 positive integers, found None", id="sizes-null"),
+        pytest.param("adagc", "layer_sizes", [5, "x"],
+                     "layer_sizes must be 2 or 3 positive integers, found [5, 'x']",
+                     id="sizes-string"),
+        pytest.param("adagc", "layer_sizes", [5, -1, 4],
+                     "layer_sizes must be 2 or 3 positive integers, found [5, -1, 4]",
+                     id="sizes-negative"),
+        pytest.param("adagc", "student_params", "abc",
+                     "student_params must be a list of numbers, found 'abc'", id="params-string"),
+        pytest.param("adagc", "student_params", [[1.0]],
+                     "student_params must be a list of numbers, found [[1.0]]",
+                     id="params-nested"),
+        pytest.param("adagc", "teacher_params.0", float("nan"),
+                     "teacher_params must be finite, found nan at [0]", id="params-nan"),
+        pytest.param("adagc", "smoothed_preds.0.0", 1.5,
+                     "smoothed_preds must lie in [0, 1], found 1.5 at [0, 0]",
+                     id="prediction-range"),
+        pytest.param("adagc", "smoothed_preds.0.0", float("nan"),
+                     "smoothed_preds contains non-finite entries",
+                     id="prediction-nan"),
+        pytest.param("adagc", "smoothed_preds", "abc",
+                     "smoothed_preds must be a list of rows of numbers, found 'abc'",
+                     id="preds-string"),
+        pytest.param("adagc", "smoothed_preds", [0.5] * 4,
+                     "smoothed_preds must be a list of rows of numbers, found [0.5, 0.5, 0.5, 0.5]",
+                     id="preds-flat"),
+        pytest.param("adagc", "smoothed_preds", [[0.5] * 4, [0.5]],
+                     "smoothed_preds must be a list of rows of numbers, "
+                     "found [[0.5, 0.5, 0.5, 0.5], [0.5]]", id="preds-ragged"),
         # the hidden layer follows from the config
-        ("config.hidden", 7, "layer_sizes must be (5, 7, 4) (as config.hidden gives), "
-         "got (5, 4, 4)"),
-        ("config.hidden", 0, "layer_sizes must be (5, 4) (as config.hidden gives), got (5, 4, 4)"),
-        # every sample is visited once an adagc run has logged an epoch
-        ("visited", [0] * 100,
-         "visited must be 1 (as config.method and the logs give), found 0.0 at [0]"),
-        ("logs.0.train_loss", float("nan"), "logs[0].train_loss must be finite, got nan"),
-        ("logs.0.train_loss", float("inf"), "logs[0].train_loss must be finite, got inf"),
-    ], ids=[*(f"no-{key}" for key in STATE_KEYS), "detector-list", "detector-unknown",
-            "best-map-string", "logs-int", "logs-int-entry", "logs-empty-entry", "rng-int",
-            "rng-empty", "epoch-string", "epoch-negative", "epoch-large", "epoch-float",
-            "epoch-bool", "stage-unknown", "stage-null", "visited-two", "config-bool",
-            "config-int", "sizes-null", "sizes-string", "sizes-negative", "params-string",
-            "params-nested", "rng-state-float", "rng-inc-bool", "rng-has-uint32", "log-stage",
-            "log-epoch", "triggered-no-epoch", "best-epoch-unseen", "since-improvement",
-            "stage-gc-an", "stage-gc-untriggered", "stage-warmup-triggered",
-            "log-stage-flipped", "best-map-high", "trigger-moved", "config-hidden-other",
-            "config-hidden-zero", "visited-zeroed", "log-loss-nan", "log-loss-inf"])
-    def test_eval_names_a_bad_model_field(self, csv_data, tmp_path, capsys, field, value, rule):
-        # eval reads every state field, also one it does not use, since a resume uses it
-        assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
-        path = tmp_path / "run" / "checkpoint.json"
-        ckpt = json.loads(path.read_text())
+        pytest.param("adagc", "config.hidden", 7,
+                     "layer_sizes must be (5, 7, 4) (as config.hidden gives), got (5, 4, 4)",
+                     id="config-hidden-other"),
+        pytest.param("adagc", "config.hidden", 0,
+                     "layer_sizes must be (5, 4) (as config.hidden gives), got (5, 4, 4)",
+                     id="config-hidden-zero"),
+        # the logs' maps checked against themselves, their epochs and stages against their
+        # replay: the run triggered at epoch 1, so it logged warmup, warmup, gc, gc
+        pytest.param("adagc", "logs.0.stage", "foo",
+                     "logs[0].stage must be 'warmup' (as the logs replay), got 'foo'",
+                     id="log-stage"),
+        pytest.param("adagc", "logs.0.stage", "gc",
+                     "logs[0].stage must be 'warmup' (as the logs replay), got 'gc'",
+                     id="log-stage-flipped"),
+        pytest.param("adagc", "logs.3.stage", "warmup",
+                     "logs[3].stage must be 'gc' (as the logs replay), got 'warmup'",
+                     id="log-stage-unflipped"),
+        pytest.param("adagc", "logs.0.epoch", 7,
+                     "logs[0].epoch must be 0 (as the logs replay), got 7", id="log-epoch"),
+        pytest.param("adagc", "config.method", "an",
+                     "logs[2].stage must be 'warmup' (as the logs replay), got 'gc'",
+                     id="config-method-an"),
+        pytest.param("adagc", "logs.1.noisy_val_map", 1.5,
+                     "logs[1].noisy_val_map must be in [0, 1], got 1.5", id="log-map"),
+        pytest.param("adagc", "logs.1.noisy_val_map_student", -0.5,
+                     "logs[1].noisy_val_map_student must be in [0, 1], got -0.5",
+                     id="log-student-map"),
+        pytest.param("adagc", "logs.1.clean_val_map", 2.0,
+                     "logs[1].clean_val_map must be None or in [0, 1], got 2.0",
+                     id="log-clean-map"),
+        # a clean map is logged exactly when config.log_clean_val asks for it
+        pytest.param("adagc", "logs.0.clean_val_map", 0.5,
+                     "logs[0].clean_val_map must be None (as config.log_clean_val gives), got 0.5",
+                     id="log-clean-map-unasked"),
+        pytest.param("adagc", "config.log_clean_val", True,
+                     "logs[0].clean_val_map must be a number (as config.log_clean_val gives), "
+                     "got None", id="log-clean-map-missing"),
+        pytest.param("adagc", "logs.0.train_loss", float("nan"),
+                     "logs[0].train_loss must be finite, got nan", id="log-loss-nan"),
+        pytest.param("adagc", "logs.0.train_loss", float("inf"),
+                     "logs[0].train_loss must be finite, got inf", id="log-loss-inf"),
+        # smoothed predictions are stored exactly when an adagc epoch has visited every sample
+        pytest.param("an", "smoothed_preds", [[0.5] * 4] * 100,
+                     "smoothed_preds must be None (as config.method and the logs give), "
+                     "got array([[0.5, ...5, 0.5, 0.5]])", id="an-preds"),
+        pytest.param("adagc-1", "smoothed_preds", None,
+                     "smoothed_preds must be rows of numbers (as config.method and the logs "
+                     "give), got None", id="adagc-no-preds"),
+        pytest.param("adagc", "logs", [],
+                     "smoothed_preds must be None (as config.method and the logs give), "
+                     "got array([[0.386... 0.3458979 ]])", id="adagc-no-logs-preds"),
+    ])
+    @pytest.mark.parametrize("reader", ["load", "eval"])
+    def test_checkpoint_edit_is_one_named_error(self, csv_data, checkpoints, tmp_path, capsys,
+                                                reader, source, field, value, rule):
+        # each reader alone: on load for a resume, and by eval, which reads every field, also
+        # one it does not use
+        ckpt, train_ds, val_ds = checkpoints[source]
+        ckpt = copy.deepcopy(ckpt)
         if value is DROP:
             del ckpt[field]
         else:
             set_at(ckpt, field, value)
+        if reader == "load":
+            with pytest.raises(ValueError) as exc:
+                Trainer.from_checkpoint(ckpt, train_ds, val_ds)
+            assert str(exc.value) == f"checkpoint: {rule}"
+            return
+        path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(ckpt))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data),
                      "--use-student"]) == 1
         out, err = capsys.readouterr()
-        assert out == ""
+        assert out == "" and err.count("\n") == 1
         assert json.loads(err) == {"error": "ValueError", "message": f"{path}: {rule}"}
 
     def test_eval_names_a_file_that_is_not_json(self, csv_data, tmp_path, capsys):
