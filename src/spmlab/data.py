@@ -9,8 +9,9 @@ Synthetic features are extent-weighted mixtures of per-class Gaussian
 prototypes plus unit noise, so dominant classes are the most visible and
 minor classes carry proportionally weaker signal. A row's classes are
 ``rng.choice``'s draws and its extent shares ``rng.dirichlet``'s, both made
-without the per-call checks; the shares are clamped and normalised after
-the row loop, once per row cardinality.
+without the per-call checks. The row loop only draws: the first round's CDF
+is built once per call, and ``rng.dirichlet``'s division, the clamp and the
+normalisation run after the loop, once per row cardinality.
 
 CSV files are only parsed here: a cell is whatever Python's ``float`` takes
 (``1_0``, ``３`` and `` 7`` too) and must be finite, and every row is as wide
@@ -134,31 +135,28 @@ def _split_sizes(n: int, ratio) -> tuple:
     return n_train, n_val, n - n_train - n_val
 
 
-def _draw_classes(rng, weights, k) -> list:
-    """The rounds and draws of ``rng.choice(len(weights), k, replace=False, p=weights)``."""
-    weights, found = weights.tolist(), {}  # ordered: a class keeps its first draw's place
-    while len(found) < k:
-        cdf = list(accumulate(weights))
-        total = cdf[-1]
-        cdf = [c / total for c in cdf]
+def _cdf(weights: list) -> list:
+    """``rng.choice``'s CDF of ``weights``: sums left to right, each divided by the last."""
+    cdf = list(accumulate(weights))
+    total = cdf[-1]
+    return [c / total for c in cdf]
+
+
+def _draw_classes(rng, weights: list, cdf: list, k) -> list:
+    """The rounds and draws of ``rng.choice(len(weights), k, replace=False, p=weights)``,
+    whose first round's CDF is ``cdf``. A later round's leaves out the classes found."""
+    found = {}  # ordered: a class keeps its first draw's place
+    while True:
         for x in rng.random(k - len(found)).tolist():
-            c = bisect_right(cdf, x)
-            found[c] = weights[c] = 0.0  # found, and out of the next round's CDF
-    return list(found)
-
-
-def _dirichlet(rng, alpha) -> list:
-    """The draws and values of ``rng.dirichlet(alpha)``, without its per-call array checks."""
-    if max(alpha) < 0.1:  # NumPy breaks a stick instead
-        return rng.dirichlet(alpha).tolist()
-    draws = [rng.standard_gamma(a) for a in alpha]
-    # summed left to right, as NumPy does; sum() compensates on Python 3.12+
-    inv = 1.0 / list(accumulate(draws))[-1]
-    return [g * inv for g in draws]
+            found[bisect_right(cdf, x)] = None
+        if len(found) == k:
+            return list(found)
+        cdf = _cdf([0.0 if c in found else w for c, w in enumerate(weights)])
 
 
 def generate_synthetic(spec: SyntheticSpec) -> dict:
-    """Generate seeded train/val/test splits of a synthetic dataset."""
+    """Generate seeded train/val/test splits of a synthetic dataset: the rows are those of one
+    ``rng.choice`` and one ``rng.dirichlet`` call each, drawn in a loop that does nothing else."""
     spec.validate()
     rng = make_rng(spec.seed)
     n, n_classes, d = spec.n_samples, spec.n_classes, spec.n_features
@@ -175,20 +173,28 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     # the loop only draws; the arithmetic runs after it, once per row cardinality
     y = np.zeros((n, n_classes))
     extents = np.zeros((n, n_classes))
-    alpha = (spec.extent_concentration * n_classes * weights).tolist()
+    alpha = spec.extent_concentration * n_classes * weights
+    weights, alphas = weights.tolist(), alpha.tolist()
+    cdf = _cdf(weights)
     drawn, raw = array("q"), array("d")
     for k in cardinality.tolist():
-        classes = _draw_classes(rng, weights, k)
+        classes = _draw_classes(rng, weights, cdf, k)
         drawn.extend(classes)
-        raw.extend(_dirichlet(rng, [alpha[c] for c in classes]))
+        a = [alphas[c] for c in classes]
+        # rng.dirichlet's draws: a broken stick if every alpha is below 0.1, else gammas
+        raw.extend(rng.dirichlet(a).tolist() if max(a) < 0.1 else map(rng.standard_gamma, a))
     drawn, raw = np.frombuffer(drawn, dtype=np.int64), np.frombuffer(raw)
 
     starts = np.cumsum(cardinality) - cardinality
     for k in np.flatnonzero(np.bincount(cardinality)):  # np.unique would import numpy.ma
         rows = np.flatnonzero(cardinality == k)
         at = starts[rows, None] + np.arange(k)
+        share = raw[at]
+        # a gamma row times 1 / its sum left to right, as NumPy does; a stick row is done
+        total = sum(share.T[1:], share[:, 0])
+        share *= np.where(alpha[drawn[at]].max(axis=1) < 0.1, 1.0, 1.0 / total)[:, None]
         # a C-contiguous row sums exactly as the row's own 1-D sum
-        share = np.maximum(raw[at], 1e-9)
+        share = np.maximum(share, 1e-9)
         share = share / share.sum(axis=1, keepdims=True)
         y[rows[:, None], drawn[at]] = 1.0
         extents[rows[:, None], drawn[at]] = share

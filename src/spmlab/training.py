@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .net import (Mlp, _check_cells, _check_derived, _check_param, _check_rules, _check_shape,
                   _check_unit, _sigmoid, make_rng, sigmoid)
-from .records import _check_fields, _read_record, atomic_open, read_json
+from .records import _check_fields, _check_type, _read_record, atomic_open, read_json
 
 __all__ = [
     "METHODS",
@@ -498,8 +498,10 @@ class Trainer:
         return log
 
     def run(self, max_epochs: int | None = None) -> None:
+        """Run to ``config.epochs``, or at most ``max_epochs`` (a non-negative integer) more."""
         target = self.config.epochs
-        if max_epochs is not None:
+        if _check_type("max_epochs", max_epochs, int | None) is not None:
+            _check_param("max_epochs", max_epochs, max_epochs >= 0, "non-negative")
             target = min(target, self.epoch + max_epochs)
         while self.epoch < target:
             self.run_epoch()
@@ -519,15 +521,18 @@ class Trainer:
                         val_ds: MultiLabelDataset) -> "Trainer":
         """Read the parsed checkpoint's state, check it against the data, then adopt it."""
         state = _read_checkpoint(ckpt, "checkpoint")
-        trainer = cls(state.config, train_ds, val_ds)
-        if state.layer_sizes != trainer._student.layer_sizes:
-            raise ValueError(f"checkpoint model has layers {state.layer_sizes}, "
-                             f"config and data give {trainer._student.layer_sizes}")
-        if state.smoothed_preds is not None:  # every sample visited
-            trainer.ema.smoothed_preds = _check_shape(
-                state.smoothed_preds, trainer.ema.smoothed_preds.shape, "smoothed_preds",
-                "the prediction EMA of the training set")
-            trainer.ema.visited[:] = True
+        try:  # the data's checks name the checkpoint, as its fields' do
+            trainer = cls(state.config, train_ds, val_ds)
+            if state.layer_sizes != trainer._student.layer_sizes:
+                raise ValueError(f"model has layers {state.layer_sizes}, "
+                                 f"config and data give {trainer._student.layer_sizes}")
+            if state.smoothed_preds is not None:  # every sample visited
+                trainer.ema.smoothed_preds = _check_shape(
+                    state.smoothed_preds, trainer.ema.smoothed_preds.shape, "smoothed_preds",
+                    "the prediction EMA of the training set")
+                trainer.ema.visited[:] = True
+        except ValueError as exc:
+            raise ValueError(f"checkpoint: {exc}") from None
         trainer._adopt(state.layer_sizes, state.student_params, state.teacher_params)
         trainer.rng.bit_generator.state = state.rng_state
         trainer.detector, trainer.logs = _replay(trainer.config, state.logs)[0], state.logs

@@ -16,7 +16,7 @@ from oracles import (
 from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
-    _dirichlet,
+    _cdf,
     _draw_classes,
     _read_numeric_csv,
     _write_csv,
@@ -133,19 +133,28 @@ class TestClassDraws:
     @pytest.mark.parametrize("n_classes", [2, 5, 19, 80])
     @pytest.mark.parametrize("skewed", [False, True], ids=["linear", "skewed"])
     def test_same_draws_as_rng_choice(self, n_classes, skewed):
-        # one class 100x the rest: later rounds and repeated draws within a round
+        # one class 100x the rest: later rounds and repeated draws within a round. One
+        # generator draws a run of rows of mixed k from the shared first-round CDF, so a
+        # later round that changed that CDF would change the next row's draws
         weights = np.linspace(1.0, 0.35, n_classes)
         if skewed:
             weights = np.ones(n_classes)
             weights[n_classes // 2] = 100.0
         weights = weights / weights.sum()
-        for k in range(1, n_classes + 1):
-            for seed in range(3):
-                expected_rng = np.random.default_rng([seed, k, n_classes])
-                rng = np.random.default_rng([seed, k, n_classes])
+        cdf = _cdf(weights.tolist())
+        expected_cdf = np.cumsum(weights)
+        expected_cdf /= expected_cdf[-1]
+        assert np.array(cdf).tobytes() == expected_cdf.tobytes()
+        for seed in range(3):
+            ks = np.random.default_rng([seed, n_classes, 1]).permutation(
+                np.arange(1, n_classes + 1).repeat(2))
+            expected_rng = np.random.default_rng([seed, n_classes])
+            rng = np.random.default_rng([seed, n_classes])
+            for k in ks.tolist():
                 expected = expected_rng.choice(n_classes, k, replace=False, p=weights)
-                assert _draw_classes(rng, weights, k) == expected.tolist()
-                assert rng.bit_generator.state == expected_rng.bit_generator.state
+                assert _draw_classes(rng, weights.tolist(), cdf, k) == expected.tolist()
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+        assert np.array(cdf).tobytes() == expected_cdf.tobytes()
 
     @pytest.mark.parametrize("shape", [
         {},
@@ -157,10 +166,13 @@ class TestClassDraws:
         # alpha from 0.051 to 0.148: some rows take NumPy's stick-breaking
         # path, others its gamma path
         {"extent_concentration": 0.1},
-        # rows of up to 19 shares, so sums with k >= 9 are pairwise
+        # rows of up to 19 shares, so sums with k >= 9 are pairwise: all on the gamma path,
+        # all on the stick path (alpha below 0.075), or straddling (alpha 0.077 to 0.219)
         {"mean_positives": 12.0},
+        {"mean_positives": 12.0, "extent_concentration": 0.05},
+        {"mean_positives": 12.0, "extent_concentration": 0.148},
     ], ids=["default", "c2", "c80", "all-positive", "one-positive", "peaked-extents",
-            "straddling-extents", "long-rows"])
+            "straddling-extents", "long-rows", "long-stick-rows", "long-straddling-rows"])
     def test_generator_equals_the_rng_choice_loop(self, shape):
         for seed in range(3):
             spec = SyntheticSpec(n_samples=300, n_features=8, seed=seed, **shape)
@@ -170,19 +182,6 @@ class TestClassDraws:
                 # bytes, so that -0.0 in place of 0.0 would fail
                 assert np.concatenate([getattr(ds, got) for ds in splits]).tobytes() == \
                     want.tobytes()
-
-    @pytest.mark.parametrize("scale", [3.0, 0.05, 0.148], ids=["gamma", "stick", "straddling"])
-    def test_same_draws_as_rng_dirichlet(self, scale):
-        # alpha decays to 0.35 * scale: all >= 0.1, all < 0.1, or straddling 0.1 from k = 2
-        for k in range(1, 20):
-            alpha = (scale * np.linspace(1.0, 0.35, k)).tolist()
-            for seed in range(3):
-                expected_rng = np.random.default_rng([seed, k])
-                rng = np.random.default_rng([seed, k])
-                for _ in range(20):
-                    expected = expected_rng.dirichlet(np.array(alpha))
-                    assert np.array(_dirichlet(rng, alpha)).tobytes() == expected.tobytes()
-                assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_generator_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma, about 1 MB of peak memory on every benchmark workload

@@ -480,11 +480,13 @@ class TestTrainerMechanics:
                                   "model with layers (8, 8, 6) expects 126")
 
     @pytest.mark.parametrize("load_data, error", [
-        pytest.param(dict(d=5), "checkpoint model has layers (8, 8, 6), "
+        pytest.param(dict(d=5), "checkpoint: model has layers (8, 8, 6), "
                      "config and data give (5, 8, 6)", id="other-features"),
-        pytest.param(dict(n=400), "smoothed_preds must have shape (200, 6) to match the "
-                     "prediction EMA of the training set, found shape (300, 6)",
+        pytest.param(dict(n=400), "checkpoint: smoothed_preds must have shape (200, 6) to match "
+                     "the prediction EMA of the training set, found shape (300, 6)",
                      id="other-train-size"),
+        pytest.param(dict(regime="none"), "checkpoint: method 'adagc' requires single-positive "
+                     "observed training labels", id="multi-positive"),
     ])
     def test_checkpoint_checked_against_the_data(self, load_data, error):
         # every field edit is in tests/test_cli.py's table, on load and by eval
@@ -496,6 +498,29 @@ class TestTrainerMechanics:
         with pytest.raises(ValueError) as exc:
             Trainer.from_checkpoint(ckpt, other_tr, other_va)
         assert str(exc.value) == error
+
+    @pytest.mark.parametrize("max_epochs, error", [
+        (1.5, "max_epochs must be an integer or None, got 1.5"),
+        (2.0, "max_epochs must be an integer or None, got 2.0"),
+        (True, "max_epochs must be an integer or None, got True"),
+        ("1", "max_epochs must be an integer or None, got '1'"),
+        (-1, "max_epochs must be non-negative, got -1"),
+    ], ids=["fraction", "float", "bool", "str", "negative"])
+    def test_run_rejects_a_bad_max_epochs(self, max_epochs, error):
+        tr, va, te = small_data()
+        trainer = Trainer(small_config(epochs=3), tr, va)
+        trainer.run(max_epochs=1)
+        with pytest.raises(ValueError) as exc:
+            trainer.run(max_epochs=max_epochs)
+        assert str(exc.value) == error
+        assert trainer.epoch == 1
+        # None runs to config.epochs, 0 runs none, and a NumPy integer counts
+        trainer.run(max_epochs=0)
+        assert trainer.epoch == 1
+        trainer.run(max_epochs=np.int64(1))
+        assert trainer.epoch == 2
+        trainer.run(max_epochs=None)
+        assert trainer.epoch == 3
 
     @pytest.mark.parametrize("stage, method, lam, raw_student", [
         *[pytest.param("warmup", m, 3.0, False, id=f"warmup-{m}") for m in METHODS],
