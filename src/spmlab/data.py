@@ -255,7 +255,7 @@ def _csv_records(fh):
 def _read_numeric_csv(path, name):
     """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped."""
     values, lines, width, line_no = array("d"), [], None, 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             for line_no, row in _csv_records(fh):
                 if not row:
@@ -277,6 +277,8 @@ def _read_numeric_csv(path, name):
                 lines.append(line_no)
         except csv.Error as exc:  # the record after the last one read
             raise ValueError(f"{name} {path}: line {line_no + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no line
+            raise ValueError(f"{name} {path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise ValueError(f"{name} {path}: file is empty")
     matrix = np.frombuffer(values).reshape(len(lines), width)

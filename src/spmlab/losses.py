@@ -22,9 +22,9 @@ public functions cover it.
 
 Conventions:
 
-* ``loss_an`` / ``loss_an_ls`` / ``loss_wan`` / ``loss_iun`` and the
-  positive term of ``loss_epr`` are unnormalized double sums over the
-  batch; the training loop divides them by the batch size.
+* ``loss_an`` / ``loss_an_ls`` / ``loss_wan`` / ``loss_iun`` / ``loss_epr``
+  are unnormalized sums over the batch; the training loop divides them
+  by the batch size.
 * the calibration regularizers (``reg_elr_mcc``, ``reg_gc_binary``,
   ``reg_gc``) and the combined ``loss_adagc`` are already averaged over
   the batch, so their weights transfer across batch sizes.
@@ -123,7 +123,7 @@ def loss_wan(p, y_observed, w_neg: float) -> LossValue:
 def loss_epr(p, y_observed, k_expected: float, epr_weight: float = 1.0) -> LossValue:
     """Positive-only BCE plus a squared penalty on the expected label count.
 
-    penalty = epr_weight * (1/n) * sum_i ((sum_c p_ic - k_expected) / C)^2
+    penalty = epr_weight * sum_i ((sum_c p_ic - k_expected) / C)^2, summed over rows as the BCE
     """
     p = _clamp(p)
     y = _check_binary(y_observed, "y_observed", p.shape, "p")
@@ -134,12 +134,12 @@ def loss_epr(p, y_observed, k_expected: float, epr_weight: float = 1.0) -> LossV
 
 
 def _epr_terms(p, y, k_expected, epr_weight):
-    n, n_classes = p.shape
+    n_classes = p.shape[1]
     pos_value = float(-(y * np.log(p)).sum())
     excess = p.sum(axis=1) - k_expected
-    value = pos_value + epr_weight * float(np.mean((excess / n_classes) ** 2))
+    value = pos_value + epr_weight * float(((excess / n_classes) ** 2).sum())
     grad = y * (p - 1.0)
-    grad = grad + (epr_weight * 2.0 * excess / (n * n_classes**2))[:, None] * p * (1.0 - p)
+    grad = grad + (epr_weight * 2.0 * excess / n_classes**2)[:, None] * p * (1.0 - p)
     return value, grad
 
 

@@ -98,12 +98,14 @@ def _json_dump(obj, path) -> None:
 
 
 def read_json(path):
-    """The JSON value in the file ``path``; a parse error names the file."""
-    with open(path) as fh:
+    """The JSON value in the UTF-8 file ``path``; a parse or decode error names the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _check_known(cls, keys, kind: str) -> None:

@@ -6,13 +6,15 @@ detector watches the teacher's mAP on the noisy (single-positive)
 validation labels; once it plateaus, training switches to the calibrated
 objective on Mixup batches with fused pseudo-labels. Baseline modes are
 single-stage runs of the corresponding loss. A checkpoint is one record, ``TrainState``, that
-holds its config and no fact that follows from another: ``Trainer.checkpoint`` writes it,
-``load_checkpoint`` reads it, and its ``validate()`` checks every rule between fields.
+holds its config and no fact that follows from another, each array as the base64 of its
+``'<f8'`` bytes: ``Trainer.checkpoint`` writes it, ``load_checkpoint`` reads it, and its
+``validate()`` checks every rule between fields.
 ``train`` returns the finished ``Trainer``, with the test report when given a test set.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import reprlib
 from dataclasses import asdict, dataclass, field, replace
@@ -30,7 +32,7 @@ from .metrics import (
     compute_metric_report,
 )
 from .net import (Mlp, _check_cells, _check_derived, _check_param, _check_rules, _check_shape,
-                  _check_unit, _sigmoid, make_rng, sigmoid)
+                  _sigmoid, make_rng, sigmoid)
 from .records import _check_fields, _check_type, _read_record, atomic_open, read_json
 
 __all__ = [
@@ -51,7 +53,7 @@ __all__ = [
 METHODS = ("adagc", "an", "an_ls", "wan", "epr", "iun", "gt")
 
 CHECKPOINT_FORMAT = "spmlab-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -219,25 +221,33 @@ def _read_sizes(raw, name: str) -> tuple:
     return tuple(raw)
 
 
-def _read_numbers(raw, name: str, ndim: int, what: str) -> np.ndarray:
-    """The JSON lists ``raw`` as a float64 array of ``ndim`` axes, else rejected as not ``what``."""
+def _encode_floats(a: np.ndarray) -> str:
+    """The array ``a`` as a checkpoint stores it: the base64 of its C-order ``'<f8'`` bytes."""
+    return base64.b64encode(np.asarray(a, "<f8").tobytes()).decode("ascii")
+
+
+def _read_floats(raw, name: str, ok, rule: str) -> np.ndarray:
+    """The flat float64 array that the string ``raw`` encodes, read strictly; a value that is
+    not ``ok`` breaks ``rule``."""
     try:
-        a = np.array(raw) if isinstance(raw, list) else None
-    except ValueError:  # lists nested unevenly
-        a = None
-    if a is None or a.ndim != ndim or a.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be {what}, found {reprlib.repr(raw)}")
-    return np.asarray(a, dtype=np.float64)
+        data = base64.b64decode(raw, validate=True) if isinstance(raw, str) else None
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        data = None
+    if data is None:
+        raise ValueError(f"{name} must be a base64 string, found {reprlib.repr(raw)}")
+    if len(data) % 8:
+        raise ValueError(f"{name} has {len(data)} bytes, not a whole number of float64 values")
+    values = np.frombuffer(data, "<f8").astype(np.float64)
+    return _check_cells(values, ~ok(values), name, rule)
 
 
 def _read_params(raw, name: str) -> np.ndarray:
-    params = _read_numbers(raw, name, 1, "a list of numbers")
-    return _check_cells(params, ~np.isfinite(params), name, "be finite")
+    return _read_floats(raw, name, np.isfinite, "be finite")
 
 
 def _read_preds(raw, name: str) -> np.ndarray | None:
-    return None if raw is None else _check_unit(
-        _read_numbers(raw, name, 2, "a list of rows of numbers"), name)
+    return None if raw is None else _read_floats(raw, name, lambda p: (p >= 0.0) & (p <= 1.0),
+                                                 "lie in [0, 1]")
 
 
 def _read_rng_state(raw, name: str) -> dict:
@@ -276,7 +286,7 @@ def _read_logs(raw, name: str) -> list:
 class TrainState:
     """A run's resumable state, its config first: a checkpoint's fields after format and version.
     The epoch, the stages and the detector are not stored: they are the ``_replay`` of the logs.
-    ``smoothed_preds`` is None until an ``adagc`` epoch has visited every sample."""
+    ``smoothed_preds``, the prediction EMA flat, is None until an ``adagc`` epoch has run."""
 
     config: TrainConfig
     layer_sizes: tuple = field(metadata={"read": _read_sizes})
@@ -289,7 +299,7 @@ class TrainState:
     def validate(self) -> None:
         """The rules between fields: layers from ``config.hidden``, the logs' epochs and stages
         from their ``_replay``, their clean maps from ``config.log_clean_val``, and
-        ``smoothed_preds`` from ``config.method`` and the logs."""
+        ``smoothed_preds`` from ``config.method`` and the logs, in whole rows."""
         sizes, config, logs = self.layer_sizes, self.config, self.logs
         _check_derived({"layer_sizes": (sizes, _layer_sizes(config, sizes[0], sizes[-1]))},
                        "config.hidden gives")
@@ -310,6 +320,9 @@ class TrainState:
         _check_rules(vars(self), "", {"smoothed_preds": (
             (self.smoothed_preds is not None) == preds,
             f"{'rows of numbers' if preds else 'None'} (as config.method and the logs give)")})
+        if preds and (self.smoothed_preds.size == 0 or self.smoothed_preds.size % sizes[-1]):
+            raise ValueError(f"smoothed_preds has {self.smoothed_preds.size} entries, "
+                             f"not a positive whole number of rows of {sizes[-1]}")
 
 
 class Trainer:
@@ -510,10 +523,11 @@ class Trainer:
         """Everything needed to resume the run bit-identically: a ``TrainState``."""
         ema = self.ema
         state = TrainState(self.config, self._student.layer_sizes, self._student.params,
-                           ema.teacher_params, ema.smoothed_preds if ema.visited.all() else None,
+                           ema.teacher_params,
+                           ema.smoothed_preds.ravel() if ema.visited.all() else None,
                            self.rng.bit_generator.state, self.logs)
         return {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                **{k: _encode_floats(v) if isinstance(v, np.ndarray) else v
                    for k, v in asdict(state).items()}}
 
     @classmethod
@@ -528,7 +542,8 @@ class Trainer:
                                  f"config and data give {trainer._student.layer_sizes}")
             if state.smoothed_preds is not None:  # every sample visited
                 trainer.ema.smoothed_preds = _check_shape(
-                    state.smoothed_preds, trainer.ema.smoothed_preds.shape, "smoothed_preds",
+                    state.smoothed_preds.reshape(-1, state.layer_sizes[-1]),
+                    trainer.ema.smoothed_preds.shape, "smoothed_preds",
                     "the prediction EMA of the training set")
                 trainer.ema.visited[:] = True
         except ValueError as exc:
@@ -558,17 +573,9 @@ def evaluate(model: Mlp, dataset: MultiLabelDataset,
 
 
 def save_checkpoint(ckpt: dict, path) -> None:
-    """The bytes of ``json.dump`` plus a newline, C-encoded a ``smoothed_preds`` row at a time."""
-    encode = json.JSONEncoder().encode
+    """Write ``ckpt`` atomically, as the bytes of ``json.dump`` plus a newline."""
     with atomic_open(path) as fh:
-        for i, (key, value) in enumerate(ckpt.items()):
-            fh.write(f"{', ' if i else '{'}{encode(key)}: ")
-            if isinstance(value, list) and value and isinstance(value[0], list):
-                fh.writelines(f"{', ' if j else '['}{encode(row)}" for j, row in enumerate(value))
-                fh.write("]")
-            else:
-                fh.write(encode(value))
-        fh.write("}\n" if ckpt else "{}\n")
+        fh.write(json.dumps(ckpt) + "\n")
 
 
 def _read_checkpoint(ckpt, source) -> TrainState:

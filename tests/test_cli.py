@@ -1,3 +1,4 @@
+import base64
 import copy
 import csv
 import json
@@ -50,11 +51,31 @@ RNG_MUTATIONS = [
 
 
 def set_at(target, path, value):
-    """Set the entry of ``target`` at the dotted ``path`` (list indices as digits) to ``value``."""
+    """Set the entry of ``target`` at the dotted ``path`` (list indices as digits) to ``value``,
+    or to ``value(entry)`` if ``value`` is callable."""
     *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
     for parent in parents:
         target = target[parent]
-    target[key] = value
+    target[key] = value(target[key]) if callable(value) else value
+
+
+def stored(values) -> str:
+    """An array as a checkpoint stores it: the base64 of its C-order little-endian float64s."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unstored(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def recoded(edit):
+    """A ``set_at`` value: the stored array decoded, passed through ``edit``, re-encoded."""
+    return lambda text: stored(edit(unstored(text)))
+
+
+def first_set(value):
+    """A ``recoded`` edit: the array with its first entry set to ``value``."""
+    return lambda a: np.r_[value, a[1:]]
 
 # a warmup row without a clean mAP, a gc row with one, and floats whose reprs differ most
 CURVE_LOGS = [EpochLog(0, "warmup", -0.0, 1e-300, 5e-324, None),
@@ -872,7 +893,7 @@ class TestRunDirectory:
         ({"format": "x"}, "not a trainer checkpoint"),
         ([1, 2], "not a trainer checkpoint"),
         ({"format": "spmlab-checkpoint", "version": 99},
-         "unsupported checkpoint version 99, expected 2"),
+         "unsupported checkpoint version 99, expected 3"),
     ], ids=["format", "not-an-object", "version"])
     def test_eval_names_a_file_that_is_not_a_checkpoint(self, csv_data, tmp_path, capsys,
                                                         payload, error):
@@ -891,7 +912,7 @@ class TestRunDirectory:
         assert train_on_csv(csv_data, tmp_path / "run", "adagc") == 0
         path = tmp_path / "run" / "checkpoint.json"
         ckpt = json.loads(path.read_text())
-        ckpt[field].pop()
+        set_at(ckpt, field, recoded(lambda a: a[:-1]))
         path.write_text(json.dumps(ckpt))
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(path), "--data-dir", str(csv_data),
@@ -903,13 +924,15 @@ class TestRunDirectory:
     @pytest.mark.parametrize("source, field, value, rule", [
         *[pytest.param("adagc", key, DROP, f"{key} is missing", id=f"no-{key}")
           for key in STATE_KEYS],
-        pytest.param("adagc", "version", 1, "unsupported checkpoint version 1, expected 2",
+        pytest.param("adagc", "version", 1, "unsupported checkpoint version 1, expected 3",
                      id="version-1"),
-        pytest.param("adagc", "version", "2", "unsupported checkpoint version '2', expected 2",
+        pytest.param("adagc", "version", 2, "unsupported checkpoint version 2, expected 3",
+                     id="version-2"),
+        pytest.param("adagc", "version", "3", "unsupported checkpoint version '3', expected 3",
                      id="version-string"),
-        pytest.param("adagc", "version", DROP, "unsupported checkpoint version None, expected 2",
+        pytest.param("adagc", "version", DROP, "unsupported checkpoint version None, expected 3",
                      id="no-version"),
-        # version 1 stored what follows from other fields: a v2 file holds none of it
+        # version 1 stored what follows from other fields: a v3 file holds none of it
         *[pytest.param("adagc", key, value, f"unknown checkpoint field {key!r}", id=f"has-{key}")
           for key, value in REMOVED_FIELDS.items()],
         pytest.param("adagc", "logs.0.wall_time", 0.25, "unknown logs[0] field 'wall_time'",
@@ -939,28 +962,74 @@ class TestRunDirectory:
         pytest.param("adagc", "layer_sizes", [5, -1, 4],
                      "layer_sizes must be 2 or 3 positive integers, found [5, -1, 4]",
                      id="sizes-negative"),
-        pytest.param("adagc", "student_params", "abc",
-                     "student_params must be a list of numbers, found 'abc'", id="params-string"),
+        # each array is one string, the base64 of its float64 bytes, read strictly
         pytest.param("adagc", "student_params", [[1.0]],
-                     "student_params must be a list of numbers, found [[1.0]]",
+                     "student_params must be a base64 string, found [[1.0]]",
                      id="params-nested"),
-        pytest.param("adagc", "teacher_params.0", float("nan"),
+        pytest.param("adagc", "student_params", "abc",
+                     "student_params must be a base64 string, found 'abc'",
+                     id="params-string"),
+        pytest.param("adagc", "teacher_params", lambda text: text[:-5] + "*" + text[-4:],
+                     "teacher_params must be a base64 string, found 'z2aqOVpWvz8g...NQsbN5N3*vw=='",
+                     id="params-not-base64"),
+        pytest.param("adagc", "teacher_params", lambda text: text + "\n",
+                     "teacher_params must be a base64 string, "
+                     "found 'z2aqOVpWvz8g...sbN5N3Ivw==\\n'",
+                     id="params-newline"),
+        pytest.param("adagc", "student_params", "\u00e9" * 4,
+                     "student_params must be a base64 string, found '\u00e9\u00e9\u00e9\u00e9'",
+                     id="params-not-ascii"),
+        pytest.param("adagc", "teacher_params", lambda text: text[:-4],
+                     "teacher_params has 351 bytes, not a whole number of float64 values",
+                     id="params-truncated"),
+        pytest.param("adagc", "student_params", lambda text: unstored(text).tolist(),
+                     "student_params must be a base64 string, found [0.12191026307691477, "
+                     "-0.2148206395453155, -0.3682403262266079, -0.43121195539746837, "
+                     "0.28421124882525783, 0.3971661343175504, ...]",
+                     id="params-v2-list"),
+        pytest.param("adagc", "student_params", 5,
+                     "student_params must be a base64 string, found 5", id="params-int"),
+        pytest.param("adagc", "student_params", recoded(lambda a: a[:-1]),
+                     "student_params has 43 entries, model with layers (5, 4, 4) expects 44",
+                     id="params-short"),
+        pytest.param("adagc", "teacher_params", recoded(lambda a: np.r_[a, 0.0]),
+                     "teacher_params has 45 entries, model with layers (5, 4, 4) expects 44",
+                     id="params-long"),
+        pytest.param("adagc", "teacher_params", recoded(first_set(np.nan)),
                      "teacher_params must be finite, found nan at [0]", id="params-nan"),
-        pytest.param("adagc", "smoothed_preds.0.0", 1.5,
-                     "smoothed_preds must lie in [0, 1], found 1.5 at [0, 0]",
+        pytest.param("adagc", "student_params", recoded(first_set(-np.inf)),
+                     "student_params must be finite, found -inf at [0]", id="params-inf"),
+        pytest.param("adagc", "smoothed_preds", recoded(first_set(1.5)),
+                     "smoothed_preds must lie in [0, 1], found 1.5 at [0]",
                      id="prediction-range"),
-        pytest.param("adagc", "smoothed_preds.0.0", float("nan"),
-                     "smoothed_preds contains non-finite entries",
+        pytest.param("adagc", "smoothed_preds", recoded(first_set(np.nan)),
+                     "smoothed_preds must lie in [0, 1], found nan at [0]",
                      id="prediction-nan"),
+        pytest.param("adagc", "smoothed_preds", recoded(first_set(-0.5)),
+                     "smoothed_preds must lie in [0, 1], found -0.5 at [0]",
+                     id="prediction-negative"),
         pytest.param("adagc", "smoothed_preds", "abc",
-                     "smoothed_preds must be a list of rows of numbers, found 'abc'",
+                     "smoothed_preds must be a base64 string, found 'abc'",
                      id="preds-string"),
         pytest.param("adagc", "smoothed_preds", [0.5] * 4,
-                     "smoothed_preds must be a list of rows of numbers, found [0.5, 0.5, 0.5, 0.5]",
+                     "smoothed_preds must be a base64 string, found [0.5, 0.5, 0.5, 0.5]",
                      id="preds-flat"),
+        pytest.param("adagc", "smoothed_preds", [[0.5] * 4] * 100,
+                     "smoothed_preds must be a base64 string, found ["
+                     + "[0.5, 0.5, 0.5, 0.5], " * 6 + "...]",
+                     id="preds-v2-rows"),
         pytest.param("adagc", "smoothed_preds", [[0.5] * 4, [0.5]],
-                     "smoothed_preds must be a list of rows of numbers, "
+                     "smoothed_preds must be a base64 string, "
                      "found [[0.5, 0.5, 0.5, 0.5], [0.5]]", id="preds-ragged"),
+        pytest.param("adagc", "smoothed_preds", lambda text: text[:-4],
+                     "smoothed_preds has 3198 bytes, not a whole number of float64 values",
+                     id="preds-truncated"),
+        pytest.param("adagc", "smoothed_preds", recoded(lambda a: a[:-1]),
+                     "smoothed_preds has 399 entries, not a positive whole number of rows of 4",
+                     id="preds-partial-row"),
+        pytest.param("adagc", "smoothed_preds", "",
+                     "smoothed_preds has 0 entries, not a positive whole number of rows of 4",
+                     id="preds-empty"),
         # the hidden layer follows from the config
         pytest.param("adagc", "config.hidden", 7,
                      "layer_sizes must be (5, 7, 4) (as config.hidden gives), got (5, 4, 4)",
@@ -1004,15 +1073,15 @@ class TestRunDirectory:
         pytest.param("adagc", "logs.0.train_loss", float("inf"),
                      "logs[0].train_loss must be finite, got inf", id="log-loss-inf"),
         # smoothed predictions are stored exactly when an adagc epoch has visited every sample
-        pytest.param("an", "smoothed_preds", [[0.5] * 4] * 100,
+        pytest.param("an", "smoothed_preds", stored([0.5] * 400),
                      "smoothed_preds must be None (as config.method and the logs give), "
-                     "got array([[0.5, ...5, 0.5, 0.5]])", id="an-preds"),
+                     "got array([0.5, 0....5, 0.5, 0.5])", id="an-preds"),
         pytest.param("adagc-1", "smoothed_preds", None,
                      "smoothed_preds must be rows of numbers (as config.method and the logs "
                      "give), got None", id="adagc-no-preds"),
         pytest.param("adagc", "logs", [],
                      "smoothed_preds must be None (as config.method and the logs give), "
-                     "got array([[0.386... 0.3458979 ]])", id="adagc-no-logs-preds"),
+                     "got array([0.3864..., 0.3458979 ])", id="adagc-no-logs-preds"),
     ])
     @pytest.mark.parametrize("reader", ["load", "eval"])
     def test_checkpoint_edit_is_one_named_error(self, csv_data, checkpoints, tmp_path, capsys,
@@ -1046,6 +1115,39 @@ class TestRunDirectory:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": f"{path}: not valid JSON "
                        "(Expecting value: line 1 column 1 (char 0))"}
+
+    @pytest.mark.parametrize("name", ["checkpoint.json", "noise.json"])
+    def test_a_json_file_that_is_not_utf8_is_one_named_error(self, csv_data, tmp_path, capsys,
+                                                              name):
+        # eval reads the checkpoint, train --data-dir the noise seed's record
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        data = tmp_path / "data"
+        shutil.copytree(csv_data, data)
+        path = (tmp_path / "run" if name == "checkpoint.json" else data) / name
+        path.write_bytes(b"\xff" + (path.read_bytes() if path.exists() else b"{}"))
+        out = tmp_path / "out"
+        command = (["eval", "--checkpoint", str(path), "--out", str(out)]
+                   if name == "checkpoint.json" else
+                   ["train", "--regime", "random", "--epochs", "1", "--outdir", str(out)])
+        capsys.readouterr()
+        assert main([*command, "--data-dir", str(data)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1 and not out.exists()
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{path}: not UTF-8 text (invalid start byte)"}
+
+    def test_a_csv_file_that_is_not_utf8_is_one_named_error(self, csv_data, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(csv_data, data)
+        path = data / "test_features.csv"
+        text = path.read_bytes()
+        path.write_bytes(text[:text.index(b",") + 1] + b"\xff" + text[text.index(b",") + 2:])
+        out = tmp_path / "run"
+        assert train_on_csv(data, out, "an") == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1 and not out.exists()
+        assert json.loads(err) == {"error": "ValueError", "message": f"features {path}: "
+                                   "not UTF-8 text (invalid start byte)"}
 
     def test_eval_names_the_true_line_of_a_bad_label_row(self, csv_data, tmp_path, capsys):
         # a blank line, then an all-zero row in place of the last one

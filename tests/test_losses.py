@@ -118,6 +118,18 @@ class TestLossEpr:
         penalty = lv.value - (-np.log(0.9))
         assert abs(penalty - 0.25) < 1e-12
 
+    def test_batch_loss_is_the_sum_of_its_parts(self):
+        # the penalty sums over rows, as the positive term does, so its weight does not
+        # depend on the batch size: [A; B] costs A plus B, with each gradient row unchanged
+        rng = make_rng(4)
+        p = rng.uniform(0.05, 0.95, size=(7, 5))
+        y = np.eye(5)[rng.integers(0, 5, size=7)]
+        whole = L.loss_epr(p, y, 1.5, epr_weight=3.0)
+        parts = [L.loss_epr(p[rows], y[rows], 1.5, epr_weight=3.0)
+                 for rows in (slice(0, 3), slice(3, 7))]
+        assert abs(whole.value - (parts[0].value + parts[1].value)) <= 1e-12 * whole.value
+        assert np.array_equal(whole.dlogits, np.concatenate([part.dlogits for part in parts]))
+
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):
             L.loss_epr(np.full((1, 4), 0.5), np.eye(4)[:1], 0.0)

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import math
@@ -26,10 +27,13 @@ from spmlab.training import (
     EpochLog,
     TrainConfig,
     Trainer,
+    _encode_floats,
+    _read_floats,
     _replay,
     _stage,
     detect_early_learning,
     evaluate,
+    load_checkpoint,
     mixup_batch,
     save_checkpoint,
     train,
@@ -368,10 +372,11 @@ class TestTrainerMechanics:
         assert resumed.checkpoint() == full.checkpoint()
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_checkpoint_of_every_epoch_passes_its_own_checks(self, method):
-        # at every boundary from epoch 0, with clean validation maps logged: the resumed run
-        # ends as the uninterrupted one, and only an adagc epoch stores smoothed predictions.
-        # adagc runs to two epochs into the calibrated stage; gt and iun see full labels
+    def test_checkpoint_of_every_epoch_passes_its_own_checks(self, method, tmp_path):
+        # at every boundary from epoch 0, with clean validation maps logged, through the file:
+        # the resumed run ends as the uninterrupted one, and only an adagc epoch stores smoothed
+        # predictions. adagc runs to two epochs into the calibrated stage; gt and iun see full
+        # labels
         tr, va, te = small_data()
         if method in ("gt", "iun"):
             tr, va = (ds.with_observed(ds.y_true.copy()) for ds in (tr, va))
@@ -384,11 +389,15 @@ class TestTrainerMechanics:
         assert (method != "adagc") == (full.stage == "warmup")
         assert full.logs[-1].clean_val_map is not None
         trainer = Trainer(cfg, tr, va)
+        path, again = tmp_path / "checkpoint.json", tmp_path / "again.json"
         for epoch in range(full.epoch + 1):
-            ckpt = json.loads(json.dumps(trainer.checkpoint()))
-            assert (ckpt["smoothed_preds"] is None) == (method != "adagc" or epoch == 0)
-            resumed = Trainer.from_checkpoint(ckpt, tr, va)
-            assert json.loads(json.dumps(resumed.checkpoint())) == ckpt
+            save_checkpoint(trainer.checkpoint(), path)
+            state = load_checkpoint(path)
+            assert (state.smoothed_preds is None) == (method != "adagc" or epoch == 0)
+            assert len(state.logs) == epoch
+            resumed = Trainer.from_checkpoint(json.loads(path.read_text()), tr, va)
+            save_checkpoint(resumed.checkpoint(), again)
+            assert again.read_bytes() == path.read_bytes()
             resumed.run(max_epochs=full.epoch - epoch)
             assert resumed.checkpoint() == full.checkpoint()
             if epoch < full.epoch:
@@ -409,6 +418,21 @@ class TestTrainerMechanics:
         resumed.run()
         trainer.run()
         assert resumed.checkpoint() == trainer.checkpoint()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308])), max_size=40))
+    def test_a_stored_array_round_trips_bit_for_bit(self, values):
+        # -0.0, subnormals, the extremes and NaN payloads too: the string is the base64 of the
+        # '<f8' bytes, and decoding it gives every value's bits back
+        a = np.array(values, dtype=np.float64)
+        text = _encode_floats(a)
+        assert text == base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
+        back = _read_floats(json.loads(json.dumps(text)), "x", lambda v: np.ones(v.shape, bool), "")
+        assert back.dtype == np.float64 and back.shape == a.shape
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
 
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_saved_checkpoint_has_the_bytes_of_json_dump(self, tmp_path, hidden):
@@ -440,8 +464,8 @@ class TestTrainerMechanics:
 
     @pytest.mark.parametrize("edit, error", [
         (lambda c: c.update(format="x"), "checkpoint: not a trainer checkpoint"),
-        (lambda c: c.update(version=3),
-         "checkpoint: unsupported checkpoint version 3, expected 2"),
+        (lambda c: c.update(version=2),
+         "checkpoint: unsupported checkpoint version 2, expected 3"),
     ], ids=["format", "version"])
     def test_checkpoint_format_and_version_checked(self, edit, error):
         tr, va, te = small_data()
@@ -473,7 +497,7 @@ class TestTrainerMechanics:
     def test_checkpoint_names_a_parameter_list_of_the_wrong_length(self, field):
         tr, va, te = small_data()
         ckpt = Trainer(small_config(method="adagc", epochs=1), tr, va).checkpoint()
-        ckpt[field].pop()
+        ckpt[field] = _encode_floats(_read_floats(ckpt[field], field, np.isfinite, "")[:-1])
         with pytest.raises(ValueError) as exc:
             Trainer.from_checkpoint(ckpt, tr, va)
         assert str(exc.value) == (f"checkpoint: {field} has 125 entries, "
