@@ -15,11 +15,17 @@ normalisation run after the loop, once per row cardinality.
 
 CSV files are only parsed here: a cell is whatever Python's ``float`` takes
 (``1_0``, ``３`` and `` 7`` too) and must be finite, and every row is as wide
-as the first. Lines are split on commas until the first that
+as the first. A file of plain numbers (only digits, ``.``, ``,``, ``e``,
+``E``, ``+``, ``-`` and line ends, no blank line, no line longer than the field
+size limit), as ``_write_csv`` writes them, is parsed by ``np.loadtxt``'s C reader:
+it reads a cell with the same ``PyOS_string_to_double`` as ``float``, so the
+values are the same bits. Any other file, and one ``loadtxt`` does not take
+whole, goes to the exact reader: lines are split on commas until the first that
 holds a quote or a NUL or is longer than the field size limit; ``csv.reader``
 reads from that line on, so the cells and line numbers are its own for the
 whole file, and its errors (an oversize cell) are named like the rest. Each
-row is one ``map(float)``. The rules on the arrays are those of
+row is one ``map(float)``. So the values, line numbers and every error are
+those of the exact reader either way. The rules on the arrays are those of
 ``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
 prefixes a rejection with the file, line and column it points at.
 
@@ -31,6 +37,7 @@ is written and read through ``records``, like every JSON artifact.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from bisect import bisect_right
@@ -252,10 +259,31 @@ def _csv_records(fh):
         yield line_no, line.split(",") if line else []
 
 
-def _read_numeric_csv(path, name):
-    """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped."""
+_PLAIN = b"0123456789.,eE+-\r\n"
+
+
+def _plain_matrix(data: bytes):
+    """``np.loadtxt``'s matrix of ``data``, or None unless ``data`` is non-empty, holds only
+    ``_PLAIN`` bytes, has no blank line and no line longer than ``csv.field_size_limit()``
+    (which ``csv.reader`` applies to a cell), and ``loadtxt`` takes every cell. ``float``
+    differs from ``loadtxt``'s cell parser, ``PyOS_string_to_double``, only in whitespace
+    and underscores, which ``_PLAIN`` leaves out."""
+    if not data or data.translate(None, _PLAIN):
+        return None
+    lines = data.decode("ascii").splitlines()  # as newline="" splits them
+    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:  # ragged rows, an empty cell, "1e": the exact reader names it
+        return None
+
+
+def _read_csv_rows(data, path, name):
+    """(matrix, 1-based line of each row) of the UTF-8 text ``data`` as ``_csv_records``
+    reads it."""
     values, lines, width, line_no = array("d"), [], None, 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         try:
             for line_no, row in _csv_records(fh):
                 if not row:
@@ -281,7 +309,22 @@ def _read_numeric_csv(path, name):
             raise ValueError(f"{name} {path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise ValueError(f"{name} {path}: file is empty")
-    matrix = np.frombuffer(values).reshape(len(lines), width)
+    return np.frombuffer(values).reshape(len(lines), width), lines
+
+
+def _read_numeric_csv(path, name):
+    """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped.
+
+    The file is read once. ``_plain_matrix`` parses a file of plain numbers in C, and its
+    rows are lines 1 to n; any other file, or one it does not take whole, goes to
+    ``_read_csv_rows``. The values, lines and every error are the same either way."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    matrix = _plain_matrix(data)
+    if matrix is None:
+        matrix, lines = _read_csv_rows(data, path, name)
+    else:
+        lines = list(range(1, len(matrix) + 1))
     bad = ~np.isfinite(matrix)
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -248,7 +248,7 @@ def reference_generate_synthetic(spec):
 def reference_read_numeric_csv(path, name):
     """(matrix, 1-based line of each row) of a CSV of finite numbers; blank lines are skipped."""
     rows, lines = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
     _cdf,
+    _csv_records,
     _draw_classes,
     _read_numeric_csv,
     _write_csv,
@@ -281,11 +283,11 @@ class TestCsvFormat:
 
 class TestIngestValidation:
     def write(self, tmp_path, features, labels, extents=None):
-        (tmp_path / "f.csv").write_text(features)
-        (tmp_path / "l.csv").write_text(labels)
+        (tmp_path / "f.csv").write_text(features, encoding="utf-8")
+        (tmp_path / "l.csv").write_text(labels, encoding="utf-8")
         paths = [tmp_path / "f.csv", tmp_path / "l.csv"]
         if extents is not None:
-            (tmp_path / "e.csv").write_text(extents)
+            (tmp_path / "e.csv").write_text(extents, encoding="utf-8")
             paths.append(tmp_path / "e.csv")
         return paths
 
@@ -362,16 +364,29 @@ QUOTED = ['"1"', '"-2.5"', '"6\n"', '"\r\n8"', '" 9 "', '"1""2"', '"12345"']
 ODD = ["nan", "inf", "-inf", "x", "", " ", "\t", '"', '""', '"4,5"', '"6\n7"', "\x00", "1\x00",
        "\x85", "\u2028", '1"2']
 LINE_ENDS = ["\r\n", "\n", "\r"]
+# plain spellings, which NumPy's parser reads: the writer's repr and other formats of
+# any finite float (subnormals, -0.0 and the extremes among them), long digit
+# strings, values that overflow, and a bare sign or point
+PLAIN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([repr(x), "%.17e" % x, "%.3E" % x])),
+    st.text("0123456789", min_size=25, max_size=25),
+    st.text("0123456789", min_size=400, max_size=400),
+    st.sampled_from(["1e400", "-1e400", "+.5", "5."]))
 
 
 @st.composite
 def csv_texts(draw):
-    """File text of rows of ``width`` cells, with blank, ragged and odd rows among them."""
+    """File text of rows of ``width`` cells, with blank, ragged and odd rows among them; in
+    three files of four, only plain cells in full rows, with now and then a ragged or ``,`` one."""
     width = draw(st.integers(1, 3))
-    cell = st.sampled_from(NUMBERS * 4 + QUOTED * 2 + ODD)
+    plain = draw(st.integers(0, 3)) > 0
+    cell = PLAIN if plain else st.one_of(st.sampled_from(NUMBERS * 4 + QUOTED * 2 + ODD), PLAIN)
     full = st.lists(cell, min_size=width, max_size=width).map(",".join)
-    row = st.one_of(full, full, full, st.lists(cell, max_size=4).map(",".join),
-                    st.sampled_from(["", " ", ","]))
+    kinds = [full] * (9 if plain else 3) + [
+        st.lists(cell, min_size=int(plain), max_size=4).map(",".join),
+        st.sampled_from([","] if plain else ["", " ", ","])]
+    row = st.one_of(*kinds)
     rows = draw(st.lists(st.tuples(row, st.sampled_from(LINE_ENDS)), max_size=6))
     text = "".join(cells + end for cells, end in rows)
     return text[:-1] if text and draw(st.booleans()) else text  # an unterminated last line
@@ -389,7 +404,7 @@ def read_outcome(read, path):
 def csv_error_record(path):
     """The 1-based record at which ``csv.reader`` raises on ``path``."""
     record = 1
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             for _ in csv.reader(fh):
                 record += 1
@@ -402,7 +417,7 @@ class TestNumericCsvReader:
     """``_read_numeric_csv`` accepts, numbers and rejects what the all-``csv.reader``
     ``reference_read_numeric_csv`` does, and names ``csv.reader``'s own errors."""
 
-    @given(csv_texts(), st.sampled_from([None, 4]))
+    @given(csv_texts(), st.sampled_from([None, None, 4]))
     @settings(max_examples=500, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_the_csv_reader_reference(self, tmp_path, text, field_limit):
@@ -410,13 +425,80 @@ class TestNumericCsvReader:
         path.write_bytes(text.encode())
         default_limit = csv.field_size_limit()
         try:
-            if field_limit is not None:  # 123456 is too long for it, the others pass
+            if field_limit is not None:  # 123456 and most plain cells are too long for it
                 csv.field_size_limit(field_limit)
             expected = read_outcome(reference_read_numeric_csv, path)
             if expected[0] is csv.Error:
                 expected = (ValueError,
                             f"features {path}: line {csv_error_record(path)}: {expected[1]}")
             assert read_outcome(_read_numeric_csv, path) == expected
+        finally:
+            csv.field_size_limit(default_limit)
+
+
+def written_split(tmp_path):
+    """The train split of a small synthetic dataset with dominant single positives, after
+    ``write_split_csv`` wrote its four files to ``tmp_path``, as ``gen`` and ``corrupt`` do."""
+    spec = SyntheticSpec(n_samples=60, n_classes=5, n_features=4, seed=3)
+    ds = generate_synthetic(spec)["train"]
+    observed = np.zeros_like(ds.y_true)
+    observed[np.arange(ds.n_samples), ds.extents.argmax(axis=1)] = 1.0
+    ds = ds.with_observed(observed)
+    write_split_csv(ds, tmp_path, "train")
+    return ds
+
+
+def refuse_records(fh):
+    raise AssertionError("_csv_records read a file of plain numbers")
+
+
+class TestPlainCsvFastPath:
+    """A file of plain numbers is parsed by NumPy; a respelling of it that is not plain
+    goes through ``_csv_records`` to the same matrix bytes."""
+
+    def test_a_written_split_is_read_without_the_exact_reader(self, tmp_path, monkeypatch):
+        ds = written_split(tmp_path)
+        monkeypatch.setattr("spmlab.data._csv_records", refuse_records)
+        back = load_split_csv(tmp_path, "train")
+        for field in ("features", "y_true", "extents", "y_observed"):
+            assert getattr(back, field).tobytes() == getattr(ds, field).tobytes(), field
+
+    @pytest.mark.parametrize("respell, blank_at", [
+        (lambda text: re.sub(r"^[^,]*", r'"\g<0>"', text, count=1), None),
+        (lambda text: re.sub(r"(\d)(\d)", r"\1_\2", text, count=1), None),
+        (lambda text: text.replace("\r\n", "\r\n\r\n", 1), 2),
+    ], ids=["quoted-cell", "underscore", "blank-line"])
+    def test_a_respelled_file_goes_through_the_exact_reader(self, tmp_path, monkeypatch,
+                                                            respell, blank_at):
+        written_split(tmp_path)
+        path = tmp_path / "train_features.csv"
+        plain, lines = _read_numeric_csv(path, "features")
+        respelled = tmp_path / "respelled.csv"
+        respelled.write_bytes(respell(path.read_bytes().decode()).encode())
+        read = []
+        monkeypatch.setattr("spmlab.data._csv_records",
+                            lambda fh: read.append(fh) or _csv_records(fh))
+        matrix, respelled_lines = _read_numeric_csv(respelled, "features")
+        assert len(read) == 1
+        assert matrix.tobytes() == plain.tobytes()
+        if blank_at is not None:  # the lines from the blank on move down by one
+            lines = [line + (line >= blank_at) for line in lines]
+        assert respelled_lines == lines
+
+    def test_a_line_as_long_as_the_field_size_limit_is_plain(self, tmp_path, monkeypatch):
+        # csv.reader rejects a cell only past the limit: a line of 4 characters holds
+        # none, and is parsed by NumPy; one of 5 goes to csv.reader, which names it
+        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+        short.write_bytes(b"1234\r\n")
+        long.write_bytes(b"12345\r\n")
+        default_limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(4)
+            with pytest.raises(ValueError) as exc:
+                _read_numeric_csv(long, "features")
+            assert str(exc.value) == f"features {long}: line 1: field larger than field limit (4)"
+            monkeypatch.setattr("spmlab.data._csv_records", refuse_records)
+            assert _read_numeric_csv(short, "features")[0].tolist() == [[1234.0]]
         finally:
             csv.field_size_limit(default_limit)
 

@@ -7,7 +7,7 @@ import pytest
 
 import spmlab
 
-SOURCES = {path.stem: ast.parse(path.read_text(), str(path))
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
            for path in sorted(Path(spmlab.__file__).parent.glob("*.py"))}
 
 
