@@ -73,6 +73,11 @@ class ExperimentSpec:
             "data_dir": (self.data_dir is None or isinstance(self.data_dir, str), "a str or None")})
         if (self.synthetic is None) == (self.data_dir is None):
             raise ValueError("exactly one of synthetic spec or data_dir is required")
+        # the nearest of outdir and its parents that exists: a file there fails mkdir
+        outdir = Path(self.outdir).absolute()
+        if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+            raise ValueError(f"outdir must be a directory or a path where one can be made, "
+                             f"got {self.outdir!r}")
         if self.regime == "none" and self.train_config.method not in ("gt", "iun"):
             raise ValueError(
                 "regime 'none' keeps full labels and is only valid with "
@@ -294,15 +299,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _clear_data_dir(outdir: Path) -> None:
+    """Make ``outdir`` and remove every dataset file from it, before ``gen`` or a ``corrupt``
+    copy writes its own: a file of older data would pair with the new labels."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    stale = [outdir / name for name in ("spec.json", "fliprates.csv", "noise.json")]
+    for name in ("train", "val", "test"):
+        stale += _split_paths(outdir, name).values()
+    for path in stale:
+        path.unlink(missing_ok=True)
+
+
 def _cmd_gen(args) -> int:
     spec = _config_from_flags(SyntheticSpec, args)
     splits = generate_synthetic(spec)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    # the observed labels, flip rates and noise of older data would pair with the new labels
-    for stale in [_split_paths(outdir, name)["observed"] for name in splits] + [
-            outdir / "fliprates.csv", outdir / "noise.json"]:
-        stale.unlink(missing_ok=True)
+    _clear_data_dir(outdir)
     for name, ds in splits.items():
         write_split_csv(ds, outdir, name)
     write_spec_json(spec, outdir / "spec.json")
@@ -321,18 +333,21 @@ def _cmd_corrupt(args) -> int:
                                 copy=not in_place) for name in ("train", "val")}
     noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
     observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
-    outdir.mkdir(parents=True, exist_ok=True)  # only once the input has loaded
-    for name, ds in observed.items():
-        if in_place:
+    if in_place:
+        for name, ds in observed.items():
             _write_csv(_split_paths(outdir, name)["observed"], ds.y_observed, int)
-        else:
+    else:
+        # a complete data directory: the clean test split and the spec too, each read
+        # before the outdir is made and its older data removed
+        splits = dict(observed, test=_load_clean(datadir, "test", copy=True))
+        spec = datadir / "spec.json"
+        spec = read_spec_json(spec) if spec.exists() else None
+        _clear_data_dir(outdir)
+        for name, ds in splits.items():
             write_split_csv(ds, outdir, name)
+        if spec is not None:
+            write_spec_json(spec, outdir / "spec.json")
     flips.to_csv(outdir / "fliprates.csv")
-    if not in_place:
-        # a complete data directory: the clean test split and the spec
-        write_split_csv(_load_clean(datadir, "test", copy=True), outdir, "test")
-        if (datadir / "spec.json").exists():
-            write_spec_json(read_spec_json(datadir / "spec.json"), outdir / "spec.json")
     # last, so train --data-dir <outdir> redraws exactly these labels
     _json_dump(asdict(NoiseRecord(noise_seed, args.regime)), outdir / "noise.json")
     print(outdir)

@@ -20,12 +20,10 @@ as the first. A file of plain numbers (only digits, ``.``, ``,``, ``e``,
 size limit), as ``_write_csv`` writes them, is parsed by ``np.loadtxt``'s C reader:
 it reads a cell with the same ``PyOS_string_to_double`` as ``float``, so the
 values are the same bits. Any other file, and one ``loadtxt`` does not take
-whole, goes to the exact reader: lines are split on commas until the first that
-holds a quote or a NUL or is longer than the field size limit; ``csv.reader``
-reads from that line on, so the cells and line numbers are its own for the
-whole file, and its errors (an oversize cell) are named like the rest. Each
-row is one ``map(float)``. So the values, line numbers and every error are
-those of the exact reader either way. The rules on the arrays are those of
+whole, goes to the exact reader, ``csv.reader`` itself: the cells and line
+numbers are its own, and its errors (an oversize cell) are named like the rest.
+Each row is one ``map(float)``. So the values, line numbers and every error are
+those of ``csv.reader`` either way. The rules on the arrays are those of
 ``MultiLabelDataset``, the one check each split gets; ``ingest_csv``
 prefixes a rejection with the file, line and column it points at.
 
@@ -42,7 +40,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -242,23 +240,6 @@ def write_split_csv(ds: MultiLabelDataset, outdir, prefix: str) -> list:
     return written
 
 
-def _csv_records(fh):
-    """``enumerate(csv.reader(fh), start=1)``, with quote-free lines split on commas.
-
-    ``csv.reader`` reads from the first line that holds a quote, a NUL (which it rejects
-    before Python 3.11) or more characters than its field size limit, so its errors
-    stay its own. ``fh`` is opened with ``newline=""``, so a line ends at
-    its only ``\\r``, ``\\n`` or ``\\r\\n``, and a blank one is no cells, as in ``csv.reader``.
-    """
-    limit = csv.field_size_limit()
-    for line_no, line in enumerate(fh, start=1):
-        if '"' in line or "\0" in line or len(line) > limit:
-            yield from enumerate(csv.reader(chain([line], fh)), start=line_no)
-            return
-        line = line.rstrip("\r\n")
-        yield line_no, line.split(",") if line else []
-
-
 _PLAIN = b"0123456789.,eE+-\r\n"
 
 
@@ -280,12 +261,12 @@ def _plain_matrix(data: bytes):
 
 
 def _read_csv_rows(data, path, name):
-    """(matrix, 1-based line of each row) of the UTF-8 text ``data`` as ``_csv_records``
-    reads it."""
+    """(matrix, 1-based line of each row) of the UTF-8 text ``data``, whose lines are the
+    records of ``csv.reader``; a blank one, of no cells, is skipped."""
     values, lines, width, line_no = array("d"), [], None, 0
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         try:
-            for line_no, row in _csv_records(fh):
+            for line_no, row in enumerate(csv.reader(fh), start=1):
                 if not row:
                     continue
                 if width is None:

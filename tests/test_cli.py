@@ -578,6 +578,51 @@ class TestCliSurface:
             assert not (d / name).exists()
         assert load_split_csv(d, "train").y_observed is None
 
+    def test_corrupt_outdir_deletes_the_files_of_older_data(self, tmp_path, capsys):
+        # the source has no extents and no spec.json; the outdir holds a corrupted older
+        # dataset and a test_observed.csv, none of which may pair with the new labels
+        src, out = tmp_path / "src", tmp_path / "out"
+        gen = ["gen", "--n-samples", "100", "--n-classes", "4", "--n-features", "5"]
+        assert main(gen + ["--outdir", str(src), "--data-seed", "1"]) == 0
+        for path in [*src.glob("*_extents.csv"), src / "spec.json"]:
+            path.unlink()
+        assert main(gen + ["--outdir", str(out), "--data-seed", "2"]) == 0
+        assert main(["corrupt", "--data-dir", str(out), "--regime", "dominant"]) == 0
+        shutil.copy(out / "val_observed.csv", out / "test_observed.csv")
+        assert main(["corrupt", "--data-dir", str(src), "--regime", "random",
+                     "--outdir", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "fliprates.csv", "noise.json", "test_features.csv", "test_labels.csv",
+            "train_features.csv", "train_labels.csv", "train_observed.csv",
+            "val_features.csv", "val_labels.csv", "val_observed.csv"]
+        capsys.readouterr()
+        assert main(["train", "--data-dir", str(out), "--regime", "dominant", "--epochs", "1",
+                     "--outdir", str(tmp_path / "run")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "dominant regime requires extent scores: "
+            f"missing dataset file {out / 'train_extents.csv'}"}
+
+    @pytest.mark.parametrize("name, content, error", [
+        ("test_labels.csv", "x\r\n", "labels {path}: line 1, column 1: not a number: 'x'"),
+        ("spec.json", "[1, 2]", "{path}: not a JSON object"),
+    ], ids=["test-labels", "spec"])
+    def test_a_failed_corrupt_copy_leaves_the_outdir_as_it_was(self, tmp_path, capsys, name,
+                                                               content, error):
+        # the test split and the spec are read before any older file is removed
+        src, out = tmp_path / "src", tmp_path / "out"
+        gen = ["gen", "--n-samples", "100", "--n-classes", "4", "--n-features", "5"]
+        assert main(gen + ["--outdir", str(src), "--data-seed", "1"]) == 0
+        assert main(gen + ["--outdir", str(out), "--data-seed", "2"]) == 0
+        path = src / name
+        path.write_text(content, encoding="utf-8")
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert main(["corrupt", "--data-dir", str(src), "--regime", "random", "--noise-seed",
+                     "5", "--outdir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": error.format(path=path)}
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
     @pytest.mark.parametrize("content, rule", [
         ('{"noise_seed": "5", "regime": "random"}', "noise_seed must be an integer, got '5'"),
         ('{"noise_seed": true, "regime": "random"}', "noise_seed must be an integer, got True"),
@@ -643,6 +688,29 @@ class TestCliSurface:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "ValueError", "message": "lam must be finite, got nan"}
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, cell", [
+        ("train", None), ("train --data-dir {d}", None), ("grid --grid lam=0,1", "lam=0"),
+    ], ids=["train", "train-data-dir", "grid"])
+    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
+    def test_an_outdir_that_is_a_file_fails_before_any_data(self, tmp_path, capsys,
+                                                            monkeypatch, command, cell, outdir):
+        (tmp_path / "afile").write_text("kept\n")
+
+        def refuse(*args):
+            raise AssertionError("a dataset was read or generated")
+
+        for name in ("generate_synthetic", "ingest_csv", "train"):
+            monkeypatch.setattr(cli, name, refuse)
+        path = tmp_path / outdir
+        argv = command.format(d=tmp_path / "d").split() + ["--outdir", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        named = str(path / cell) if cell else str(path)
+        assert json.loads(err) == {"error": "ValueError", "message": "outdir must be a "
+                                   f"directory or a path where one can be made, got {named!r}"}
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_diverging_run_prints_one_json_error(self, tmp_path):
         # a process of its own, so NumPy's warnings would reach its stderr

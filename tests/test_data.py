@@ -18,8 +18,8 @@ from spmlab.data import (
     MultiLabelDataset,
     SyntheticSpec,
     _cdf,
-    _csv_records,
     _draw_classes,
+    _read_csv_rows,
     _read_numeric_csv,
     _write_csv,
     generate_synthetic,
@@ -448,17 +448,17 @@ def written_split(tmp_path):
     return ds
 
 
-def refuse_records(fh):
-    raise AssertionError("_csv_records read a file of plain numbers")
+def refuse_records(data, path, name):
+    raise AssertionError(f"_read_csv_rows read {path}, a file of plain numbers")
 
 
 class TestPlainCsvFastPath:
     """A file of plain numbers is parsed by NumPy; a respelling of it that is not plain
-    goes through ``_csv_records`` to the same matrix bytes."""
+    goes through ``_read_csv_rows`` to the same matrix bytes."""
 
     def test_a_written_split_is_read_without_the_exact_reader(self, tmp_path, monkeypatch):
         ds = written_split(tmp_path)
-        monkeypatch.setattr("spmlab.data._csv_records", refuse_records)
+        monkeypatch.setattr("spmlab.data._read_csv_rows", refuse_records)
         back = load_split_csv(tmp_path, "train")
         for field in ("features", "y_true", "extents", "y_observed"):
             assert getattr(back, field).tobytes() == getattr(ds, field).tobytes(), field
@@ -467,7 +467,8 @@ class TestPlainCsvFastPath:
         (lambda text: re.sub(r"^[^,]*", r'"\g<0>"', text, count=1), None),
         (lambda text: re.sub(r"(\d)(\d)", r"\1_\2", text, count=1), None),
         (lambda text: text.replace("\r\n", "\r\n\r\n", 1), 2),
-    ], ids=["quoted-cell", "underscore", "blank-line"])
+        (lambda text: text.replace(",", ", "), None),
+    ], ids=["quoted-cell", "underscore", "blank-line", "comma-space"])
     def test_a_respelled_file_goes_through_the_exact_reader(self, tmp_path, monkeypatch,
                                                             respell, blank_at):
         written_split(tmp_path)
@@ -476,8 +477,8 @@ class TestPlainCsvFastPath:
         respelled = tmp_path / "respelled.csv"
         respelled.write_bytes(respell(path.read_bytes().decode()).encode())
         read = []
-        monkeypatch.setattr("spmlab.data._csv_records",
-                            lambda fh: read.append(fh) or _csv_records(fh))
+        monkeypatch.setattr("spmlab.data._read_csv_rows",
+                            lambda *args: read.append(args) or _read_csv_rows(*args))
         matrix, respelled_lines = _read_numeric_csv(respelled, "features")
         assert len(read) == 1
         assert matrix.tobytes() == plain.tobytes()
@@ -497,7 +498,7 @@ class TestPlainCsvFastPath:
             with pytest.raises(ValueError) as exc:
                 _read_numeric_csv(long, "features")
             assert str(exc.value) == f"features {long}: line 1: field larger than field limit (4)"
-            monkeypatch.setattr("spmlab.data._csv_records", refuse_records)
+            monkeypatch.setattr("spmlab.data._read_csv_rows", refuse_records)
             assert _read_numeric_csv(short, "features")[0].tolist() == [[1234.0]]
         finally:
             csv.field_size_limit(default_limit)
