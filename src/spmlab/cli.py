@@ -54,6 +54,15 @@ REGIMES = (*NOISE_REGIMES, "none")
 NOISE_STREAM = 9157
 
 
+def _validate_outdir(path, name="outdir") -> None:
+    """Check, before any data is read or generated, that a directory ``path`` exists or can be
+    made: the nearest of it and its parents that exists must be a directory, or mkdir fails."""
+    absolute = Path(path).absolute()
+    if not next(p for p in (absolute, *absolute.parents) if p.exists()).is_dir():
+        raise ValueError(f"{name} must be a directory or a path where one can be made, "
+                         f"got {str(path)!r}")
+
+
 @dataclass
 class ExperimentSpec:
     """One run; its config.json is these fields as resolved, minus outdir, plus trigger_epoch."""
@@ -73,11 +82,7 @@ class ExperimentSpec:
             "data_dir": (self.data_dir is None or isinstance(self.data_dir, str), "a str or None")})
         if (self.synthetic is None) == (self.data_dir is None):
             raise ValueError("exactly one of synthetic spec or data_dir is required")
-        # the nearest of outdir and its parents that exists: a file there fails mkdir
-        outdir = Path(self.outdir).absolute()
-        if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
-            raise ValueError(f"outdir must be a directory or a path where one can be made, "
-                             f"got {self.outdir!r}")
+        _validate_outdir(self.outdir)
         if self.regime == "none" and self.train_config.method not in ("gt", "iun"):
             raise ValueError(
                 "regime 'none' keeps full labels and is only valid with "
@@ -311,6 +316,7 @@ def _clear_data_dir(outdir: Path) -> None:
 
 
 def _cmd_gen(args) -> int:
+    _validate_outdir(args.outdir)
     spec = _config_from_flags(SyntheticSpec, args)
     splits = generate_synthetic(spec)
     outdir = Path(args.outdir)
@@ -325,6 +331,8 @@ def _cmd_gen(args) -> int:
 def _cmd_corrupt(args) -> int:
     """Draw train and val observed labels from their clean files, never the old observed ones.
     In place it reads only the draw's inputs; a copy reads every file it writes."""
+    if args.outdir:
+        _validate_outdir(args.outdir)
     datadir = Path(args.data_dir)
     outdir = Path(args.outdir) if args.outdir else datadir
     # in place when outdir is the data directory; a missing one is named by _load_clean
@@ -370,7 +378,14 @@ def _cmd_eval(args) -> int:
     """Score the model the run reports at the run's threshold, unless overridden, on y_true.
 
     Every checkpoint field is checked first, also one only a resume reads. A split whose
-    feature or class count is not the model's is named with the checkpoint."""
+    feature or class count is not the model's is named with the checkpoint. An ``--out`` is
+    checked before the checkpoint is read; a missing directory of it is made once the
+    report is ready."""
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        if out.is_dir():
+            raise ValueError(f"out must be a file path, got {args.out!r}, a directory")
+        _validate_outdir(out.parent, "out's directory")
     state = load_checkpoint(args.checkpoint)
     teacher = state.config.reports_teacher and not args.use_student
     sizes = state.layer_sizes
@@ -386,8 +401,9 @@ def _cmd_eval(args) -> int:
                          f"classes, labels {paths['labels']} has {ds.n_classes}")
     report = evaluate(model, ds, threshold)
     payload = report.to_json_dict()
-    if args.out:
-        _json_dump(payload, args.out)
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _json_dump(payload, out)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

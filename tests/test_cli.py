@@ -691,7 +691,8 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("command, cell", [
         ("train", None), ("train --data-dir {d}", None), ("grid --grid lam=0,1", "lam=0"),
-    ], ids=["train", "train-data-dir", "grid"])
+        ("gen", None), ("corrupt --data-dir {d} --regime dominant", None),
+    ], ids=["train", "train-data-dir", "grid", "gen", "corrupt"])
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
     def test_an_outdir_that_is_a_file_fails_before_any_data(self, tmp_path, capsys,
                                                             monkeypatch, command, cell, outdir):
@@ -711,6 +712,31 @@ class TestCliSurface:
         assert json.loads(err) == {"error": "ValueError", "message": "outdir must be a "
                                    f"directory or a path where one can be made, got {named!r}"}
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("out, message", [
+        ("afile/x.json", "out's directory must be a directory or a path where one can be made, "
+                         "got {afile!r}"),
+        ("adir", "out must be a file path, got {adir!r}, a directory"),
+    ], ids=["under-a-file", "a-directory"])
+    def test_an_eval_out_that_cannot_be_written_fails_before_the_checkpoint_is_read(
+            self, tmp_path, capsys, out, message):
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        paths = {name: str(tmp_path / name) for name in ("afile", "adir")}
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.json"), "--data-dir",
+                     str(tmp_path), "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message.format(**paths)}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_eval_makes_a_missing_out_directory(self, csv_data, tmp_path):
+        assert train_on_csv(csv_data, tmp_path / "run", "an") == 0
+        out = tmp_path / "missing" / "x.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data-dir", str(csv_data), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / "metrics.json").read_bytes()
 
     def test_diverging_run_prints_one_json_error(self, tmp_path):
         # a process of its own, so NumPy's warnings would reach its stderr
