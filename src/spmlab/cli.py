@@ -379,12 +379,16 @@ def _cmd_eval(args) -> int:
 
     Every checkpoint field is checked first, also one only a resume reads. A split whose
     feature or class count is not the model's is named with the checkpoint. An ``--out`` is
-    checked before the checkpoint is read; a missing directory of it is made once the
-    report is ready."""
+    checked before the checkpoint is read, and may not be it or a file of the split; a
+    missing directory of it is made once the report is ready."""
     out = Path(args.out) if args.out else None
+    paths = _split_paths(args.data_dir, args.split)
     if out is not None:
         if out.is_dir():
             raise ValueError(f"out must be a file path, got {args.out!r}, a directory")
+        for read in (Path(args.checkpoint), *paths.values()):
+            if read.resolve() == out.resolve():
+                raise ValueError(f"out must not be eval's input {str(read)!r}, got {args.out!r}")
         _validate_outdir(out.parent, "out's directory")
     state = load_checkpoint(args.checkpoint)
     teacher = state.config.reports_teacher and not args.use_student
@@ -392,7 +396,6 @@ def _cmd_eval(args) -> int:
     model = Mlp(sizes, state.teacher_params if teacher else state.student_params)
     threshold = state.config.threshold if args.threshold is None else args.threshold
     ds = _load_clean(args.data_dir, args.split)
-    paths = _split_paths(args.data_dir, args.split)
     if ds.n_features != sizes[0]:
         raise ValueError(f"{args.checkpoint}: model with layers {sizes} expects {sizes[0]} "
                          f"feature columns, features {paths['features']} has {ds.n_features}")

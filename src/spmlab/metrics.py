@@ -15,9 +15,9 @@ do not: ``compute_metric_report`` checks once for all metrics. AP has one
 kernel: the positives of a label matrix are listed once in rank order
 (class, depth, sample), and any matrix that only removes some of them is a
 keep-mask over that list, so the Monte Carlo check sorts its fixed scores
-once and scores a chunk of trials per call. When every trial of a chunk
-keeps the same count per class, as in the dominant regime, each class is
-summed for the whole chunk at once.
+once and scores a chunk of trials per call. A dominant trial keeps the same
+count of each class, so there a class is scored for the whole chunk from its
+kept positives' sorted positions, with the kernel's sums and no mask.
 
 The noisy-metric side relates evaluation against corrupted single-positive
 labels to evaluation against the clean ground truth: per-class counts obey
@@ -110,34 +110,29 @@ def _kept_average_precisions(bounds: np.ndarray, depth: np.ndarray,
     kept positions. Classes with nothing kept get NaN. Each (matrix, class)
     segment of precisions is summed as one contiguous vector, as a one-class
     call would sum it, so the result does not depend on how many classes or
-    matrices share a call. When every matrix keeps the same count per class
-    (the dominant Monte Carlo regime), class c is the same columns of each
-    matrix's row of precisions, and one row-wise sum of that (T x count)
-    view sums every row as the 1-D sum of its segment.
+    matrices share a call.
     """
     n_trials, m = keep.shape
     kept = np.flatnonzero(keep)
     # where each (matrix, class) segment starts among the kept flat positions
     at = np.searchsorted(kept, np.arange(n_trials)[:, None] * m + bounds)
-    counts = np.diff(at, axis=1)
-    starts = at[:, :-1].ravel()
-    rank = np.arange(1, kept.size + 1) - np.repeat(starts, counts.ravel())
+    starts, counts = at[:, :-1].ravel(), np.diff(at, axis=1).ravel()
+    rank = np.arange(1, kept.size + 1) - np.repeat(starts, counts)
     # a flat position wraps to its positive's index in the class-major list
     prec = rank / np.take(depth + 1, kept, mode="wrap")
-    per_class = np.full(counts.shape, np.nan)
-    if n_trials > 1 and (counts == counts[0]).all():
-        prec = prec.reshape(n_trials, kept.size // n_trials)
-        stops = np.cumsum(counts[0]).tolist()
-        for c in np.flatnonzero(counts[0]).tolist():
-            count = counts[0, c]
-            per_class[:, c] = prec[:, stops[c] - count:stops[c]].sum(axis=1) / count
-        return per_class
-    counts = counts.ravel()
+    per_class = np.full(counts.size, np.nan)
     filled = np.flatnonzero(counts)
-    starts, stops = starts[filled].tolist(), (starts + counts)[filled].tolist()
-    per_class.ravel()[filled] = np.array(
-        [prec[a:b].sum() for a, b in zip(starts, stops)]) / counts[filled]
-    return per_class
+    per_class[filled] = np.array([prec[a:a + k].sum() for a, k in zip(
+        starts[filled].tolist(), counts[filled].tolist())]) / counts[filled]
+    return per_class.reshape(n_trials, -1)
+
+
+def _class_average_precisions(depth: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """A class's AP per row of ``pos`` (T x k), its kept positives' ascending positions in
+    ``_ranked_positives``, summed as ``_kept_average_precisions`` sums; NaN if k is 0."""
+    k = pos.shape[1]
+    prec = np.arange(1, k + 1) / (np.take(depth, pos) + 1)
+    return prec.sum(axis=1) / k if k else np.full(pos.shape[0], np.nan)
 
 
 def _average_precisions(order: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -517,11 +512,10 @@ class MonteCarloReport:
     ceiling_map: float | None = None
 
 
-# cells per chunk of trials, of the larger of a trial's uniforms and its
-# keep-mask, so it bounds the draw buffer and the temporaries: about 8 trials
-# of the random regime at 2000 x 19, which draws a uniform per cell, and
-# about 32 of the dominant, whose mask has a column per positive; larger
-# chunks buy no speed and cost memory
+# cells per chunk of trials, of a trial's uniforms or, if wider, its per-class
+# APs; no temporary is wider: about 8 trials of the random regime at 2000 x 19
+# (a uniform per cell) and 32 of the dominant (one per positive of a class with
+# flips); larger chunks buy no speed and cost memory
 _CHUNK_CELLS = 320_000
 
 
@@ -543,10 +537,9 @@ def _lowest_flip_map(bounds: np.ndarray, depth: np.ndarray, n_flip: np.ndarray) 
     j-th kept positive is then at the smallest depth it can have, so each
     precision, and each partial sum of them, is the largest possible.
     """
-    n_pos = np.diff(bounds)
-    position = np.arange(depth.size) - np.repeat(bounds[:-1], n_pos)
-    keep = position < np.repeat(n_pos - n_flip, n_pos)
-    return float(_trial_maps(_kept_average_precisions(bounds, depth, keep[None]))[0])
+    per_class = [_class_average_precisions(depth, np.arange(a, b - f)[None])
+                 for a, b, f in zip(bounds[:-1], bounds[1:], n_flip)]
+    return _macro_mean(np.hstack(per_class))
 
 
 def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
@@ -559,9 +552,9 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
     lowest-scored positives (the model "knows" the dominant class, so
     flipped positives are the ones it ranks poorly).
 
-    A noisy matrix only removes positives, so each trial is a keep-mask
-    over the clean positives in rank order, and trials are drawn and scored
-    a chunk at a time. The draws are those of one trial after another: per
+    A noisy matrix only removes positives, so each trial keeps a subset of
+    the clean positives in rank order, and trials are drawn and scored a
+    chunk at a time. The draws are those of one trial after another: per
     trial, the random regime draws an n x C uniform matrix, and the
     dominant regime one uniform per positive of each class with flips, in
     class order and, within a class, in sample order.
@@ -605,10 +598,10 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
                  for r, c in zip(by_sample, flipping)]
     flat = sample * n_classes + cls
 
-    # the wider of a trial's uniforms and keep-mask: see _CHUNK_CELLS
-    chunk = max(1, _CHUNK_CELLS // (n * n_classes if regime == "random" else depth.size))
-    # each chunk's uniforms overwrite the last chunk's
-    draws = np.empty((chunk, n * n_classes if regime == "random" else n_pos[flipping].sum()))
+    n_draws = n * n_classes if regime == "random" else int(n_pos[flipping].sum())
+    # see _CHUNK_CELLS; each chunk's uniforms overwrite the last chunk's
+    chunk = max(1, _CHUNK_CELLS // max(n_draws, n_classes))
+    draws = np.empty((chunk, n_draws))
     thresholds = betas[cls]
     measured = np.empty(trials)
     for first in range(0, trials, chunk):
@@ -616,17 +609,19 @@ def monte_carlo_proposition_check(config: MonteCarloConfig, regime: str,
         u = rng.random(out=draws[:t])
         if regime == "random":
             keep = np.take(u, flat, axis=1) >= thresholds
+            per_class = _kept_average_precisions(bounds, depth, keep)
         else:
-            keep = np.ones((t, depth.size), dtype=bool)
+            per_class = np.tile(clean_ap, (t, 1))
             gumbel = np.log(np.negative(np.log(u, out=u), out=u), out=u)
             offset = 0
             for c, rows, base in zip(flipping, by_sample, base_keys):
-                # Gumbel top-k = weighted sampling without replacement
+                # Gumbel top-k = weighted sampling without replacement; k are kept
                 keys = base - gumbel[:, offset:offset + rows.size]
-                top = np.argpartition(keys, rows.size - n_flip[c], axis=1)[:, -n_flip[c]:]
-                keep[np.arange(t)[:, None], rows[top]] = False
+                k = rows.size - n_flip[c]
+                kept = np.argpartition(keys, k, axis=1)[:, :k]
+                per_class[:, c] = _class_average_precisions(depth, np.sort(rows[kept], axis=1))
                 offset += rows.size
-        measured[first:first + t] = _trial_maps(_kept_average_precisions(bounds, depth, keep))
+        measured[first:first + t] = _trial_maps(per_class)
 
     ceiling = _lowest_flip_map(bounds, depth, n_flip) if regime == "dominant" else None
     return MonteCarloReport(

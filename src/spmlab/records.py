@@ -98,7 +98,9 @@ def _json_dump(obj, path) -> None:
 
 
 def read_json(path):
-    """The JSON value in the UTF-8 file ``path``; a parse or decode error names the file."""
+    """The JSON value in the UTF-8 file ``path``; a directory, parse or decode error names it."""
+    if Path(path).is_dir():
+        raise ValueError(f"{path}: a directory, not a JSON file")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

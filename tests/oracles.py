@@ -350,9 +350,14 @@ def _reference_macro_mean(per_class):
     return float(per_class[evaluable].mean())
 
 
-def reference_monte_carlo(config, regime, trials):
-    """(clean mAP, closed-form mAP, per-trial noisy mAP) one trial at a time."""
-    rng = np.random.default_rng(config.seed)
+def monte_carlo_instance(config, rng=None):
+    """The clean labels, scores and class flip rates of a Monte Carlo check.
+
+    They are the first draws of ``rng``, by default a new generator of the
+    config's seed; the trials continue from the state this leaves.
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     n, n_classes = config.n_samples, config.n_classes
 
     base = rng.uniform(0.1, 1.0, n_classes)
@@ -366,6 +371,14 @@ def reference_monte_carlo(config, regime, trials):
     margins = rng.uniform(config.margin_low, config.margin_high, n_classes)
     scores = y * margins + rng.standard_normal((n, n_classes))
     betas = rng.uniform(config.beta_low, config.beta_high, n_classes)
+    return y, scores, betas
+
+
+def reference_monte_carlo(config, regime, trials):
+    """(clean mAP, closed-form mAP, per-trial noisy mAP) one trial at a time."""
+    rng = np.random.default_rng(config.seed)
+    n, n_classes = config.n_samples, config.n_classes
+    y, scores, betas = monte_carlo_instance(config, rng)
 
     order = reference_class_order(scores)
     clean_ap = _reference_average_precisions(order, y)

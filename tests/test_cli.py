@@ -1210,6 +1210,54 @@ class TestRunDirectory:
         assert err == {"error": "ValueError", "message": f"{path}: not valid JSON "
                        "(Expecting value: line 1 column 1 (char 0))"}
 
+    @pytest.mark.parametrize("target", ["run/checkpoint.json", "data/test_features.csv",
+                                        "data/test_labels.csv", "data/test_observed.csv"])
+    @pytest.mark.parametrize("spelling", ["plain", "dot-dot"])
+    def test_eval_out_may_not_be_a_file_eval_reads(self, csv_data, tmp_path, capsys, reads,
+                                                   monkeypatch, target, spelling):
+        # the checkpoint, or any file of the split, observed labels too
+        data = tmp_path / "data"
+        shutil.copytree(csv_data, data)
+        assert train_on_csv(data, tmp_path / "run", "an") == 0
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+        def refuse(path):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", refuse)
+        reads.clear()
+        capsys.readouterr()
+        read = tmp_path / target
+        out = str(read if spelling == "plain" else read.parent / ".." / read.parent.name
+                  / read.name)
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data-dir", str(data), "--out", out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1 and reads == []
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"out must not be eval's input {str(read)!r}, "
+                                              f"got {out!r}"}
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
+
+    @pytest.mark.parametrize("name", ["checkpoint.json", "noise.json"])
+    def test_a_json_path_that_is_a_directory_is_one_named_error(self, csv_data, tmp_path,
+                                                                capsys, name):
+        # eval reads the checkpoint, train --data-dir the noise seed's record
+        data = tmp_path / "data"
+        shutil.copytree(csv_data, data)
+        path = (tmp_path / "run" if name == "checkpoint.json" else data) / name
+        path.mkdir(parents=True)
+        out = tmp_path / "out"
+        command = (["eval", "--checkpoint", str(path), "--out", str(out)]
+                   if name == "checkpoint.json" else
+                   ["train", "--regime", "random", "--epochs", "1", "--outdir", str(out)])
+        assert main([*command, "--data-dir", str(data)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1 and not out.exists()
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{path}: a directory, not a JSON file"}
+
     @pytest.mark.parametrize("name", ["checkpoint.json", "noise.json"])
     def test_a_json_file_that_is_not_utf8_is_one_named_error(self, csv_data, tmp_path, capsys,
                                                               name):

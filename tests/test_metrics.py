@@ -27,6 +27,7 @@ from spmlab.metrics import (
     ranking_loss,
     thresholded_metrics,
     _average_precisions,
+    _class_average_precisions,
     _class_order,
     _coverage,
     _kept_average_precisions,
@@ -34,6 +35,7 @@ from spmlab.metrics import (
     _macro_mean,
     _ranked_positives,
     _ranking_loss_counted,
+    _trial_maps,
 )
 from spmlab.net import make_rng
 from spmlab.noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
@@ -44,6 +46,7 @@ from oracles import (
     brute_coverage,
     brute_mean_average_precision,
     brute_ranking_loss,
+    monte_carlo_instance,
     reference_class_order,
     reference_coverage,
     reference_monte_carlo,
@@ -464,7 +467,8 @@ def outcome(kernel, *args):
 
 class TestCountedKernels:
     """``_coverage`` and ``_ranking_loss_counted`` against the sorting bodies they replaced,
-    and the equal-count sums of ``_kept_average_precisions`` against its per-segment sums."""
+    the equal-count sums of ``_kept_average_precisions`` against its per-segment sums, and
+    ``_class_average_precisions`` against the keep-mask kernel."""
 
     @given(st.data())
     @settings(max_examples=250, deadline=None, derandomize=True)
@@ -517,6 +521,27 @@ class TestCountedKernels:
         per_class = _kept_average_precisions(bounds, depth, keep)
         loop = np.vstack([_kept_average_precisions(bounds, depth, row[None]) for row in keep])
         assert np.array_equal(per_class, loop, equal_nan=True)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_class_helper_equals_the_mask_kernel_bit_for_bit(self, data):
+        # tie-heavy scores; classes may be empty, keep none or keep all
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, n_classes = data.draw(st.integers(1, 400)), data.draw(st.integers(1, 6))
+        scores = np.round(rng.random((n, n_classes)) * 8)
+        clean = (rng.random((n, n_classes)) < rng.random(n_classes)).astype(float)
+        clean[:, data.draw(st.lists(st.integers(0, n_classes - 1), max_size=2))] = 0.0
+        bounds, depth, _ = _ranked_positives(_class_order(scores), clean)
+        n_trials = data.draw(st.integers(1, 4))
+        keep = np.zeros((n_trials, depth.size), dtype=bool)
+        helper = np.empty((n_trials, n_classes))
+        for c, p in enumerate(np.diff(bounds).tolist()):
+            k = data.draw(st.sampled_from([0, p, data.draw(st.integers(0, p))]))
+            pos = np.sort(bounds[c] + np.argsort(rng.random((n_trials, p)))[:, :k], axis=1)
+            np.put_along_axis(keep, pos, True, axis=1)
+            helper[:, c] = _class_average_precisions(depth, pos)
+        kernel = np.vstack([_kept_average_precisions(bounds, depth, row[None]) for row in keep])
+        assert np.array_equal(helper, kernel, equal_nan=True)
 
 
 class TestNoisyMetricTransform:
@@ -717,7 +742,20 @@ class TestMonteCarlo:
             shapes.append(keep.shape)
             return _kept_average_precisions(bounds, depth, keep)
 
-        monkeypatch.setattr(metrics, "_kept_average_precisions", kept)
+        # a dominant chunk builds no keep-mask: its widest arrays are its
+        # uniforms, one per positive of each class with flips, and its APs
+        y, _, betas = monte_carlo_instance(config)
+        n_pos = y.sum(axis=0)
+        uniforms = sum(p for p, b in zip(n_pos, betas) if int(round(b * p)))
+
+        def trial_maps(per_class):
+            shapes.append((per_class.shape[0], max(uniforms, per_class.shape[1])))
+            return _trial_maps(per_class)
+
+        if regime == "random":
+            monkeypatch.setattr(metrics, "_kept_average_precisions", kept)
+        else:
+            monkeypatch.setattr(metrics, "_trial_maps", trial_maps)
         monte_carlo_proposition_check(config, regime, 100)
         assert max(t * m for t, m in shapes) <= metrics._CHUNK_CELLS
         assert max(t for t, _ in shapes) > 1
