@@ -33,7 +33,7 @@ from .data import (
     write_spec_json,
     write_split_csv,
 )
-from .net import Mlp, _check_param, make_rng
+from .net import Mlp, make_rng
 from .noise import compute_flip_rates, simulate_dominant_spml, simulate_random_spml
 from .records import _check_fields, _check_known, _field_type, _hints, _json_dump, _read_json_record
 from .training import (
@@ -126,10 +126,10 @@ def _load_splits(spec: ExperimentSpec) -> dict:
 
 
 def _resolve_noise_seed(noise_seed, synthetic=None, data_dir=None) -> int:
-    """The explicit seed, else the synthetic seed, else the seed of the data's noise.json
-    (written by ``corrupt``), else its spec.json seed, else 0. Each must be non-negative."""
+    """The explicit seed (its caller's record checks it), else the synthetic seed, else the
+    seed of the data's noise.json (written by ``corrupt``), else its spec.json seed, else 0."""
     if noise_seed is not None:
-        return _check_param("noise_seed", noise_seed, noise_seed >= 0, "non-negative")
+        return noise_seed
     if synthetic is not None:
         return synthetic.seed
     if data_dir is not None:
@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cor = sub.add_parser("corrupt", help="apply a noise regime to a dataset")
     p_cor.add_argument("--data-dir", required=True)
-    p_cor.add_argument("--regime", choices=NOISE_REGIMES, required=True)
+    p_cor.add_argument("--regime", required=True, help=f"one of {NOISE_REGIMES}")
     p_cor.add_argument("--noise-seed", type=int, default=None)
     p_cor.add_argument("--outdir", default=None,
                        help="defaults to the dataset directory")
@@ -304,60 +304,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _clear_data_dir(outdir: Path) -> None:
-    """Make ``outdir`` and remove every dataset file from it, before ``gen`` or a ``corrupt``
-    copy writes its own: a file of older data would pair with the new labels."""
+def _write_data_dir(outdir: Path, splits: dict, spec: SyntheticSpec | None) -> None:
+    """Make ``outdir``, remove every dataset file of older data from it (one would pair with
+    the new labels), then write each split's files and the ``spec``, if any, as spec.json."""
     outdir.mkdir(parents=True, exist_ok=True)
     stale = [outdir / name for name in ("spec.json", "fliprates.csv", "noise.json")]
     for name in ("train", "val", "test"):
         stale += _split_paths(outdir, name).values()
     for path in stale:
         path.unlink(missing_ok=True)
+    for name, ds in splits.items():
+        write_split_csv(ds, outdir, name)
+    if spec is not None:
+        write_spec_json(spec, outdir / "spec.json")
 
 
 def _cmd_gen(args) -> int:
     _validate_outdir(args.outdir)
     spec = _config_from_flags(SyntheticSpec, args)
-    splits = generate_synthetic(spec)
     outdir = Path(args.outdir)
-    _clear_data_dir(outdir)
-    for name, ds in splits.items():
-        write_split_csv(ds, outdir, name)
-    write_spec_json(spec, outdir / "spec.json")
+    _write_data_dir(outdir, generate_synthetic(spec), spec)
     print(outdir)
     return 0
 
 
 def _cmd_corrupt(args) -> int:
     """Draw train and val observed labels from their clean files, never the old observed ones.
-    In place it reads only the draw's inputs; a copy reads every file it writes."""
+    The noise record (seed, regime) is checked before any dataset file is read. In place it
+    reads only the draw's inputs; a copy reads every clean file and spec.json before
+    ``_write_data_dir`` writes them. Then the observed labels, flip rates and record follow."""
     if args.outdir:
         _validate_outdir(args.outdir)
     datadir = Path(args.data_dir)
+    record = NoiseRecord(_resolve_noise_seed(args.noise_seed, data_dir=datadir), args.regime)
+    record.validate()
     outdir = Path(args.outdir) if args.outdir else datadir
     # in place when outdir is the data directory; a missing one is named by _load_clean
     in_place = datadir.exists() and outdir.exists() and outdir.samefile(datadir)
-    splits = {name: _load_clean(datadir, name, args.regime, features=not in_place,
+    splits = {name: _load_clean(datadir, name, record.regime, features=not in_place,
                                 copy=not in_place) for name in ("train", "val")}
-    noise_seed = _resolve_noise_seed(args.noise_seed, data_dir=datadir)
-    observed, flips = _corrupt_splits(splits, args.regime, noise_seed)
-    if in_place:
-        for name, ds in observed.items():
-            _write_csv(_split_paths(outdir, name)["observed"], ds.y_observed, int)
-    else:
-        # a complete data directory: the clean test split and the spec too, each read
-        # before the outdir is made and its older data removed
-        splits = dict(observed, test=_load_clean(datadir, "test", copy=True))
+    observed, flips = _corrupt_splits(splits, record.regime, record.noise_seed)
+    if not in_place:
+        splits["test"] = _load_clean(datadir, "test", copy=True)
         spec = datadir / "spec.json"
-        spec = read_spec_json(spec) if spec.exists() else None
-        _clear_data_dir(outdir)
-        for name, ds in splits.items():
-            write_split_csv(ds, outdir, name)
-        if spec is not None:
-            write_spec_json(spec, outdir / "spec.json")
+        _write_data_dir(outdir, splits, read_spec_json(spec) if spec.exists() else None)
+    for name, ds in observed.items():
+        _write_csv(_split_paths(outdir, name)["observed"], ds.y_observed, int)
     flips.to_csv(outdir / "fliprates.csv")
     # last, so train --data-dir <outdir> redraws exactly these labels
-    _json_dump(asdict(NoiseRecord(noise_seed, args.regime)), outdir / "noise.json")
+    _json_dump(asdict(record), outdir / "noise.json")
     print(outdir)
     return 0
 
@@ -378,9 +373,9 @@ def _cmd_eval(args) -> int:
     """Score the model the run reports at the run's threshold, unless overridden, on y_true.
 
     Every checkpoint field is checked first, also one only a resume reads. A split whose
-    feature or class count is not the model's is named with the checkpoint. An ``--out`` is
-    checked before the checkpoint is read, and may not be it or a file of the split; a
-    missing directory of it is made once the report is ready."""
+    feature or class count is not the model's is named with the checkpoint. An ``--out`` and a
+    ``--threshold`` are checked before the checkpoint is read; the out may not be it or a file
+    of the split, and a missing directory of it is made once the report is ready."""
     out = Path(args.out) if args.out else None
     paths = _split_paths(args.data_dir, args.split)
     if out is not None:
@@ -390,6 +385,8 @@ def _cmd_eval(args) -> int:
             if read.resolve() == out.resolve():
                 raise ValueError(f"out must not be eval's input {str(read)!r}, got {args.out!r}")
         _validate_outdir(out.parent, "out's directory")
+    if args.threshold is not None:  # the rule of a run's threshold
+        TrainConfig(threshold=args.threshold).validate()
     state = load_checkpoint(args.checkpoint)
     teacher = state.config.reports_teacher and not args.use_student
     sizes = state.layer_sizes

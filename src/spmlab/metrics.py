@@ -403,15 +403,13 @@ def noisy_metric_transform(p, tp, pp, f, pf):
         if f_c == 0:
             # beta = 0: the corruption is empty and noisy equals clean
             rec_param, prec_param = clean_rec, clean_prec
-        elif beta is None:
-            rec_param = prec_param = None
-        else:
+        else:  # F > 0, so P > 0: beta and the clean recall are defined
             rec_param = (
                 (clean_rec - alpha * beta) / (1 - beta) if beta != 1 else None
             )
             if clean_prec is None:
                 prec_param = None
-            elif clean_rec is None or clean_rec == 0:
+            elif clean_rec == 0:
                 flags.append("parametric_precision_undefined")
                 prec_param = noisy_prec
             else:

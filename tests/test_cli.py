@@ -17,7 +17,7 @@ from spmlab.cli import (
     read_config_json,
     run_experiment,
 )
-from spmlab.data import SyntheticSpec, load_split_csv, write_spec_json
+from spmlab.data import MultiLabelDataset, SyntheticSpec, load_split_csv, write_spec_json
 from spmlab.metrics import MonteCarloConfig, monte_carlo_proposition_check
 from spmlab.net import Mlp
 from spmlab.noise import FlipRateTable
@@ -193,6 +193,41 @@ class TestGenCorrupt:
         ds = load_split_csv(d, "train")
         assert np.array_equal(ds.y_observed.sum(axis=1), np.ones(3))
         assert np.all(ds.y_observed <= ds.y_true)
+
+    @pytest.mark.parametrize("regime, error", [
+        ("dominant", "dominant regime requires extent scores"),
+        ("bogus", "unknown regime 'bogus'"),
+    ])
+    def test_apply_regime_names_a_draw_it_cannot_make(self, regime, error):
+        ds = MultiLabelDataset(np.zeros((2, 1)), [[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError) as exc:
+            cli.apply_regime(ds, regime, np.random.default_rng(0))
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--regime", "bogus"], "regime must be one of ('random', 'dominant'), got 'bogus'"),
+        (["--regime", "none"], "regime must be one of ('random', 'dominant'), got 'none'"),
+        (["--regime", "random", "--noise-seed", "-1"], "noise_seed must be non-negative, got -1"),
+    ], ids=["regime-bogus", "regime-none", "noise-seed"])
+    @pytest.mark.parametrize("outdir", [None, "c"], ids=["in-place", "outdir"])
+    def test_corrupt_checks_its_noise_record_before_any_dataset_file(
+            self, tmp_path, capsys, reads, flags, message, outdir):
+        # the labels file is not numeric, yet the record's error is the one named
+        d = tmp_path / "d"
+        main(["gen", "--outdir", str(d), "--n-samples", "100", "--n-classes", "4",
+              "--n-features", "5", "--data-seed", "2"])
+        (d / "train_labels.csv").write_text("x\n", encoding="utf-8")
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        reads.clear()
+        capsys.readouterr()
+        argv = ["corrupt", "--data-dir", str(d), *flags]
+        assert main(argv + (["--outdir", str(tmp_path / outdir)] if outdir else [])) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1 and reads == []
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
+        assert sorted(tmp_path.iterdir()) == [d]
 
     @pytest.mark.parametrize("content, error", [
         ('{"seed": 1, "bogus": 2}', "unknown spec field 'bogus'"),
@@ -788,6 +823,7 @@ class TestCliSurface:
         (["lam=1,2", "lam=3"], "grid field 'lam' is given twice"),
         (["eps-smooth=0.1", "eps_smooth=0.2"], "grid field 'eps_smooth' is given twice"),
         (["gamma=0.5,1,0.5"], "grid field 'gamma' lists value '0.5' twice"),
+        (["lam"], "grid entry 'lam' is not FIELD=V1,V2,..."),
     ])
     def test_grid_repeats_rejected_before_any_run(self, tmp_path, capsys, grid, message):
         argv = ["grid", "--outdir", str(tmp_path / "g")]
@@ -1239,6 +1275,26 @@ class TestRunDirectory:
                                               f"got {out!r}"}
         assert {path: path.read_bytes() for path in tmp_path.rglob("*")
                 if path.is_file()} == before
+
+    @pytest.mark.parametrize("threshold, message", [
+        ("2", "threshold must be in (0, 1), got 2.0"),
+        ("nan", "threshold must be finite, got nan"),
+    ], ids=["above-one", "nan"])
+    def test_a_bad_eval_threshold_fails_before_any_file_is_read(
+            self, csv_data, tmp_path, capsys, reads, threshold, message):
+        # the features file is not numeric, yet the threshold is the one named
+        data = tmp_path / "data"
+        shutil.copytree(csv_data, data)
+        assert train_on_csv(data, tmp_path / "run", "an") == 0
+        (data / "test_features.csv").write_text("x\n", encoding="utf-8")
+        reads.clear()
+        capsys.readouterr()
+        out = tmp_path / "e.json"
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--data-dir", str(data), "--out", str(out), "--threshold", threshold]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1 and reads == [] and not out.exists()
+        assert json.loads(err) == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("name", ["checkpoint.json", "noise.json"])
     def test_a_json_path_that_is_a_directory_is_one_named_error(self, csv_data, tmp_path,

@@ -567,11 +567,28 @@ class TestNoisyMetricTransform:
         (res,) = noisy_metric_transform([5], [0], [0], [3], [0])
         assert "no_predicted_positives" in res.degenerate
 
+    def test_degenerate_class_without_positives(self):
+        # P = 0 forces F = 0, so the transform is the identity on undefined recalls
+        (res,) = noisy_metric_transform([0], [0], [3], [0], [0])
+        assert np.isnan([res.clean_recall, res.noisy_recall, res.noisy_recall_parametric,
+                         res.alpha, res.beta]).all()
+        assert (res.clean_precision, res.noisy_precision,
+                res.noisy_precision_parametric) == (0.0, 0.0, 0.0)
+        assert res.degenerate == ("no_true_positives",)
+
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError, match="PF <= F <= P"):
             noisy_metric_transform([5], [5], [5], [6], [0])
         with pytest.raises(ValueError, match="PF <= TP"):
             noisy_metric_transform([5], [1], [5], [3], [2])
+        for counts in (([[5]], [1], [5], [0], [0]), ([5, 5], [1], [5], [0], [0])):
+            with pytest.raises(ValueError, match="^count vectors must be 1-D and of equal length$"):
+                noisy_metric_transform(*counts)
+        with pytest.raises(ValueError, match="^class 0: counts must be non-negative$"):
+            noisy_metric_transform([5], [-1], [5], [0], [0])
+        for counts in (([5], [6], [7], [0], [0]), ([5], [3], [2], [0], [0])):
+            with pytest.raises(ValueError, match=r"^class 0: requires TP <= P and TP <= PP$"):
+                noisy_metric_transform(*counts)
 
     @pytest.mark.parametrize("counts, match", [
         (([10.7], [5.9], [9], [3], [1]), "class 0: count P must be a whole number, got 10.7"),
@@ -649,6 +666,10 @@ class TestMonteCarlo:
     def test_non_integer_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be an integer, got 100.5"):
             monte_carlo_proposition_check(MonteCarloConfig(), "random", 100.5)
+
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ValueError, match="^unknown regime 'none'$"):
+            monte_carlo_proposition_check(MonteCarloConfig(), "none", 100)
 
     @pytest.mark.parametrize("changes, message", [
         ({"n_samples": 0}, "n_samples must be at least 1, got 0"),

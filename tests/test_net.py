@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spmlab.losses import _clip
-from spmlab.net import Mlp, _sigmoid, make_rng, sigmoid, softmax
+from spmlab.net import Mlp, _sigmoid, as_matrix, make_rng, sigmoid, softmax
 
 from oracles import fd_gradient, relative_error, reference_sigmoid, straight_line_mlp
 
@@ -164,6 +164,15 @@ class TestConstruction:
     def test_rejects_extra_layers(self):
         with pytest.raises(ValueError):
             Mlp((2, 2, 2, 2), np.zeros(18))
+
+    def test_rejects_an_empty_layer(self):
+        with pytest.raises(ValueError, match=r"^layer sizes must be positive, got \(2, 0, 2\)$"):
+            Mlp((2, 0, 2), np.zeros(2))
+
+
+def test_as_matrix_rejects_a_vector_by_name_and_shape():
+    with pytest.raises(ValueError, match=r"^scores must be 2-D, got shape \(3,\)$"):
+        as_matrix(np.zeros(3), "scores")
 
 
 class TestCachedViews:

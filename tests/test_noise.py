@@ -106,6 +106,8 @@ class TestDominantSimulator:
             simulate_dominant_spml(y, np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="true-positive cell"):
             simulate_dominant_spml(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="^extent rows must sum to 1 over positive classes$"):
+            simulate_dominant_spml(np.array([[1.0, 1.0]]), np.array([[0.5, 0.6]]))
 
 
 class TestFlipRates:
@@ -150,6 +152,10 @@ class TestFlipRates:
     def test_rejects_invented_positive(self):
         with pytest.raises(ValueError, match="ground truth"):
             compute_flip_rates(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
+
+    def test_rejects_ground_truth_without_positives(self):
+        with pytest.raises(ValueError, match="^ground truth has no positive labels at all$"):
+            compute_flip_rates(np.zeros((2, 3)), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("table", [
         # an unsupported class, and floats whose reprs differ most

@@ -194,6 +194,10 @@ class TestMixup:
             mixup_batch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)),
                         make_rng(0), 1.0)
 
+    def test_batch_sizes_must_agree(self):
+        with pytest.raises(ValueError, match="^x, y, t must share the batch dimension$"):
+            mixup_batch(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 2)), make_rng(0), 1.0)
+
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             mixup_batch(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
@@ -334,6 +338,20 @@ class TestTrainerMechanics:
         multi = tr.with_observed(tr.y_true.copy())
         with pytest.raises(ValueError, match="single-positive"):
             train(small_config(method="an"), multi, va)
+
+    @pytest.mark.parametrize("swap, error", [
+        pytest.param(lambda tr, va: (tr, small_data(n_classes=5)[1]),
+                     "train and validation class counts differ", id="val-classes"),
+        pytest.param(lambda tr, va: (MultiLabelDataset(tr.features, tr.y_true), va),
+                     "training set has no observed labels", id="train-unobserved"),
+        pytest.param(lambda tr, va: (tr, MultiLabelDataset(va.features, va.y_true)),
+                     "validation set has no observed labels", id="val-unobserved"),
+    ])
+    def test_datasets_that_cannot_train_together_are_named(self, swap, error):
+        tr, va = swap(*small_data()[:2])
+        with pytest.raises(ValueError) as exc:
+            Trainer(small_config(), tr, va)
+        assert str(exc.value) == error
 
     def test_gt_and_iun_accept_full_observed(self):
         tr, va, te = small_data()
